@@ -26,7 +26,6 @@ from scipy.integrate import cumulative_simpson
 from . import reference
 from .errors import VerificationError
 
-K_MIN, K_MAX = 3, 14
 DEFAULT_TOL = 1e-8
 ZERO_LEVEL_SUP = 1e-15
 _BASE_STEPS_PER_UNIT = 128
@@ -34,19 +33,14 @@ _BASE_STEPS_PER_UNIT = 128
 
 def upper_limit(k: int) -> float:
     """Upper integration limit U_k = (37k - 15)/(15 - k); requires k < 15."""
-    _check_k(k)
+    reference.check_k(k)
     return (37.0 * k - 15.0) / (15.0 - k)
 
 
 def max_r(k: int) -> int:
     """Largest prime-factor count in the tail sum: floor(36k / (15 - k))."""
-    _check_k(k)
+    reference.check_k(k)
     return math.floor(36 * k / (15 - k))
-
-
-def _check_k(k: int) -> None:
-    if not (K_MIN <= k <= K_MAX):
-        raise ValueError(f"k must be in [{K_MIN}, {K_MAX}], got {k}")
 
 
 @dataclass(frozen=True)
@@ -149,7 +143,7 @@ def _converged_values(k: int, tol: float, r_cap: int | None = None) -> tuple[dic
 
 def level_function(m: int, k: int, steps_per_unit: int = 2 * _BASE_STEPS_PER_UNIT) -> LevelFunction:
     """The sampled level g_m on [m, U_k], for inspection and spot checks."""
-    _check_k(k)
+    reference.check_k(k)
     if m < 2:
         raise ValueError(f"levels start at m = 2, got {m}")
     U = upper_limit(k)
@@ -181,7 +175,7 @@ def level_function(m: int, k: int, steps_per_unit: int = 2 * _BASE_STEPS_PER_UNI
 
 def iterated_integral(r: int, k: int, tol: float = DEFAULT_TOL) -> float:
     """c_r(k) = g_{r-1}(U_k) to absolute accuracy tol; 0 when r - 1 >= U_k."""
-    _check_k(k)
+    reference.check_k(k)
     if r < 4:
         raise ValueError(f"the nested integral needs r >= 4, got {r}")
     if tol <= 0:
@@ -225,7 +219,7 @@ def constants_table(k: int, tol: float = DEFAULT_TOL, compare_tol: float = 1e-3)
     Monotone decay is asserted across the computed range: the entries must
     strictly decrease until they hit zero, and stay zero afterwards.
     """
-    _check_k(k)
+    reference.check_k(k)
     values, err = _converged_values(k, tol)
     lo, hi = reference.sum_range(k)
     bounds = reference.cr_bounds(k)

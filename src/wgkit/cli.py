@@ -34,11 +34,9 @@ def _round12(obj):
 def _emit(payload: dict, fmt: str, output: str | None, csv_text: str | None = None) -> None:
     if fmt == "csv":
         text = csv_text if csv_text is not None else _to_csv(payload)
-    elif fmt == "json":
+    else:
         payload = {"schema_version": SCHEMA_VERSION, **payload}
         text = json.dumps(_round12(payload), indent=2) + "\n"
-    else:
-        text = _to_text(payload)
     if output:
         with open(output, "w") as fh:
             fh.write(text)
@@ -59,10 +57,6 @@ def _to_csv(payload: dict) -> str:
             cells.append(f"{v:.12g}" if isinstance(v, float) else str(v))
         lines.append(",".join(cells))
     return "\n".join(lines) + "\n"
-
-
-def _to_text(payload: dict) -> str:
-    return json.dumps(_round12(payload), indent=2) + "\n"
 
 
 def _parse_k_list(raw: str) -> list[int]:
@@ -89,7 +83,10 @@ def cmd_sums(args) -> int:
 def cmd_local(args) -> int:
     rows = []
     failed = False
-    for p in primes_up_to(args.pmax):
+    primes = primes_up_to(args.pmax)
+    # largest prime first: past the exact-count range this refuses before any row
+    localdensity.local_densities_all(primes[-1], args.k)
+    for p in primes:
         K, L, Lstar = localdensity.local_densities_all(p, args.k)
         bound = localdensity.ep_bound(p, args.k)
         residues = [0] if p == 2 and args.parity == "even" else list(range(p))
@@ -248,7 +245,7 @@ def build_parser() -> argparse.ArgumentParser:
         prog="wgkit",
         description="Verification toolkit for the mixed squares/cubes/k-th power form",
     )
-    ap.add_argument("--format", choices=("json", "csv", "text"), default="json")
+    ap.add_argument("--format", choices=("json", "csv"), default="json")
     ap.add_argument("--output", default=None, help="write to a file instead of stdout")
     sub = ap.add_subparsers(dest="command", required=True)
 
@@ -306,12 +303,6 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    import os
-
-    threads = os.environ.get("WGKIT_THREADS")
-    if threads:  # best-effort cap on BLAS/FFT worker threads
-        for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
-            os.environ.setdefault(var, threads)
     ap = build_parser()
     args = ap.parse_args(argv)
     # validate shared numeric ranges up front: usage errors exit 2
@@ -319,7 +310,7 @@ def main(argv: list[str] | None = None) -> int:
         if getattr(args, attr, None) is not None and getattr(args, attr) < lo:
             ap.error(f"--{attr} must be >= {lo}")
     if getattr(args, "k", None) is not None and isinstance(args.k, int):
-        if not (3 <= args.k <= 14) and args.command != "count":
+        if args.k not in reference.K_RANGE and args.command != "count":
             ap.error("--k must be in 3..14")
         if args.command == "count" and args.k < 2:
             ap.error("--k must be >= 2")

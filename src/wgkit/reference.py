@@ -2,7 +2,8 @@
 
 The grouped form mirrors the published list (single entries plus lumped
 ranges sharing one bound); ``cr_bounds`` expands it to one bound per r.
-These are comparison targets only; nothing here feeds a computation.
+These are comparison targets only; nothing here feeds a computation.  The
+supported powers K_RANGE and their check live here too.
 """
 
 from __future__ import annotations
@@ -97,6 +98,12 @@ ALMOST_PRIME_ORDER: dict[int, int] = {
 }
 
 K_RANGE = tuple(range(3, 15))
+
+
+def check_k(k: int) -> None:
+    """Raise ValueError unless k is a supported power, 3 <= k <= 14."""
+    if not (K_RANGE[0] <= k <= K_RANGE[-1]):
+        raise ValueError(f"k must be in [{K_RANGE[0]}, {K_RANGE[-1]}], got {k}")
 
 
 def cr_bounds(k: int) -> dict[int, float]:

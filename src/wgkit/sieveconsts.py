@@ -17,7 +17,7 @@ import math
 from dataclasses import dataclass
 
 from .arith import factorize, mobius, primes_up_to
-from .localdensity import K_MAX, K_MIN
+from .reference import check_k
 from .singular import _omega_p
 
 EULER_GAMMA = 0.57721566490153286
@@ -60,8 +60,7 @@ def params(n: int, k: int, eps: float = 1e-4) -> Parameters:
         raise ValueError(f"n must be even, got {n}")
     if n < 10**6:
         raise ValueError(f"n must be >= 10**6 for meaningful box sizes, got {n}")
-    if not (K_MIN <= k <= K_MAX):
-        raise ValueError(f"k must be in [{K_MIN}, {K_MAX}], got {k}")
+    check_k(k)
     if not (0 < eps <= 1e-3):
         raise ValueError(f"eps must lie in (0, 1e-3], got {eps}")
     d_exponent = 5.0 / (8 * k) - 1.0 / 24 - 51 * eps
@@ -143,8 +142,7 @@ def sieve_product(n: int, k: int, z: float) -> float:
 
 def main_term_margin(k: int, c_k: float) -> float:
     """f(3) - F(3) C(k) = (2 e^gamma / 3)(log 2 - C(k)); positive iff the sieve wins."""
-    if not (K_MIN <= k <= K_MAX):
-        raise ValueError(f"k must be in [{K_MIN}, {K_MAX}], got {k}")
+    check_k(k)
     return (2.0 * EXP_GAMMA / 3.0) * (math.log(2.0) - c_k)
 
 

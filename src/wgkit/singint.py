@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .localdensity import K_MAX, K_MIN
+from .reference import check_k
 
 N_STRATA_PER_DIM = 4
 DIM = 5
@@ -32,8 +32,7 @@ DIM = 5
 
 def expected_growth_exponent(k: int) -> float:
     """Exponent of the growth order of J(n): 17/18 + 5/(6k)."""
-    if not (K_MIN <= k <= K_MAX):
-        raise ValueError(f"k must be in [{K_MIN}, {K_MAX}], got {k}")
+    check_k(k)
     return 17.0 / 18.0 + 5.0 / (6.0 * k)
 
 
@@ -101,8 +100,7 @@ def singular_integral(
     """J(n) as a real density integral, by seeded stratified Monte Carlo."""
     if n % 2 != 0:
         raise ValueError(f"n must be even, got {n}")
-    if not (K_MIN <= k <= K_MAX):
-        raise ValueError(f"k must be in [{K_MIN}, {K_MAX}], got {k}")
+    check_k(k)
     if samples < 1024:
         raise ValueError(f"need at least 1024 samples, got {samples}")
     edges = _box_edges(n, k)

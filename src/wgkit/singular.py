@@ -31,8 +31,9 @@ import numpy as np
 
 from .arith import FactoredInt, factorize, is_prime, primes_up_to
 from .errors import VerificationError
-from .expsums import complete_sums_all, unit_sums_all
-from .localdensity import K_MAX, K_MIN, densities_float_all, local_densities_all
+from .expsums import _unit_mask, complete_sums_all, unit_sums_all
+from .localdensity import densities_float_all, local_densities_all
+from .reference import check_k
 
 # Exact integer counting below this; spectral floats above (only ratios are
 # needed there, for sieve products over thousands of primes).
@@ -64,8 +65,16 @@ class SingularSeriesEval:
 def _check_nk(n: int, k: int) -> None:
     if n % 2 != 0:
         raise ValueError(f"target n must be even (the form represents even integers), got {n}")
-    if not (K_MIN <= k <= K_MAX):
-        raise ValueError(f"k must be in [{K_MIN}, {K_MAX}], got {k}")
+    check_k(k)
+
+
+def _local_counts(p: int, k: int):
+    """(K, L) for every residue mod p: exact up to EXACT_PRIME_LIMIT, spectral floats above."""
+    if p <= EXACT_PRIME_LIMIT:
+        K, L, _ = local_densities_all(p, k)
+    else:
+        K, L, _ = densities_float_all(p, k)
+    return K, L
 
 
 def correlation_sum(q: int, d: int, n: int, k: int) -> float:
@@ -79,7 +88,7 @@ def correlation_sum(q: int, d: int, n: int, k: int) -> float:
     if q == 1:
         return 1.0
     a = np.arange(q)
-    units = np.array([math.gcd(x, q) == 1 for x in range(q)])
+    units = np.roll(_unit_mask(q), 1)  # indexed by a = 0..q-1; a = 0 stands for m = q
     s2_complete = complete_sums_all(2, q)
     s2u = unit_sums_all(2, q)
     s3u = unit_sums_all(3, q)
@@ -101,12 +110,8 @@ def euler_factor(p: int, d: int, n: int, k: int) -> EulerFactor:
         raise ValueError(f"p must be prime, got {p}")
     _check_nk(n, k)
     r = n % p
-    if p <= EXACT_PRIME_LIMIT:
-        K, L, _ = local_densities_all(p, k)
-        num = p * K[r] if d % p == 0 else L[r]
-    else:
-        Kf, Lf, _ = densities_float_all(p, k)
-        num = p * Kf[r] if d % p == 0 else Lf[r]
+    K, L = _local_counts(p, k)
+    num = p * K[r] if d % p == 0 else L[r]
     value = float(num) / (p - 1) ** 5
     return EulerFactor(p, d, value, value - 1.0)
 
@@ -172,12 +177,8 @@ def singular_series(n: int, d, k: int, p_max: int = 10**4) -> SingularSeriesEval
 
 @lru_cache(maxsize=None)
 def _omega_p(p: int, n_mod: int, k: int) -> float:
-    if p <= EXACT_PRIME_LIMIT:
-        K, L, _ = local_densities_all(p, k)
-        kv, lv = K[n_mod], L[n_mod]
-    else:
-        Kf, Lf, _ = densities_float_all(p, k)
-        kv, lv = float(Kf[n_mod]), float(Lf[n_mod])
+    K, L = _local_counts(p, k)
+    kv, lv = K[n_mod], L[n_mod]
     if lv <= 0:
         raise VerificationError(f"L(p,n) vanished at p={p}, n={n_mod}")
     return p * float(kv) / float(lv)

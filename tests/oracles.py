@@ -77,27 +77,25 @@ def gauss_legendre(f, a: float, b: float, order: int = 60) -> float:
 def nested_c4(U: float, panels: int = 40, order: int = 24) -> float:
     """c_4 as a literal two-fold nested integral, no level recursion.
 
-    int_3^U dt/t int_2^{t-1} log(s-1)/s ds with per-panel Gauss-Legendre.
+    int_3^U dt/t int_2^{t-1} log(s-1)/s ds with per-panel Gauss-Legendre,
+    vectorized over the outer nodes t.
     """
+    x, w = leggauss(order)
 
-    def inner(t):
-        # vectorized over t: integral of log(s-1)/s from 2 to t-1
-        out = np.zeros_like(t)
-        for i, ti in enumerate(np.atleast_1d(t)):
-            if ti - 1 <= 2:
-                continue
-            edges = np.linspace(2.0, ti - 1.0, panels + 1)
-            total = 0.0
-            for a, b in zip(edges[:-1], edges[1:]):
-                total += gauss_legendre(lambda s: np.log(s - 1.0) / s, a, b, order)
-            out[i] = total
-        return out
+    def panel_rule(lo, hi):
+        # nodes and weights of `panels` equal panels on [lo, hi], broadcast over lo, hi
+        frac = np.arange(panels + 1) / panels
+        edges = lo[..., None] + (hi - lo)[..., None] * frac
+        mid = 0.5 * (edges[..., 1:] + edges[..., :-1])
+        half = 0.5 * (edges[..., 1:] - edges[..., :-1])
+        nodes = mid[..., None] + half[..., None] * x
+        weights = half[..., None] * w
+        return nodes.reshape(*lo.shape, -1), weights.reshape(*lo.shape, -1)
 
-    edges = np.linspace(3.0, U, panels + 1)
-    total = 0.0
-    for a, b in zip(edges[:-1], edges[1:]):
-        total += gauss_legendre(lambda t: inner(t) / t, a, b, order)
-    return total
+    t, wt = panel_rule(np.array(3.0), np.array(float(U)))
+    s, ws = panel_rule(np.full_like(t, 2.0), t - 1.0)
+    inner = (ws * np.log(s - 1.0) / s).sum(axis=-1)
+    return float((wt * inner / t).sum())
 
 
 def independent_level_cascade(k: int, r_top: int, M: int = 3000) -> dict[int, float]:

@@ -5,28 +5,28 @@ import pytest
 
 from oracles import brute_density_loops, brute_density_vectorized
 from wgkit.arith import primes_up_to
-from wgkit.errors import VerificationError
+from wgkit.cli import main
+from wgkit.errors import BudgetExceeded, VerificationError
+from wgkit.expsums import power_hist
 from wgkit.localdensity import (
-    CongruenceSignature,
     LocalDensities,
-    count_congruence,
     densities_float_all,
     ep_bound,
     ep_via_sums,
     local_densities,
     local_densities_all,
-    power_histogram,
 )
 
 
 def test_power_histogram_examples():
-    h = power_histogram(7, 3, units_only=True)
-    assert h.counts[1] == 3 and h.counts[6] == 3
-    assert sum(h.counts) == 6 and h.counts[0] == 0
-    h2 = power_histogram(2, 2, units_only=True)
-    assert h2.counts == (0, 1)
-    h5 = power_histogram(5, 2, units_only=False)
-    assert h5.counts == (1, 2, 0, 0, 2)
+    h = power_hist(3, 7, units_only=True)
+    assert h[1] == 3 and h[6] == 3
+    assert h.sum() == 6 and h[0] == 0
+    assert power_hist(2, 2, units_only=True).tolist() == [0, 1]
+    assert power_hist(2, 5, units_only=False).tolist() == [1, 2, 0, 0, 2]
+    # composite modulus: the squares of 1..12 mod 12 are 1, 4, 9, 4, 1, 0, ...
+    assert power_hist(2, 12, units_only=False).tolist() == [2, 4, 0, 0, 4, 0, 0, 0, 0, 2, 0, 0]
+    assert power_hist(2, 12, units_only=True).tolist() == [0, 4, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0]
 
 
 def test_histogram_mass():
@@ -34,20 +34,17 @@ def test_histogram_mass():
 
     for q in (2, 5, 12, 36):
         for j in (2, 3, 14):
-            assert sum(power_histogram(q, j, False).counts) == q
-            assert sum(power_histogram(q, j, True).counts) == euler_phi(factorize(q))
+            assert power_hist(j, q, False).sum() == q
+            assert power_hist(j, q, True).sum() == euler_phi(factorize(q))
 
 
 def test_count_congruence_mod2_examples():
-    k_sig = ((2, True), (3, True), (3, True), (3, True), (3, True))
-    for n in range(2):
-        assert count_congruence(2, CongruenceSignature(k_sig, n)) == (1 if n % 2 else 0)
-    lstar_sig = ((2, True),) + k_sig
-    for n in range(2):
-        assert count_congruence(2, CongruenceSignature(lstar_sig, n)) == (0 if n % 2 else 1)
-    l_sig = ((2, False),) + k_sig
-    for n in range(2):
-        assert count_congruence(2, CongruenceSignature(l_sig, n)) == 1
+    # mod 2 every unit is 1: K counts 5 ones, L* 6 ones, L adds x1 in {0, 1}
+    for k in (3, 4, 14):
+        K, L, Lstar = local_densities_all(2, k)
+        assert K == (0, 1)
+        assert Lstar == (1, 0)
+        assert L == (1, 1)
 
 
 def test_local_densities_p2():
@@ -128,36 +125,42 @@ def test_density_normalization():
 
 
 def test_densities_float_path():
-    for p in (7, 97, 499):
-        K, L, Ls = local_densities_all(p, 3)
-        fK, fL, fLs = densities_float_all(p, 3)
-        assert np.allclose(fK, np.array(K, dtype=float), rtol=1e-9)
-        assert np.allclose(fL, np.array(L, dtype=float), rtol=1e-9)
-        assert np.allclose(fLs, np.array(Ls, dtype=float), rtol=1e-9)
+    for p in (7, 97, 499, 601):
+        for k in (3, 14):
+            K, L, Ls = local_densities_all(p, k)
+            fK, fL, fLs = densities_float_all(p, k)
+            assert np.allclose(fK, np.array(K, dtype=float), rtol=1e-9)
+            assert np.allclose(fL, np.array(L, dtype=float), rtol=1e-9)
+            assert np.allclose(fLs, np.array(Ls, dtype=float), rtol=1e-9)
 
 
-def test_wide_counts_beyond_int64():
-    # mass product far beyond 2^63 forces the arbitrary-precision path;
-    # total over all residues must equal the exact tuple count 40^12
-    from wgkit.localdensity import congruence_counts
-
-    q = 41
-    terms = ((2, True),) * 12
-    counts = congruence_counts(q, terms)
-    assert all(isinstance(c, int) for c in counts)
-    assert sum(counts) == 40**12
-    # and the wide path agrees with int64 convolution where both apply
-    short = ((2, True), (3, True), (3, True))
-    a = congruence_counts(q, short)
+def test_wide_counts_beyond_int64(capsys, monkeypatch):
+    # p = 1289 is the largest prime whose L mass p (p-1)^5 stays below 2^62
+    p = 1289
+    K, L, Ls = local_densities_all(p, 3)
+    assert all(isinstance(c, int) for c in K + L + Ls)
+    assert sum(K) == (p - 1) ** 5
+    assert sum(Ls) == (p - 1) ** 6
+    assert sum(L) == p * (p - 1) ** 5
+    fK, fL, fLs = densities_float_all(p, 3)
+    assert np.allclose(fK, np.array(K, dtype=float), rtol=1e-9)
+    assert np.allclose(fL, np.array(L, dtype=float), rtol=1e-9)
+    assert np.allclose(fLs, np.array(Ls, dtype=float), rtol=1e-9)
+    with pytest.raises(BudgetExceeded):
+        local_densities_all(1291, 3)
+    # the CLI refuses such a table before it computes any row
     import wgkit.localdensity as ld
 
-    saved = ld._INT64_SAFE
-    try:
-        ld._INT64_SAFE = 1  # force the Python fallback
-        b = congruence_counts(q, short)
-    finally:
-        ld._INT64_SAFE = saved
-    assert a == b
+    computed = []
+
+    def recording(q, k):
+        computed.append(q)
+        return local_densities_all(q, k)
+
+    monkeypatch.setattr(ld, "local_densities_all", recording)
+    assert main(["local", "--pmax", "1300", "--k", "3"]) == 2
+    assert capsys.readouterr().out == ""
+    assert computed and min(computed) > p
 
 
 def test_bad_inputs():
@@ -166,6 +169,6 @@ def test_bad_inputs():
     with pytest.raises(ValueError):
         local_densities(7, 0, 2)
     with pytest.raises(ValueError):
-        power_histogram(0, 2, False)
+        local_densities_all(7, 15)
     with pytest.raises(ValueError):
-        CongruenceSignature((), 0)
+        densities_float_all(10, 3)
