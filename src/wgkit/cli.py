@@ -67,8 +67,10 @@ def _parse_k_list(raw: str) -> list[int]:
     except ValueError:
         raise argparse.ArgumentTypeError(f"bad k list: {raw!r}")
     for k in ks:
-        if k not in reference.K_RANGE:
-            raise argparse.ArgumentTypeError(f"k must be in 3..14, got {k}")
+        try:
+            reference.check_k(k)
+        except ValueError as exc:
+            raise argparse.ArgumentTypeError(str(exc))
     return ks
 
 
@@ -219,15 +221,11 @@ def cmd_count(args) -> int:
 def cmd_singint(args) -> int:
     n_grid = [int(float(tok)) for tok in args.n_grid.split(",")]
     n_grid = [n if n % 2 == 0 else n + 1 for n in n_grid]
-    evals, slope, intercept, resid = singint.growth_fit(
-        n_grid, args.k, samples=args.samples, seed=args.seed
-    )
+    evals, slope, intercept, resid = singint.growth_fit(n_grid, args.k)
     expected = singint.expected_growth_exponent(args.k)
     payload = {
         "command": "singint",
         "k": args.k,
-        "seed": args.seed,
-        "samples": args.samples,
         "points": [
             {"n": e.n, "value": e.value, "est_abs_error": e.est_abs_error} for e in evals
         ],
@@ -294,8 +292,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("singint", help="singular-integral growth fit")
     p.add_argument("--n-grid", dest="n_grid", default="1e8,1e9,1e10,1e11")
     p.add_argument("--k", type=int, required=True)
-    p.add_argument("--samples", type=int, default=10**7)
-    p.add_argument("--seed", type=int, default=0)
+    no_effect = "accepted for compatibility; J(n) is deterministic and does not depend on it"
+    p.add_argument("--samples", type=int, default=10**7, help=no_effect + " (must be >= 1024)")
+    p.add_argument("--seed", type=int, default=0, help=no_effect)
     p.add_argument("--slope-tol", dest="slope_tol", type=float, default=0.03)
     p.set_defaults(func=cmd_singint)
 
@@ -310,8 +309,11 @@ def main(argv: list[str] | None = None) -> int:
         if getattr(args, attr, None) is not None and getattr(args, attr) < lo:
             ap.error(f"--{attr} must be >= {lo}")
     if getattr(args, "k", None) is not None and isinstance(args.k, int):
-        if args.k not in reference.K_RANGE and args.command != "count":
-            ap.error("--k must be in 3..14")
+        if args.command != "count":
+            try:
+                reference.check_k(args.k)
+            except ValueError as exc:
+                ap.error(f"--{exc}")
         if args.command == "count" and args.k < 2:
             ap.error("--k must be >= 2")
     try:

@@ -18,6 +18,7 @@ from dataclasses import dataclass
 
 from .arith import factorize, mobius, primes_up_to
 from .reference import check_k
+from .singint import box_size
 from .singular import _omega_p
 
 EULER_GAMMA = 0.57721566490153286
@@ -66,14 +67,6 @@ def params(n: int, k: int, eps: float = 1e-4) -> Parameters:
     d_exponent = 5.0 / (8 * k) - 1.0 / 24 - 51 * eps
     if d_exponent <= 0:
         raise ValueError(f"sieve level collapses: D-exponent {d_exponent} <= 0")
-    base = 2.0 * n / 3.0
-
-    def xj(j):
-        return 0.5 * base ** (1.0 / j)
-
-    def xj_star(j):
-        return 0.5 * base ** (5.0 / (6.0 * j))
-
     D = float(n) ** d_exponent
     z = D ** (1.0 / 3.0)
     if z <= 2.0:
@@ -82,12 +75,12 @@ def params(n: int, k: int, eps: float = 1e-4) -> Parameters:
         n=n,
         k=k,
         eps=eps,
-        x2=xj(2),
-        x3=xj(3),
-        xk=xj(k),
-        x2_star=xj_star(2),
-        x3_star=xj_star(3),
-        xk_star=xj_star(k),
+        x2=box_size(n, 2),
+        x3=box_size(n, 3),
+        xk=box_size(n, k),
+        x2_star=box_size(n, 2, star=True),
+        x3_star=box_size(n, 3, star=True),
+        xk_star=box_size(n, k, star=True),
         D=D,
         z=z,
         q0_log_power=50 * BIG_A,

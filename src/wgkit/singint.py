@@ -12,22 +12,23 @@ with u2 in (X2, 2X2], u3, u4 in (X3, 2X3], u5 in (X3*, 2X3*], u6 in (Xk*, 2Xk*].
 The box sizes are X_j = (1/2)(2n/3)^(1/j) and X_j* = (1/2)(2n/3)^(5/6j).  The
 integral grows like n^(17/18 + 5/6k).
 
-Evaluation is stratified Monte Carlo with a fixed seed: the 5-dimensional unit
-cube is split into 4^5 = 1024 strata, each sampled by its own deterministic
-substream, so the result is independent of evaluation order.
+Evaluation is deterministic.  With R^2 = n - u3^3 - u4^3 - u5^3 - u6^k the u2
+integral is an arcsin difference in closed form, continuous in R^2 with kinks
+only at R^2 = 2, 5 and 8 X2^2.  The remaining 4-dimensional integral is tensor
+Gauss-Legendre over (u4, u5, u6), and Gauss-Legendre in u3 on the pieces
+between the u3 values of those kinks.  Two orders are evaluated; the higher is
+the value and their difference the error estimate.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .reference import check_k
 
-N_STRATA_PER_DIM = 4
-DIM = 5
+METHOD = "arcsin_gauss_legendre"
 
 
 def expected_growth_exponent(k: int) -> float:
@@ -76,80 +77,115 @@ class SingularIntegralEval:
     value: float
     est_abs_error: float
     method: str
-    samples: int
-    seed: int
+    samples: int  # integrand evaluations used, over both quadrature orders
     empty: bool
 
 
-def _box_edges(n: int, k: int) -> list[tuple[float, float]]:
-    base = 2.0 * n / 3.0
-    x2 = 0.5 * base ** (1.0 / 2)
-    x3 = 0.5 * base ** (1.0 / 3)
-    x3s = 0.5 * base ** (5.0 / 18)
-    xks = 0.5 * base ** (5.0 / (6.0 * k))
-    return [(x2, 2 * x2), (x3, 2 * x3), (x3, 2 * x3), (x3s, 2 * x3s), (xks, 2 * xks)]
+def box_size(n: int, j: int, star: bool = False) -> float:
+    """Dyadic box size X_j = (1/2)(2n/3)^(1/j), or X_j* = (1/2)(2n/3)^(5/6j) if star."""
+    exponent = 5.0 / (6.0 * j) if star else 1.0 / j
+    return 0.5 * (2.0 * n / 3.0) ** exponent
+
+
+def _u2_integral(r2, x2: float):
+    """int du2 / (2 sqrt(r2 - u2^2)) over u2 in (X2, 2X2] with X2^2 < r2 - u2^2 <= 4 X2^2.
+
+    The antiderivative is arcsin(u2 / R)/2 with R^2 = r2, taken between
+    lo = max(X2, sqrt(R^2 - 4 X2^2)) and hi = min(2 X2, sqrt(R^2 - X2^2)).  The
+    integral vanishes unless 2 X2^2 < R^2 < 8 X2^2, and the branches of lo and
+    hi switch at R^2 = 5 X2^2: these three values are its only kinks.
+    """
+    s2 = x2 * x2
+    r2 = np.clip(r2, 2.0 * s2, 8.0 * s2)
+    r = np.sqrt(r2)
+    lo = np.maximum(x2, np.sqrt(np.maximum(r2 - 4.0 * s2, 0.0)))
+    hi = np.minimum(2.0 * x2, np.sqrt(r2 - s2))
+    return 0.5 * (np.arcsin(hi / r) - np.arcsin(np.minimum(lo, hi) / r))
+
+
+def _gauss(lo: float, hi: float, order: int):
+    x, w = np.polynomial.legendre.leggauss(order)
+    half = 0.5 * (hi - lo)
+    return lo + half * (x + 1.0), half * w
+
+
+def _quadrature(n: int, k: int, outer: int, inner: int) -> tuple[float, int]:
+    """J(n) by tensor Gauss-Legendre over (u4, u5, u6), split Gauss-Legendre in u3.
+
+    For each outer node the u3 interval is cut where R^2 = n - rest - u3^3 crosses
+    8, 5 and 2 X2^2, so the u2 integral is smooth on each of the two pieces it
+    does not vanish on.  One u4 node is evaluated at a time, so the arrays hold
+    outer^2 * inner elements.  Returns the value and the number of integrand
+    evaluations.
+    """
+    x2, x3 = box_size(n, 2), box_size(n, 3)
+    x3s, xks = box_size(n, 3, star=True), box_size(n, k, star=True)
+    u4, w4 = _gauss(x3, 2 * x3, outer)
+    u5, w5 = _gauss(x3s, 2 * x3s, outer)
+    u6, w6 = _gauss(xks, 2 * xks, outer)
+    t, wt = np.polynomial.legendre.leggauss(inner)
+    rest56 = ((u5**3)[:, None] + (u6**k)[None, :]).ravel()
+    w56 = (w5[:, None] * w6[None, :]).ravel()
+    s2 = x2 * x2
+    total, evaluations = 0.0, 0
+    for u, wu in zip(u4, w4):
+        m = n - u**3 - rest56  # R^2 + u3^3
+        b8, b5, b2 = (np.clip(np.cbrt(m - c * s2), x3, 2 * x3) for c in (8.0, 5.0, 2.0))
+        for a, b in ((b8, b5), (b5, b2)):
+            half = 0.5 * (b - a)
+            # R^2 < n - 2 X3^3 = 5 X2^2 on the box, so the first piece is always
+            # empty, and the second is empty where R^2 <= 2 X2^2 for every u3
+            if not half.any():
+                continue
+            u3 = (a + half)[:, None] + half[:, None] * t
+            total += float(wu * (w56 @ (half * (_u2_integral(m[:, None] - u3**3, x2) @ wt))))
+            evaluations += u3.size
+    return total, evaluations
+
+
+# (outer nodes per axis, inner nodes per u3 piece): the value is the higher
+# order, the error estimate the difference between the two
+ORDERS = ((24, 12), (32, 16))
 
 
 def singular_integral(
     n: int,
     k: int,
-    tol: float = 5e-3,
     samples: int = 10**7,
     seed: int = 0,
 ) -> SingularIntegralEval:
-    """J(n) as a real density integral, by seeded stratified Monte Carlo."""
+    """J(n) as a real density integral, by the deterministic rule of this module.
+
+    ``samples`` and ``seed`` are accepted for callers of the earlier Monte Carlo
+    rule and do not affect the result; fewer than 1024 samples is still refused.
+    """
     if n % 2 != 0:
         raise ValueError(f"n must be even, got {n}")
     check_k(k)
     if samples < 1024:
         raise ValueError(f"need at least 1024 samples, got {samples}")
-    edges = _box_edges(n, k)
-    x2 = edges[0][0]
-    t_lo, t_hi = x2 * x2, 4.0 * x2 * x2
-    widths = np.array([hi - lo for lo, hi in edges])
-    lows = np.array([lo for lo, _ in edges])
-    volume = float(np.prod(widths))
-    # quick emptiness test: the largest achievable t must clear t_lo
-    t_max = n - sum(lo**e for (lo, _), e in zip(edges, (2, 3, 3, 3, k)))
-    if t_max <= t_lo:
-        return SingularIntegralEval(n, k, 0.0, 0.0, "density_slice", 0, seed, True)
-
-    n_strata = N_STRATA_PER_DIM**DIM
-    per_stratum = max(1, samples // n_strata)
-    grid = np.stack(
-        np.meshgrid(*([np.arange(N_STRATA_PER_DIM)] * DIM), indexing="ij"), axis=-1
-    ).reshape(-1, DIM)
-    means = np.empty(n_strata)
-    variances = np.empty(n_strata)
-    exps = np.array([2, 3, 3, 3, k], dtype=np.float64)
-    for idx in range(n_strata):
-        rng = np.random.default_rng((seed, idx))
-        u = (grid[idx] + rng.random((per_stratum, DIM))) / N_STRATA_PER_DIM
-        pts = lows + u * widths
-        t = n - (pts ** exps).sum(axis=1)
-        inside = (t > t_lo) & (t <= t_hi)
-        f = np.where(inside, 0.5 / np.sqrt(np.where(inside, t, 1.0)), 0.0)
-        means[idx] = f.mean()
-        variances[idx] = f.var(ddof=1) if per_stratum > 1 else 0.0
-    value = volume * float(means.mean())
-    stderr = volume * math.sqrt(float(variances.sum() / per_stratum)) / n_strata
+    x2, x3 = box_size(n, 2), box_size(n, 3)
+    x3s, xks = box_size(n, 3, star=True), box_size(n, k, star=True)
+    # quick emptiness test: the largest achievable t must clear X2^2
+    if n - x2**2 - 2 * x3**3 - x3s**3 - xks**k <= x2**2:
+        return SingularIntegralEval(n, k, 0.0, 0.0, METHOD, 0, True)
+    (low, low_evals), (value, evals) = (_quadrature(n, k, *order) for order in ORDERS)
     return SingularIntegralEval(
         n=n,
         k=k,
         value=value,
-        est_abs_error=stderr,
-        method="density_slice",
-        samples=per_stratum * n_strata,
-        seed=seed,
+        est_abs_error=abs(value - low),
+        method=METHOD,
+        samples=low_evals + evals,
         empty=value == 0.0,
     )
 
 
-def growth_fit(n_grid: list[int], k: int, samples: int = 10**7, seed: int = 0):
+def growth_fit(n_grid: list[int], k: int):
     """Fitted slope of log J(n) against log n over a grid of even n."""
     if len(n_grid) < 2:
         raise ValueError("need at least two grid points")
-    evals = [singular_integral(n, k, samples=samples, seed=seed) for n in n_grid]
+    evals = [singular_integral(n, k) for n in n_grid]
     xs = np.log(np.array([e.n for e in evals], dtype=float))
     ys = np.log(np.array([e.value for e in evals]))
     slope, intercept = np.polyfit(xs, ys, 1)

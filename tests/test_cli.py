@@ -4,6 +4,7 @@ import os
 import pytest
 
 from wgkit.cli import main
+from wgkit.reference import K_RANGE
 
 GOLDEN = os.path.join(os.path.dirname(__file__), "..", "golden", "constants_table.csv")
 
@@ -39,9 +40,12 @@ def test_local_command(capsys):
 
 
 def test_local_k_range_usage_error(capsys):
-    with pytest.raises(SystemExit) as exc:
-        main(["local", "--pmax", "50", "--k", "15"])
-    assert exc.value.code == 2
+    # the range in the message comes from K_RANGE, for --k and for a k list
+    for argv in (["local", "--pmax", "50", "--k", "15"], ["constants", "--k", "15"]):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert f"k must be in [{K_RANGE[0]}, {K_RANGE[-1]}], got 15" in capsys.readouterr().err
 
 
 def test_local_csv_format(capsys):
