@@ -215,12 +215,9 @@ def char_sums_all(p: int, j: int) -> np.ndarray:
     for s in range(p - 1):
         pw[s] = acc
         acc = acc * gj % p
-    out = np.empty((p - 1, p - 1), dtype=complex)
-    for a in range(1, p):
-        v = roots[(a * pw) % p]
-        # G(chi_t, a) = sum_s e(t s/(p-1)) v[s] = conj(fft(v))[t]
-        out[:, a - 1] = np.conj(np.fft.fft(v))
-    return out
+    # row a-1: v[s] = e(a g^(j s) / p); G(chi_t, a) = sum_s e(t s/(p-1)) v[s] = conj(fft(v))[t]
+    v = roots[np.multiply.outer(np.arange(1, p, dtype=np.int64), pw) % p]
+    return np.conj(np.fft.fft(v, axis=1)).T
 
 
 def vanishing_exponent(p: int, j: int) -> int:

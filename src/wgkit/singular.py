@@ -32,11 +32,11 @@ import numpy as np
 from .arith import FactoredInt, factorize, is_prime, primes_up_to
 from .errors import VerificationError
 from .expsums import _unit_mask, complete_sums_all, unit_sums_all
-from .localdensity import densities_float_all, local_densities_all
+from .localdensity import class_counts, local_densities_all
 from .reference import check_k
 
-# Exact integer counting below this; spectral floats above (only ratios are
-# needed there, for sieve products over thousands of primes).
+# Exact integer counting below this; Gauss-period class values (floats) above,
+# where only ratios are needed, for products over thousands of primes.
 EXACT_PRIME_LIMIT = 600
 
 TAIL_PRIME_CONSTANT = 200.0  # |A(p,n)| <= 200/p^2 for p >= 29
@@ -68,12 +68,12 @@ def _check_nk(n: int, k: int) -> None:
     check_k(k)
 
 
-def _local_counts(p: int, k: int):
-    """(K, L) for every residue mod p: exact up to EXACT_PRIME_LIMIT, spectral floats above."""
+def _local_counts(p: int, n: int, k: int):
+    """(K(p, n), L(p, n)): exact up to EXACT_PRIME_LIMIT, Gauss-period class values above."""
     if p <= EXACT_PRIME_LIMIT:
         K, L, _ = local_densities_all(p, k)
-    else:
-        K, L, _ = densities_float_all(p, k)
+        return K[n % p], L[n % p]
+    K, L, _ = class_counts(p, k).at(n)
     return K, L
 
 
@@ -105,13 +105,12 @@ def correlation_sum(q: int, d: int, n: int, k: int) -> float:
 
 
 def euler_factor(p: int, d: int, n: int, k: int) -> EulerFactor:
-    """1 + A_d(p, n) from exact local counts (spectral floats for huge p)."""
+    """1 + A_d(p, n) from exact local counts (Gauss-period class values for large p)."""
     if not is_prime(p):
         raise ValueError(f"p must be prime, got {p}")
     _check_nk(n, k)
-    r = n % p
-    K, L = _local_counts(p, k)
-    num = p * K[r] if d % p == 0 else L[r]
+    K, L = _local_counts(p, n, k)
+    num = p * K if d % p == 0 else L
     value = float(num) / (p - 1) ** 5
     return EulerFactor(p, d, value, value - 1.0)
 
@@ -177,8 +176,7 @@ def singular_series(n: int, d, k: int, p_max: int = 10**4) -> SingularSeriesEval
 
 @lru_cache(maxsize=None)
 def _omega_p(p: int, n_mod: int, k: int) -> float:
-    K, L = _local_counts(p, k)
-    kv, lv = K[n_mod], L[n_mod]
+    kv, lv = _local_counts(p, n_mod, k)
     if lv <= 0:
         raise VerificationError(f"L(p,n) vanished at p={p}, n={n_mod}")
     return p * float(kv) / float(lv)

@@ -38,20 +38,20 @@ def brute_density_loops(p: int, k: int) -> tuple[list[int], list[int], list[int]
 
 
 def brute_density_vectorized(p: int, k: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(K, L, L*) by exhaustive enumeration of all u-tuples (materialized as a
-    (p-1)^4 array) combined with explicit loops over the square variables.
+    """(K, L, L*) by exhaustive enumeration of all u-tuples (the (u1,u2,u3)
+    cube sums materialized as a (p-1)^3 array, one u4 at a time) combined
+    with explicit loops over the square variables.
 
-    No convolution is used; feasible through p = 31.
+    No convolution is used; feasible through p = 43.
     """
     units = np.array([x for x in range(1, p + 1) if math.gcd(x, p) == 1], dtype=np.int64)
     allx = np.arange(1, p + 1, dtype=np.int64)
     c3 = np.array([pow(int(x), 3, p) for x in units], dtype=np.int64)
-    ck = np.array([pow(int(x), k, p) for x in units], dtype=np.int64)
-    u_sums = (
-        (c3[:, None, None, None] + c3[None, :, None, None] + c3[None, None, :, None] + ck[None, None, None, :])
-        % p
-    ).ravel()
-    hist_u = np.bincount(u_sums, minlength=p)  # exhaustive over (u1,u2,u3,u4)
+    ck = [pow(int(x), k, p) for x in units]
+    cubes = (c3[:, None, None] + c3[None, :, None] + c3[None, None, :]).ravel()
+    hist_u = np.zeros(p, dtype=np.int64)  # exhaustive over (u1,u2,u3,u4)
+    for v in ck:
+        hist_u += np.bincount((cubes + v) % p, minlength=p)
     K = np.zeros(p, dtype=np.int64)
     L = np.zeros(p, dtype=np.int64)
     Ls = np.zeros(p, dtype=np.int64)

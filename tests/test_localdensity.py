@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from oracles import brute_density_loops, brute_density_vectorized
 from wgkit.arith import primes_up_to
@@ -10,6 +12,7 @@ from wgkit.errors import BudgetExceeded, VerificationError
 from wgkit.expsums import power_hist
 from wgkit.localdensity import (
     LocalDensities,
+    class_counts,
     densities_float_all,
     ep_bound,
     ep_via_sums,
@@ -172,3 +175,71 @@ def test_bad_inputs():
         local_densities_all(7, 15)
     with pytest.raises(ValueError):
         densities_float_all(10, 3)
+
+
+_EXACT_PRIMES = [p for p in primes_up_to(1289) if p >= 3]
+
+
+def _coset_count(p: int, k: int) -> int:
+    return math.gcd(math.lcm(2, 3, k), p - 1)
+
+
+def _assert_matches_exact(p: int, k: int) -> None:
+    for exact, values in zip(local_densities_all(p, k), densities_float_all(p, k)):
+        np.testing.assert_allclose(values, np.array(exact, dtype=float), rtol=1e-12)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(p=st.sampled_from(_EXACT_PRIMES), k=st.integers(3, 14))
+def test_class_counts_match_exact(p, k):
+    _assert_matches_exact(p, k)
+
+
+def test_class_counts_match_exact_above_600():
+    # every prime the singular series takes from the periods but the exact path can still count
+    for p in (q for q in _EXACT_PRIMES if q > 600):
+        for k in (3, 4, 14):
+            _assert_matches_exact(p, k)
+
+
+@pytest.mark.parametrize(
+    "p, k", [(2, 3), (2, 14), (3, 3), (3, 4), (5, 4), (5, 14), (7, 3), (7, 7), (43, 3), (43, 7), (43, 14)]
+)
+def test_class_counts_match_brute_force(p, k):
+    # p = 43 with k = 7 or 14 has G = 42 = p - 1: every nonzero n is its own class
+    brute = brute_density_loops(p, k) if p <= 7 else brute_density_vectorized(p, k)
+    for counts, values in zip(brute, densities_float_all(p, k)):
+        np.testing.assert_allclose(values, np.array(counts, dtype=float), rtol=1e-12, atol=1e-9)
+    cc = class_counts(p, k)
+    assert len(cc.K) == _coset_count(p, k) + 1
+    # the per-target lookup, for targets of either sign and beyond p
+    at = np.array([cc.at(n) for n in range(-p, 2 * p)])
+    expected = np.array(brute, dtype=float).T[np.arange(-p, 2 * p) % p]
+    np.testing.assert_allclose(at, expected, rtol=1e-12, atol=1e-9)
+
+
+@pytest.mark.parametrize("k", range(3, 15))
+def test_class_count_masses_beyond_exact_range(k):
+    p = 9973
+    K, L, Ls = densities_float_all(p, k)
+    assert K.sum() == pytest.approx((p - 1) ** 5, rel=1e-12)
+    assert Ls.sum() == pytest.approx((p - 1) ** 6, rel=1e-12)
+    assert L.sum() == pytest.approx(p * (p - 1) ** 5, rel=1e-12)
+    np.testing.assert_allclose(L, Ls + K, rtol=1e-12)
+
+
+def test_class_counts_cached_per_prime_and_power():
+    from wgkit.sieveconsts import sieve_product
+
+    z, k = 1000, 3
+    large = [p for p in primes_up_to(z - 1) if p > 600]
+    sieve_product(2 * 10**6 + 2, k, z)
+    before = class_counts.cache_info()
+    sieve_product(2 * 10**6 + 4, k, z)  # a new target: new residues, same (p, k)
+    after = class_counts.cache_info()
+    assert after.misses == before.misses
+    assert after.hits - before.hits == len(large)
+    for p in large:
+        cc = class_counts(p, k)
+        size = _coset_count(p, k) + 1
+        assert len(cc.K) == len(cc.L) == len(cc.Lstar) == len(cc.columns) == size
