@@ -121,8 +121,9 @@ def factorize(n: int) -> FactoredInt:
                     e += 1
                 factors.append((p, e))
         if remaining > 1:
-            # After removing all factors <= 10**6, a desk-scale leftover is prime.
-            if not is_prime(remaining):
+            # With no factor up to min(sqrt(remaining), 10**6) left, a leftover
+            # below 10**12 is prime; only a larger one needs the test.
+            if remaining > TRIAL_TABLE_LIMIT**2 and not is_prime(remaining):
                 raise ValueError(f"{n} is outside the supported factoring range")
             factors.append((remaining, 1))
     return FactoredInt(n, tuple(factors))
@@ -161,6 +162,11 @@ def primitive_root(p: int) -> int:
     """Smallest generator of the multiplicative group mod an odd prime p."""
     if p == 2 or not is_prime(p):
         raise ValueError(f"need an odd prime, got {p}")
+    return _least_generator(p)
+
+
+def _least_generator(p: int) -> int:
+    """``primitive_root`` for an odd p already known to be prime."""
     phi_factors = factorize(p - 1).primes
     for g in range(2, p):
         if all(pow(g, (p - 1) // q, p) != 1 for q in phi_factors):

@@ -78,31 +78,29 @@ class LevelFunction:
         return float(self.ys[-1])
 
 
-def _cascade(k: int, steps_per_unit: int, r_cap: int | None = None) -> dict[int, float]:
-    """c_r for r = 4..max_r(k) at a fixed lattice resolution."""
+def _levels(k: int, steps_per_unit: int, top: int):
+    """Yield (m, xs, ys): the level g_m sampled on its lattice, m = 2..top.
+
+    The lattice is U_k - j/S, so g_{m-1}(t - 1) is an on-lattice lookup
+    shifted by S indices.  A level shorter than two lattice cells, or any
+    level after one whose supremum fell below ZERO_LEVEL_SUP, is the zero
+    function and comes as (m, None, None).
+    """
     U = upper_limit(k)
     h = 1.0 / steps_per_unit
-    top = max_r(k) - 1 if r_cap is None else min(max_r(k) - 1, r_cap - 1)
-    out: dict[int, float] = {}
     prev_ys = None
-    prev_len = 0
-    dead = False
     for m in range(2, top + 1):
-        if dead or U - m <= 0:
-            out[m + 1] = 0.0
-            continue
         n_m = int(math.floor((U - m) / h + 1e-12))
-        xs = U - h * np.arange(n_m, -1, -1)
-        if xs.size < 3:
-            # domain shorter than two lattice cells: value is below any tolerance
-            out[m + 1] = 0.0
-            prev_ys, prev_len = np.zeros(xs.size), xs.size
+        if (m > 2 and prev_ys is None) or U - m <= 0 or n_m < 2:
+            prev_ys = None
+            yield m, None, None
             continue
+        xs = U - h * np.arange(n_m, -1, -1)
         if m == 2:
             integrand = np.log(xs - 1.0) / xs
         else:
             # g_{m-1}(xs - 1): on-lattice lookup, shifted by S indices
-            idx = (prev_len - 1) - n_m - steps_per_unit + np.arange(xs.size)
+            idx = (prev_ys.size - 1) - n_m - steps_per_unit + np.arange(xs.size)
             integrand = prev_ys[idx] / xs
         # partial bottom cell [m, xs[0]]; the integrand vanishes at t = m exactly
         w = xs[0] - m
@@ -117,10 +115,14 @@ def _cascade(k: int, steps_per_unit: int, r_cap: int | None = None) -> dict[int,
         else:
             base = 0.0
         ys = cumulative_simpson(integrand, dx=h, initial=0.0) + base
-        out[m + 1] = float(ys[-1])
-        if ys.max() < ZERO_LEVEL_SUP:
-            dead = True
-        prev_ys, prev_len = ys, xs.size
+        yield m, xs, ys
+        prev_ys = None if ys.max() < ZERO_LEVEL_SUP else ys
+
+
+def _cascade(k: int, steps_per_unit: int, r_cap: int | None = None) -> dict[int, float]:
+    """c_r for r = 4..max_r(k) at a fixed lattice resolution."""
+    top = max_r(k) - 1 if r_cap is None else min(max_r(k) - 1, r_cap - 1)
+    out = {m + 1: 0.0 if ys is None else float(ys[-1]) for m, _, ys in _levels(k, steps_per_unit, top)}
     for r in range(4, max_r(k) + 1):
         out.setdefault(r, 0.0)
     return out
@@ -147,30 +149,11 @@ def level_function(m: int, k: int, steps_per_unit: int = 2 * _BASE_STEPS_PER_UNI
     if m < 2:
         raise ValueError(f"levels start at m = 2, got {m}")
     U = upper_limit(k)
-    h = 1.0 / steps_per_unit
-    prev = None
-    for mm in range(2, m + 1):
-        n_m = int(math.floor((U - mm) / h + 1e-12))
-        if U - mm <= 0 or n_m < 2:
-            xs = np.array([float(mm), U]) if U > mm else np.array([float(mm)])
-            prev = LevelFunction(mm, U, xs, np.zeros_like(xs))
-            continue
-        xs = U - h * np.arange(n_m, -1, -1)
-        if mm == 2:
-            integrand = np.log(xs - 1.0) / xs
-        else:
-            integrand = np.array([prev(t - 1.0) for t in xs]) / xs
-        w = xs[0] - mm
-        base = 0.0
-        if w > 1e-13:
-            coeffs = np.polyfit(
-                np.array([mm, xs[0], xs[1]]), np.array([0.0, integrand[0], integrand[1]]), 2
-            )
-            anti = np.polyint(coeffs)
-            base = float(np.polyval(anti, xs[0]) - np.polyval(anti, mm))
-        ys = cumulative_simpson(integrand, dx=h, initial=0.0) + base
-        prev = LevelFunction(mm, U, xs, ys)
-    return prev
+    *_, (_, xs, ys) = _levels(k, steps_per_unit, m)  # the last level, g_m
+    if ys is None:
+        xs = np.array([float(m), U]) if U > m else np.array([float(m)])
+        ys = np.zeros_like(xs)
+    return LevelFunction(m, U, xs, ys)
 
 
 def iterated_integral(r: int, k: int, tol: float = DEFAULT_TOL) -> float:

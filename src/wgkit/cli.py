@@ -19,6 +19,9 @@ from .errors import BudgetExceeded, VerificationError
 
 SCHEMA_VERSION = 1
 
+# rows of one `local` table, one per prime p and residue n: `local --pmax 2000` has 277,049
+LOCAL_ROW_BUDGET = 3 * 10**5
+
 
 def _round12(obj):
     """Round every float to 12 significant digits, recursively."""
@@ -85,14 +88,14 @@ def cmd_sums(args) -> int:
 def cmd_local(args) -> int:
     rows = []
     failed = False
-    primes = primes_up_to(args.pmax)
-    # largest prime first: past the exact-count range this refuses before any row
-    localdensity.local_densities_all(primes[-1], args.k)
-    for p in primes:
+    residues = {p: [0] if p == 2 and args.parity == "even" else range(p) for p in primes_up_to(args.pmax)}
+    n_rows = sum(map(len, residues.values()))
+    if n_rows > LOCAL_ROW_BUDGET:
+        raise BudgetExceeded(f"local table would hold {n_rows} rows, over the {LOCAL_ROW_BUDGET}-row budget")
+    for p, nres_list in residues.items():
         K, L, Lstar = localdensity.local_densities_all(p, args.k)
         bound = localdensity.ep_bound(p, args.k)
-        residues = [0] if p == 2 and args.parity == "even" else list(range(p))
-        for nres in residues:
+        for nres in nres_list:
             ep = p * Lstar[nres] - (p - 1) ** 6
             ok = (
                 abs(ep) <= bound

@@ -8,20 +8,22 @@ For a prime p, a power k and a target residue n the three counts are
              all six variables coprime to p,
     L(p,n)   the same congruence with x1 unrestricted.
 
-All three are cyclic convolutions of four power histograms (units squared,
-all squared, units cubed, units to the k-th power).  They share the prefix
-T = h3u * h3u * h3u * hku, so K = h2u * T, L* = h2u * K and L = h2 * K.
-Counting is exact in int64 while the total mass p (p-1)^5 of L stays below
-2^62, i.e. for p <= 1289; larger primes are refused.  L is convolved
-independently of L* + K, so the identity L = L* + K (x1 is either a unit or
-the single residue 0) is a genuine check.
+All three are convolutions of four power histograms (units squared, all
+squared, units cubed, units to the k-th power), and each depends on n only
+through its class: n = 0, or the coset C_i = g^i H_G of n, where g is the
+least primitive root, H_G the G-th powers and G = gcd(lcm(2, 3, k), p - 1).
+So the counts are computed exactly in the (G + 1)-dimensional algebra of
+class functions.  The histogram of unit j-th powers is d_j [i = 0 mod d_j] on
+C_i, with d_j = gcd(j, p - 1), and class functions convolve through the
+cyclotomic numbers A[a][b] = #{x in C_a : 1 + x in C_b} (Berndt, Evans and
+Williams, Gauss and Jacobi Sums, ch. 2-3).  The chain shares the prefix
+T = a3 * a3 * a3 * ak, so K = a2 * T, L* = a2 * K and L = h2 * K.  L is
+convolved independently of L* + K, so the identity L = L* + K (x1 is either a
+unit or the single residue 0) is a genuine check.
 
-Where floats suffice the counts come from Gauss periods instead.  With
-G = gcd(lcm(2, 3, k), p - 1), every unit sum S*_j(a), j in {2, 3, k}, is
-constant on the cosets of the G-th powers H_G, so a count depends on n only
-through n = 0 or the coset of -n: at most G + 1 <= lcm(2, 3, k) + 1 values
-per (p, k), built in O(p) from the G periods eta_c = sum_{y in g^c H_G}
-e(y/p) and cached.
+Every term is a non-negative count, and L(p,n) <= 2 p (p-1)^4 (the other five
+variables fix x2 up to sign), so int64 arithmetic is exact for p <= 5399;
+larger primes count in Python integers.
 
 The error term E_p = p L*(p,n) - (p-1)^6 satisfies the closed form bound
 (p-1)(sqrt p + 1)^2 (2 sqrt p + 1)^3 (13 sqrt p + 1), uniform over powers
@@ -39,14 +41,9 @@ from functools import lru_cache
 
 import numpy as np
 
-from .arith import is_prime, primitive_root
-from .errors import BudgetExceeded, VerificationError
-from .expsums import power_hist
+from .arith import _least_generator, is_prime
+from .errors import VerificationError
 from .reference import K_RANGE, check_k
-
-# np.convolve on int64 is exact while every count stays below 2^63; the
-# largest count mass is that of L, p (p-1)^5.
-_INT64_SAFE = 2**62
 
 
 @dataclass(frozen=True)
@@ -71,37 +68,133 @@ def _check_pk(p: int, k: int) -> None:
     check_k(k)
 
 
-def _cyclic_convolve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    q = len(a)
-    full = np.convolve(a, b)
-    out = full[:q].copy()
-    out[: q - 1] += full[q:]
-    return out
+def _generator_powers(p: int) -> np.ndarray:
+    """g^s mod p for s = 0..p-2, g the least primitive root (g = 1 at p = 2).
+
+    Baby steps g^i and giant steps g^(B t), B ~ sqrt(p), combined by one
+    vectorised multiply-reduce (int64-exact for p < 3e9).
+    """
+    if p == 2:
+        return np.ones(1, dtype=np.int64)
+    g = _least_generator(p)
+    step = math.isqrt(p - 1) + 1
+    baby = [1]
+    for _ in range(step):
+        baby.append(baby[-1] * g % p)
+    big = baby.pop()  # g^B
+    giant = [1]
+    while len(giant) * step < p - 1:
+        giant.append(giant[-1] * big % p)
+    return (np.multiply.outer(np.array(giant, dtype=np.int64), baby) % p).ravel()[: p - 1]
+
+
+@dataclass(frozen=True)
+class ClassCounts:
+    """K, L and L* at one (p, k) as exact values per class of the target residue.
+
+    Column 0 holds n = 0 mod p and column 1 + i holds the n in the coset
+    C_i = g^i H_G (g the least primitive root).  ``columns`` maps the G-th
+    root of unity n^exponent mod p, and 0 for n = 0, to the column; it has
+    G + 1 entries, like each count.
+    """
+
+    p: int
+    exponent: int  # (p - 1) / G
+    columns: Mapping[int, int]
+    K: tuple[int, ...]
+    L: tuple[int, ...]
+    Lstar: tuple[int, ...]
+
+    def at(self, n: int) -> tuple[int, int, int]:
+        """(K, L, L*) at the target n."""
+        c = self.columns[pow(n, self.exponent, self.p)]
+        return self.K[c], self.L[c], self.Lstar[c]
+
+
+def class_counts(p: int, k: int) -> ClassCounts:
+    """(K, L, L*) per class of n, exact, for any prime p; cached per (p, k)."""
+    _check_pk(p, k)
+    return _class_counts(p, k)
 
 
 @lru_cache(maxsize=None)
-def local_densities_all(p: int, k: int) -> tuple[tuple[int, ...], tuple[int, ...], tuple[int, ...]]:
-    """(K, L, L*) for every residue n mod p, exact; p <= 1289."""
-    _check_pk(p, k)
-    if p * (p - 1) ** 5 >= _INT64_SAFE:
-        raise BudgetExceeded(
-            f"exact counts at p={p} would overflow int64 (p (p-1)^5 >= 2^62); the exact range ends at p = 1289"
-        )
-    h2u, h2, h3u, hku = (power_hist(j, p, units) for j, units in ((2, True), (2, False), (3, True), (k, True)))
-    prefix = _cyclic_convolve(_cyclic_convolve(_cyclic_convolve(h3u, h3u), h3u), hku)
-    K = _cyclic_convolve(h2u, prefix)
-    Lstar = _cyclic_convolve(h2u, K)
-    L = _cyclic_convolve(h2, K)
+def _class_counts(p: int, k: int) -> ClassCounts:
+    """``class_counts`` for a p known to be prime and a checked k.
+
+    A class function v holds v[0] at n = 0 and v[1 + i] on C_i.  With
+    f = (p - 1)/G and -1 in C_nu, convolution with h, v -> sum_x v(x) h(n - x),
+    is the matrix with rows n and columns x
+
+        n in C_l, x in C_i:   h(0) [i = l] + sum_j h_j A[i - l + nu][j - l],
+        n in C_l, x = 0:      h_l,
+        n = 0,    x in C_i:   f h_{i + nu},
+        n = 0,    x = 0:      h(0),
+
+    whose entries are at most 14 p.  One O(p) bincount gives A, then each
+    count takes a few (G + 1)-square matrix-vector products.
+    """
+    G = math.gcd(math.lcm(2, 3, k), p - 1)
+    f = (p - 1) // G
+    pw = _generator_powers(p)
+    cls = np.arange(p - 1) % G  # g^s lies in C_(s mod G)
+    coset = np.empty(p, dtype=np.int64)
+    coset[pw] = cls
+    succ = (pw + 1) % p
+    unit = succ != 0
+    A = np.bincount(cls[unit] * G + coset[succ[unit]], minlength=G * G).reshape(G, G)
+    nu = (p - 1) // 2 % G  # -1 = g^((p-1)/2)
+    r = np.arange(G)
+    dtype = np.int64 if 2 * p * (p - 1) ** 4 < 2**63 else object
+
+    def conv_matrix(h: np.ndarray) -> np.ndarray:
+        M = np.empty((G + 1, G + 1), dtype=np.int64)
+        M[0, 0] = h[0]
+        M[0, 1:] = f * h[1 + (r + nu) % G]
+        M[1:, 0] = h[1:]
+        shifted = h[1:][(r[:, None] + r) % G] @ A.T  # [l, a] = sum_j h_{j+l} A[a][j]
+        M[1:, 1:] = shifted[r[:, None], (r - r[:, None] + nu) % G] + h[0] * np.eye(G, dtype=np.int64)
+        return M.astype(dtype)
+
+    def unit_powers(j: int) -> np.ndarray:
+        d = math.gcd(j, p - 1)
+        return np.concatenate(([0], np.where(r % d == 0, d, 0)))
+
+    h2 = unit_powers(2)
+    h2[0] = 1  # x1 = 0
+    a2, a3 = conv_matrix(unit_powers(2)), conv_matrix(unit_powers(3))
+    T = a3 @ (a3 @ (a3 @ unit_powers(k).astype(dtype)))
+    K = a2 @ T
+    Lstar = a2 @ K
+    L = conv_matrix(h2) @ K
     if (L != Lstar + K).any():
         raise VerificationError(f"L = L* + K fails at p={p}, k={k}")
-    return tuple(K.tolist()), tuple(L.tolist()), tuple(Lstar.tolist())
+    # n^f = g^(i f) exactly when n lies in C_i
+    columns = MappingProxyType({0: 0} | {int(pw[i * f]): 1 + i for i in range(G)})
+    return ClassCounts(p, f, columns, *(tuple(v.tolist()) for v in (K, L, Lstar)))
+
+
+def _by_residue(p: int, k: int, dtype) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(K, L, L*) of ``class_counts`` spread over the residues n = 0..p-1."""
+    cc = class_counts(p, k)
+    cols = np.zeros(p, dtype=np.intp)
+    cols[_generator_powers(p)] = 1 + np.arange(p - 1) % (len(cc.K) - 1)
+    return tuple(np.array(v, dtype=dtype)[cols] for v in (cc.K, cc.L, cc.Lstar))
+
+
+def local_densities_all(p: int, k: int) -> tuple[tuple[int, ...], tuple[int, ...], tuple[int, ...]]:
+    """(K, L, L*) for every residue n mod p, exact."""
+    return tuple(tuple(v.tolist()) for v in _by_residue(p, k, object))
+
+
+def densities_float_all(p: int, k: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(K, L, L*) for every residue as floats, each the exact count correctly rounded."""
+    return _by_residue(p, k, float)
 
 
 def local_densities(p: int, n: int, k: int) -> LocalDensities:
     """The triple (K, L, L*) plus E_p for one prime and target residue."""
-    K, L, Lstar = local_densities_all(p, k)
-    r = n % p
-    return LocalDensities(p, r, K[r], L[r], Lstar[r], float(p * Lstar[r] - (p - 1) ** 6))
+    K, L, Lstar = class_counts(p, k).at(n)
+    return LocalDensities(p, n % p, K, L, Lstar, float(p * Lstar - (p - 1) ** 6))
 
 
 def ep_bound(p: int, k: int = K_RANGE[-1]) -> float:
@@ -153,107 +246,3 @@ def ep_via_sums(p: int, n: int, k: int) -> float:
     if abs(float(total.imag)) > 1e-3:
         raise VerificationError(f"E_p spectral path not real at p={p}, n={n}: {total.imag}")
     return float(total.real)
-
-
-def _generator_powers(p: int) -> np.ndarray:
-    """g^s mod p for s = 0..p-2, g the least primitive root (g = 1 at p = 2).
-
-    Baby steps g^i and giant steps g^(B t), B ~ sqrt(p), combined by one
-    vectorised multiply-reduce (int64-exact for p < 3e9).
-    """
-    if p == 2:
-        return np.ones(1, dtype=np.int64)
-    g = primitive_root(p)
-    step = math.isqrt(p - 1) + 1
-    baby = [1]
-    for _ in range(step):
-        baby.append(baby[-1] * g % p)
-    big = baby.pop()  # g^B
-    giant = [1]
-    while len(giant) * step < p - 1:
-        giant.append(giant[-1] * big % p)
-    return (np.multiply.outer(np.array(giant, dtype=np.int64), baby) % p).ravel()[: p - 1]
-
-
-@dataclass(frozen=True)
-class ClassCounts:
-    """K, L and L* at one (p, k) as values per class of the target residue.
-
-    Column 0 holds n = 0 mod p and column 1 + b holds the n with -n in the
-    coset g^b H_G (g the least primitive root).  ``columns`` maps the G-th
-    root of unity (-n)^exponent mod p, and 0 for n = 0, to the column; it has
-    G + 1 entries, like each count.
-    """
-
-    p: int
-    exponent: int  # (p - 1) / G
-    columns: Mapping[int, int]
-    K: tuple[float, ...]
-    L: tuple[float, ...]
-    Lstar: tuple[float, ...]
-
-    def at(self, n: int) -> tuple[float, float, float]:
-        """(K, L, L*) at the target n."""
-        c = self.columns[pow(-n, self.exponent, self.p)]
-        return self.K[c], self.L[c], self.Lstar[c]
-
-
-@lru_cache(maxsize=None)
-def class_counts(p: int, k: int) -> ClassCounts:
-    """(K, L, L*) per class of n from the Gauss periods of the G-th powers.
-
-    The unit sum on coset c is S*_j(c) = d_j sum_{i = c mod d_j} eta_i with
-    d_j = gcd(j, p - 1), and the complete square sum is S_2 = 1 + S*_2.  A
-    count with weight T(c) and head (its a = 0 term) is
-
-        (head + sum_c T(c) eta_{c+b}) / p     for -n in coset b,
-        (head + (p - 1)/G sum_c T(c)) / p     for n = 0,
-
-    with heads (p-1)^5, p (p-1)^5, (p-1)^6 and weights T_K = S*_2 S*_3^3 S*_k,
-    T_L = S_2 T_K, T_L* = S*_2 T_K.  O(p) work, no FFT; the result holds
-    3 (G + 1) floats.
-    """
-    _check_pk(p, k)
-    G = math.gcd(math.lcm(2, 3, k), p - 1)
-    exponent = (p - 1) // G
-    pw = _generator_powers(p)
-    # g^s lies in coset s mod G; row m of the reshape holds s = m G .. m G + G - 1
-    eta = np.exp((2j * math.pi / p) * pw).reshape(exponent, G).sum(axis=0)
-
-    def unit_sum(j: int) -> np.ndarray:
-        d = math.gcd(j, p - 1)
-        return d * np.tile(eta.reshape(-1, d).sum(axis=0), G // d)
-
-    s2 = unit_sum(2)
-    t_k = s2 * unit_sum(3) ** 3 * unit_sum(k)
-    # shifted[b, c] = eta_{(b + c) mod G}
-    shifted = eta[np.add.outer(np.arange(G), np.arange(G)) % G]
-
-    def values(head: int, t: np.ndarray) -> tuple[float, ...]:
-        col = np.empty(G + 1)
-        col[0] = exponent * t.sum().real
-        col[1:] = (shifted @ t).real
-        return tuple(((float(head) + col) / p).tolist())
-
-    # (-n)^exponent = g^(b exponent) exactly when -n lies in coset b
-    columns = MappingProxyType({0: 0} | {int(pw[b * exponent]): 1 + b for b in range(G)})
-    return ClassCounts(
-        p,
-        exponent,
-        columns,
-        values((p - 1) ** 5, t_k),
-        values(p * (p - 1) ** 5, (1 + s2) * t_k),
-        values((p - 1) ** 6, s2 * t_k),
-    )
-
-
-def densities_float_all(p: int, k: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(K, L, L*) for every residue as floats, expanded from ``class_counts``.
-
-    Used where only ratios matter; exact counting stays authoritative.
-    """
-    cc = class_counts(p, k)
-    G = len(cc.K) - 1
-    cols = np.zeros(p, dtype=np.intp)
-    cols[p - _generator_powers(p)] = 1 + np.arange(p - 1) % G  # n = -g^s
-    return tuple(np.array(v)[cols] for v in (cc.K, cc.L, cc.Lstar))

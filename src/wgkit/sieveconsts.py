@@ -120,6 +120,7 @@ def sieve_product(n: int, k: int, z: float) -> float:
     """W(z) = prod over odd primes p < z of (1 - omega(p)/p)."""
     if n % 2 != 0:
         raise ValueError(f"n must be even, got {n}")
+    check_k(k)
     if z <= 3.0:
         raise ValueError(f"need z > 3 for a nonempty product, got {z}")
     log_sum = 0.0

@@ -12,7 +12,8 @@ the Euler product over first powers,
 
     S_d(n) = prod_p (1 + A_d(p, n)),
 
-whose factors are exact rationals of local solution counts:
+whose factors are exact rationals of local solution counts, read from the
+exact per-class engine ``localdensity.class_counts``:
 
     p not dividing d:  1 + A_d(p,n) = L(p,n) / (p-1)^5,
     p dividing d:      1 + A_d(p,n) = p K(p,n) / (p-1)^5.
@@ -32,12 +33,8 @@ import numpy as np
 from .arith import FactoredInt, factorize, is_prime, primes_up_to
 from .errors import VerificationError
 from .expsums import _unit_mask, complete_sums_all, unit_sums_all
-from .localdensity import class_counts, local_densities_all
+from .localdensity import _class_counts
 from .reference import check_k
-
-# Exact integer counting below this; Gauss-period class values (floats) above,
-# where only ratios are needed, for products over thousands of primes.
-EXACT_PRIME_LIMIT = 600
 
 TAIL_PRIME_CONSTANT = 200.0  # |A(p,n)| <= 200/p^2 for p >= 29
 TAIL_VALID_FROM = 29
@@ -68,15 +65,6 @@ def _check_nk(n: int, k: int) -> None:
     check_k(k)
 
 
-def _local_counts(p: int, n: int, k: int):
-    """(K(p, n), L(p, n)): exact up to EXACT_PRIME_LIMIT, Gauss-period class values above."""
-    if p <= EXACT_PRIME_LIMIT:
-        K, L, _ = local_densities_all(p, k)
-        return K[n % p], L[n % p]
-    K, L, _ = class_counts(p, k).at(n)
-    return K, L
-
-
 def correlation_sum(q: int, d: int, n: int, k: int) -> float:
     """B_d(q, n): exact summation over reduced residues a mod q.
 
@@ -105,11 +93,16 @@ def correlation_sum(q: int, d: int, n: int, k: int) -> float:
 
 
 def euler_factor(p: int, d: int, n: int, k: int) -> EulerFactor:
-    """1 + A_d(p, n) from exact local counts (Gauss-period class values for large p)."""
+    """1 + A_d(p, n) from the exact local counts."""
     if not is_prime(p):
         raise ValueError(f"p must be prime, got {p}")
     _check_nk(n, k)
-    K, L = _local_counts(p, n, k)
+    return _euler_factor(p, d, n, k)
+
+
+def _euler_factor(p: int, d: int, n: int, k: int) -> EulerFactor:
+    """``euler_factor`` for a p known to be prime and checked n, k."""
+    K, L, _ = _class_counts(p, k).at(n)
     num = p * K if d % p == 0 else L
     value = float(num) / (p - 1) ** 5
     return EulerFactor(p, d, value, value - 1.0)
@@ -158,7 +151,7 @@ def singular_series(n: int, d, k: int, p_max: int = 10**4) -> SingularSeriesEval
     log_sum = 0.0
     zero = False
     for p in primes_up_to(p_max):
-        f = euler_factor(p, fd.value, n, k)
+        f = _euler_factor(p, fd.value, n, k)
         factors.append(f)
         if f.value <= 0.0:
             if f.value < 0.0:
@@ -176,7 +169,7 @@ def singular_series(n: int, d, k: int, p_max: int = 10**4) -> SingularSeriesEval
 
 @lru_cache(maxsize=None)
 def _omega_p(p: int, n_mod: int, k: int) -> float:
-    kv, lv = _local_counts(p, n_mod, k)
+    kv, lv, _ = _class_counts(p, k).at(n_mod)
     if lv <= 0:
         raise VerificationError(f"L(p,n) vanished at p={p}, n={n_mod}")
     return p * float(kv) / float(lv)

@@ -1,8 +1,9 @@
 """Independent brute-force oracles used to validate the fast paths.
 
 Nothing here shares code with the package's counting kernels: congruence
-counts come from explicit tuple enumeration, quadrature values from
-Gauss-Legendre panels, Diophantine counts from literal comparisons.
+counts come from explicit tuple enumeration or from cyclic convolution of
+residue histograms, quadrature values from Gauss-Legendre panels, Diophantine
+counts from literal comparisons.
 """
 
 from __future__ import annotations
@@ -65,6 +66,29 @@ def brute_density_vectorized(p: int, k: int) -> tuple[np.ndarray, np.ndarray, np
         for x1 in allx.tolist():
             L += np.roll(hist_u, (s2 + x1 * x1) % p)
     return K, L, Ls
+
+
+def convolution_counts(p: int, k: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(K, L, L*) for all residues by int64 cyclic convolution of the power
+    histograms: T = h3u * h3u * h3u * hku, K = h2u * T, L* = h2u * K, L = h2 * K.
+
+    O(p^2); exact while the mass p (p-1)^5 of L stays below 2^62, i.e. p <= 1289.
+    """
+    assert p * (p - 1) ** 5 < 2**62
+
+    def hist(j: int, units: bool) -> np.ndarray:
+        xs = range(1, p) if units else range(p)
+        return np.bincount([pow(x, j, p) for x in xs], minlength=p).astype(np.int64)
+
+    def cyclic(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+        full = np.convolve(a, b)
+        out = full[:p].copy()
+        out[: p - 1] += full[p:]
+        return out
+
+    h2u, h3u = hist(2, True), hist(3, True)
+    K = cyclic(h2u, cyclic(cyclic(cyclic(h3u, h3u), h3u), hist(k, True)))
+    return K, cyclic(hist(2, False), K), cyclic(h2u, K)
 
 
 def gauss_legendre(f, a: float, b: float, order: int = 60) -> float:

@@ -1,6 +1,8 @@
 import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from wgkit.arith import (
     FactoredInt,
@@ -22,6 +24,26 @@ def test_factorize_examples():
     f = factorize(30030)
     assert f.factors == ((2, 1), (3, 1), (5, 1), (7, 1), (11, 1), (13, 1))
     assert all(e == 1 for _, e in f.factors)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(n=st.integers(1, 10**9))
+def test_factorize_roundtrip_property(n):
+    f = factorize(n)
+    primes = [p for p, _ in f.factors]
+    assert primes == sorted(set(primes)) and all(is_prime(p) for p in primes)
+    assert math.prod(p**e for p, e in f.factors) == n
+
+
+def test_factorize_leftovers_past_the_trial_table():
+    # a leftover up to 10**12 with no factor below 10**6 is prime without a test;
+    # a larger one is tested, and a composite one refused
+    big = 10**12 - 11  # prime
+    assert factorize(2 * big).factors == ((2, 1), (big, 1))
+    huge = 10**12 + 39  # prime
+    assert factorize(huge).factors == ((huge, 1),)
+    with pytest.raises(ValueError):
+        factorize(1000003 * 1000033)
 
 
 def test_factorize_rejects_zero():
@@ -153,3 +175,22 @@ def test_crt():
     assert x % 5 == 1 and x % 7 == 2 and x % 9 == 3
     with pytest.raises(ValueError):
         crt([0, 0], [4, 6])
+
+
+@st.composite
+def _congruences(draw):
+    moduli = []
+    for m in draw(st.lists(st.integers(1, 10**4), min_size=1, max_size=5)):
+        if all(math.gcd(m, q) == 1 for q in moduli):
+            moduli.append(m)
+    residues = draw(st.lists(st.integers(-(10**6), 10**6), min_size=len(moduli), max_size=len(moduli)))
+    return residues, moduli
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(system=_congruences())
+def test_crt_roundtrip_property(system):
+    residues, moduli = system
+    x = crt(residues, moduli)
+    assert 0 <= x < math.prod(moduli)
+    assert all(x % m == r % m for r, m in zip(residues, moduli))

@@ -69,6 +69,19 @@ def test_level_function_matches_cr():
     assert level_function(3, 3).top_value == pytest.approx(iterated_integral(4, 3), abs=1e-7)
 
 
+def test_level_function_shares_the_cascade_levels():
+    # the sampled level is the one the c_r cascade integrates, bit for bit
+    from wgkit.buchstab import _cascade
+
+    for k, steps in ((3, 256), (8, 128), (14, 128)):
+        values = _cascade(k, steps)
+        for m in {2, 3, 5, max_r(k) - 1}:
+            assert level_function(m, k, steps).top_value == values[m + 1]
+    # past U_k the level is the zero function
+    g9 = level_function(9, 3)  # U(3) = 8
+    assert g9.top_value == 0.0 and g9(8.5) == 0.0 and g9(20.0) == 0.0
+
+
 def test_table_k3():
     t = constants_table(3)
     assert [e.r for e in t.entries] == list(range(4, 10))

@@ -2,8 +2,11 @@ import cmath
 import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from wgkit.expsums import (
+    MAG_TOL,
     BoundReport,
     all_characters,
     char_sum,
@@ -137,6 +140,21 @@ def test_twisted_multiplicativity_spot():
             assert twisted_gap(j, q1, q2) < 1e-6 * q1 * q2
     with pytest.raises(ValueError):
         twisted_gap(2, 6, 9)
+
+
+@st.composite
+def _coprime_pair(draw):
+    q1 = draw(st.integers(2, 60))
+    q2 = draw(st.integers(2, 60).filter(lambda q: math.gcd(q, q1) == 1))
+    return q1, q2
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(pair=_coprime_pair(), j=st.integers(2, 14))
+def test_twisted_multiplicativity_property(pair, j):
+    # S(q1 q2, a) = S(q1, a q2^(j-1)) S(q2, a q1^(j-1)) for every a, coprime q1, q2
+    q1, q2 = pair
+    assert twisted_gap(j, q1, q2) <= MAG_TOL * q1 * q2
 
 
 def test_prime_modulus_bound_examples():

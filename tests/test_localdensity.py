@@ -5,13 +5,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import brute_density_loops, brute_density_vectorized
+from oracles import brute_density_loops, brute_density_vectorized, convolution_counts
 from wgkit.arith import primes_up_to
 from wgkit.cli import main
-from wgkit.errors import BudgetExceeded, VerificationError
+from wgkit.errors import VerificationError
 from wgkit.expsums import power_hist
 from wgkit.localdensity import (
     LocalDensities,
+    _class_counts,
     class_counts,
     densities_float_all,
     ep_bound,
@@ -138,20 +139,19 @@ def test_densities_float_path():
 
 
 def test_wide_counts_beyond_int64(capsys, monkeypatch):
-    # p = 1289 is the largest prime whose L mass p (p-1)^5 stays below 2^62
-    p = 1289
-    K, L, Ls = local_densities_all(p, 3)
-    assert all(isinstance(c, int) for c in K + L + Ls)
-    assert sum(K) == (p - 1) ** 5
-    assert sum(Ls) == (p - 1) ** 6
-    assert sum(L) == p * (p - 1) ** 5
-    fK, fL, fLs = densities_float_all(p, 3)
-    assert np.allclose(fK, np.array(K, dtype=float), rtol=1e-9)
-    assert np.allclose(fL, np.array(L, dtype=float), rtol=1e-9)
-    assert np.allclose(fLs, np.array(Ls, dtype=float), rtol=1e-9)
-    with pytest.raises(BudgetExceeded):
-        local_densities_all(1291, 3)
-    # the CLI refuses such a table before it computes any row
+    # p = 1289 is the largest prime whose L mass p (p-1)^5 stays below 2^62, the
+    # limit of an int64 convolution; the class-function counts stay exact past it
+    for p in (1289, 1291):
+        K, L, Ls = local_densities_all(p, 3)
+        assert all(isinstance(c, int) for c in K + L + Ls)
+        assert sum(K) == (p - 1) ** 5
+        assert sum(Ls) == (p - 1) ** 6
+        assert sum(L) == p * (p - 1) ** 5
+        fK, fL, fLs = densities_float_all(p, 3)
+        assert np.allclose(fK, np.array(K, dtype=float), rtol=1e-9)
+        assert np.allclose(fL, np.array(L, dtype=float), rtol=1e-9)
+        assert np.allclose(fLs, np.array(Ls, dtype=float), rtol=1e-9)
+    # a table over the CLI's row budget is refused before any prime is computed
     import wgkit.localdensity as ld
 
     computed = []
@@ -161,9 +161,9 @@ def test_wide_counts_beyond_int64(capsys, monkeypatch):
         return local_densities_all(q, k)
 
     monkeypatch.setattr(ld, "local_densities_all", recording)
-    assert main(["local", "--pmax", "1300", "--k", "3"]) == 2
+    assert main(["local", "--pmax", "5000", "--k", "3"]) == 2
     assert capsys.readouterr().out == ""
-    assert computed and min(computed) > p
+    assert computed == []
 
 
 def test_bad_inputs():
@@ -185,8 +185,10 @@ def _coset_count(p: int, k: int) -> int:
 
 
 def _assert_matches_exact(p: int, k: int) -> None:
-    for exact, values in zip(local_densities_all(p, k), densities_float_all(p, k)):
-        np.testing.assert_allclose(values, np.array(exact, dtype=float), rtol=1e-12)
+    exact = convolution_counts(p, k)
+    assert local_densities_all(p, k) == tuple(tuple(v.tolist()) for v in exact)
+    for values, counts in zip(densities_float_all(p, k), exact):
+        np.testing.assert_array_equal(values, counts.astype(float))
 
 
 @settings(max_examples=40, deadline=None, derandomize=True)
@@ -196,7 +198,7 @@ def test_class_counts_match_exact(p, k):
 
 
 def test_class_counts_match_exact_above_600():
-    # every prime the singular series takes from the periods but the exact path can still count
+    # every prime above 600 that the int64 convolution oracle can count
     for p in (q for q in _EXACT_PRIMES if q > 600):
         for k in (3, 4, 14):
             _assert_matches_exact(p, k)
@@ -220,26 +222,29 @@ def test_class_counts_match_brute_force(p, k):
 
 @pytest.mark.parametrize("k", range(3, 15))
 def test_class_count_masses_beyond_exact_range(k):
-    p = 9973
-    K, L, Ls = densities_float_all(p, k)
-    assert K.sum() == pytest.approx((p - 1) ** 5, rel=1e-12)
-    assert Ls.sum() == pytest.approx((p - 1) ** 6, rel=1e-12)
-    assert L.sum() == pytest.approx(p * (p - 1) ** 5, rel=1e-12)
-    np.testing.assert_allclose(L, Ls + K, rtol=1e-12)
+    # 5399 is the last prime counted in int64, 5407 the first in Python integers
+    for p in (5399, 5407, 9973):
+        K, L, Ls = local_densities_all(p, k)
+        assert sum(K) == (p - 1) ** 5
+        assert sum(Ls) == (p - 1) ** 6
+        assert sum(L) == p * (p - 1) ** 5
+        assert all(l == ls + c for l, ls, c in zip(L, Ls, K))
 
 
 def test_class_counts_cached_per_prime_and_power():
     from wgkit.sieveconsts import sieve_product
+    from wgkit.singular import _omega_p
 
     z, k = 1000, 3
-    large = [p for p in primes_up_to(z - 1) if p > 600]
+    odd = [p for p in primes_up_to(z - 1) if p > 2]
+    _omega_p.cache_clear()  # so every prime below z asks the engine, whatever ran before
     sieve_product(2 * 10**6 + 2, k, z)
-    before = class_counts.cache_info()
+    before = _class_counts.cache_info()
     sieve_product(2 * 10**6 + 4, k, z)  # a new target: new residues, same (p, k)
-    after = class_counts.cache_info()
+    after = _class_counts.cache_info()
     assert after.misses == before.misses
-    assert after.hits - before.hits == len(large)
-    for p in large:
+    assert after.hits - before.hits == len(odd)
+    for p in odd:
         cc = class_counts(p, k)
         size = _coset_count(p, k) + 1
         assert len(cc.K) == len(cc.L) == len(cc.Lstar) == len(cc.columns) == size

@@ -79,6 +79,8 @@ def test_sieve_product_single_factor():
         sieve_product(40, 3, 3.0)
     with pytest.raises(ValueError):
         sieve_product(41, 3, 5.0)
+    with pytest.raises(ValueError):
+        sieve_product(40, 15, 5.0)
 
 
 def test_sieve_product_mertens_stability():

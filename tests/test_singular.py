@@ -74,6 +74,8 @@ def test_singular_series_rejects_bad_input():
         singular_series(40, 4, 3)  # non-squarefree shift
     with pytest.raises(ValueError):
         singular_series(40, 1, 3, p_max=20)  # tail bound needs p_max >= 29
+    with pytest.raises(ValueError):
+        singular_series(40, 1, 15)
 
 
 def test_tail_envelope_magnitude():
