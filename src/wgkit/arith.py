@@ -174,6 +174,26 @@ def _least_generator(p: int) -> int:
     raise RuntimeError(f"no primitive root found mod {p}")  # unreachable for prime p
 
 
+def _generator_powers(p: int) -> np.ndarray:
+    """g^s mod p for s = 0..p-2, g the least primitive root (g = 1 at p = 2).
+
+    Baby steps g^i and giant steps g^(B t), B ~ sqrt(p), combined by one
+    vectorised multiply-reduce (int64-exact for p < 3e9).
+    """
+    if p == 2:
+        return np.ones(1, dtype=np.int64)
+    g = _least_generator(p)
+    step = math.isqrt(p - 1) + 1
+    baby = [1]
+    for _ in range(step):
+        baby.append(baby[-1] * g % p)
+    big = baby.pop()  # g^B
+    giant = [1]
+    while len(giant) * step < p - 1:
+        giant.append(giant[-1] * big % p)
+    return (np.multiply.outer(np.array(giant, dtype=np.int64), baby) % p).ravel()[: p - 1]
+
+
 def crt(residues: list[int], moduli: list[int]) -> int:
     """Solve x = r_i (mod m_i) for pairwise coprime moduli; result mod prod(m_i)."""
     if len(residues) != len(moduli) or not moduli:

@@ -185,6 +185,9 @@ def _report_dict(rep) -> dict:
 
 
 def cmd_count(args) -> int:
+    if args.method != "meet_in_middle" and args.what in ("mixed", "reps"):
+        print(f"error: --method {args.method} applies to hua4 and triple only", file=sys.stderr)
+        return 2
     if args.what == "hua4":
         if args.Q is None:
             print("error: --Q required for hua4", file=sys.stderr)
@@ -289,7 +292,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--N", type=float, default=None)
     p.add_argument("--n", type=int, default=None)
     p.add_argument("--r", type=int, default=3)
-    p.add_argument("--method", choices=("meet_in_middle", "exhaustive"), default="meet_in_middle")
+    p.add_argument(
+        "--method",
+        choices=("meet_in_middle", "exhaustive"),
+        default="meet_in_middle",
+        help="hua4 and triple only",
+    )
     p.set_defaults(func=cmd_count)
 
     p = sub.add_parser("singint", help="singular-integral growth fit")

@@ -1,4 +1,4 @@
-"""Exact Diophantine counting with meet-in-the-middle acceleration.
+"""Exact Diophantine counting with meet-in-the-middle joins.
 
 The counts here stand in for mean-value estimates: the number of solutions of
 
@@ -8,10 +8,10 @@ The counts here stand in for mean-value estimates: the number of solutions of
 
 over dyadic boxes (X, 2X], plus representation counts for the target form
 n = x^2 + p1^2 + p2^3 + p3^3 + p4^3 + p5^k with x almost-prime.  Every count
-is available both by meet-in-the-middle (hash-join on one side's value
-multiset: solutions of A = B number sum over values v of count_A(v) *
-count_B(v)) and, at small sizes, by exhaustive comparison, and the two must
-agree exactly.
+is a sort-and-run-length join: solutions of A = B number the sum over values v
+of count_A(v) * count_B(v), and sorting a value multiset puts each count(v) in
+one run of equal entries (``_runs``).  At small sizes an exhaustive twin
+compares every entry with every entry, and the two must agree exactly.
 """
 
 from __future__ import annotations
@@ -22,12 +22,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .arith import big_omega, factorize, is_prime, primes_up_to
+from .arith import big_omega, factorize, primes_up_to
 from .errors import BudgetExceeded, VerificationError
 from .sieveconsts import Parameters
 
 PAIR_BUDGET = 10**8
-MEMORY_BUDGET_BYTES = 4 * 2**30
 
 
 @dataclass(frozen=True)
@@ -63,10 +62,24 @@ def _powers(values: np.ndarray, k: int) -> np.ndarray:
     return values.astype(np.int64) ** k
 
 
-def _paircount_square_sum(values: np.ndarray) -> int:
-    """sum over distinct values v of multiplicity(v)^2 (the hash-join core)."""
-    _, counts = np.unique(values, return_counts=True)
-    return int((counts.astype(object) ** 2).sum())
+def _runs(*keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Start and length of each run of equal rows (keys[0][i], keys[1][i], ...).
+
+    The rows must be in lexicographic order.  The lengths sum to the entry
+    count, at most PAIR_BUDGET = 10^8, so their int64 square sum is exact.
+    """
+    n = keys[0].size
+    new = np.ones(n + 1, dtype=bool)  # new[i]: row i starts a run; new[n] closes the last
+    new[1:n] = False
+    for key in keys:
+        new[1:n] |= key[1:] != key[:-1]
+    bounds = np.flatnonzero(new)
+    return bounds[:-1], np.diff(bounds)
+
+
+def _literal_square_sum(values: np.ndarray) -> int:
+    """Solutions of a = b over the multiset, by comparing every entry with every entry."""
+    return sum(int((values == s).sum()) for s in values.tolist())
 
 
 def count_hua4(k: int, Q: float, method: str = "meet_in_middle") -> CountReport:
@@ -80,19 +93,19 @@ def count_hua4(k: int, Q: float, method: str = "meet_in_middle") -> CountReport:
     if method == "meet_in_middle":
         if ys.size**2 > PAIR_BUDGET:
             raise BudgetExceeded(f"pair table would hold {ys.size**2} entries")
-        pk = _powers(ys, k)
-        sums = (pk[:, None] + pk[None, :]).ravel()
-        count = _paircount_square_sum(sums)
     elif method == "exhaustive":
         if ys.size**4 > 4 * 10**8:
             raise BudgetExceeded(f"exhaustive scan of {ys.size**4} tuples refused")
-        pk = _powers(ys, k)
-        left = (pk[:, None] + pk[None, :]).ravel()
-        count = 0
-        for s in left.tolist():  # literal comparison against every right pair
-            count += int((left == s).sum())
     else:
         raise ValueError(f"unknown method {method!r}")
+    pk = _powers(ys, k)
+    sums = (pk[:, None] + pk[None, :]).ravel()
+    if method == "meet_in_middle":
+        sums.sort()
+        _, c = _runs(sums)
+        count = int(c @ c)
+    else:
+        count = _literal_square_sum(sums)
     return CountReport(
         "fourth-moment pair count",
         {"k": k, "Q": Q, "range": (int(math.floor(Q)) + 1, int(math.floor(2 * Q)))},
@@ -133,42 +146,27 @@ def count_mixed_S(k: int, P: float) -> MixedCount:
             f"{xs.size} x-values times {ys.size}^2 y-pairs = {n_pairs} entries "
             f"exceeds the {PAIR_BUDGET} budget"
         )
-    if n_pairs * 16 > MEMORY_BUDGET_BYTES:
-        raise BudgetExceeded(f"hash table would need ~{n_pairs * 16} bytes")
     t0 = time.perf_counter()
     hua = count_hua4(k, Q)
 
     pk = _powers(ys, k)
-    x3 = _powers(xs, 3)
     pair_sums = (pk[:, None] + pk[None, :]).ravel()
-    vals = (x3[:, None] + pair_sums[None, :]).ravel()
-    x_of = np.broadcast_to(xs[:, None], (xs.size, pair_sums.size)).ravel()
+    vals = (_powers(xs, 3)[:, None] + pair_sums[None, :]).ravel()
+    x_of = np.repeat(xs, pair_sums.size)
+    order = np.lexsort((x_of, vals))  # by value, then by x
+    vals, x_of = vals[order], x_of[order]
+    starts, c = _runs(vals)
+    S_total = int(c @ c)
 
-    order = np.argsort(vals, kind="stable")
-    sv = vals[order]
-    sx = x_of[order]
-    starts = np.flatnonzero(np.concatenate(([True], sv[1:] != sv[:-1])))
-    run_counts = np.diff(np.append(starts, sv.size))
-    S_total = int((run_counts.astype(object) ** 2).sum())
-
-    # off-diagonal structure per value run
-    xmin = np.minimum.reduceat(sx, starts)
-    xmax = np.maximum.reduceat(sx, starts)
-    max_h = int((xmax - xmin).max()) if starts.size else 0
+    # x ascends within a value run, so its spread is the last x minus the first
+    max_h = int(np.max(x_of[starts + c - 1] - x_of[starts], initial=0))
     h_limit = 2.0**k * math.sqrt(P)
     if max_h >= h_limit:
         raise VerificationError(f"off-diagonal shift {max_h} >= 2^k sqrt(P) = {h_limit}")
 
     # S1 directly: per (value, x) multiplicities c, S1 = sum c^2
-    stride = int(xs.max()) + 1
-    if vals.dtype != object and int(sv[-1]) < 2**62 // stride:
-        _, cc = np.unique(sv * stride + sx, return_counts=True)
-        S1_direct = int((cc.astype(object) ** 2).sum())
-    else:
-        from collections import Counter
-
-        cnt = Counter(zip(sv.tolist(), sx.tolist()))
-        S1_direct = sum(c * c for c in cnt.values())
+    _, c1 = _runs(vals, x_of)
+    S1_direct = int(c1 @ c1)
 
     wall = time.perf_counter() - t0
     P_count = int(xs.size)
@@ -197,11 +195,7 @@ def count_mixed_S_exhaustive(k: int, P: float) -> int:
         raise BudgetExceeded("exhaustive mixed count refused")
     pk = _powers(ys, k)
     x3 = _powers(xs, 3)
-    left = (x3[:, None, None] + pk[None, :, None] + pk[None, None, :]).ravel()
-    count = 0
-    for s in left.tolist():
-        count += int((left == s).sum())
-    return count
+    return _literal_square_sum((x3[:, None, None] + pk[None, :, None] + pk[None, None, :]).ravel())
 
 
 def count_admissible_triple(k: int, N: float, method: str = "meet_in_middle") -> CountReport:
@@ -225,13 +219,13 @@ def count_admissible_triple(k: int, N: float, method: str = "meet_in_middle") ->
     yk = _powers(ys, k)
     vals = (x3[:, None, None] + z3[None, :, None] + yk[None, None, :]).ravel()
     if method == "meet_in_middle":
-        count = _paircount_square_sum(vals)
+        vals.sort()
+        _, c = _runs(vals)
+        count = int(c @ c)
     elif method == "exhaustive":
         if side**2 > 4 * 10**8:
             raise BudgetExceeded("exhaustive triple scan refused")
-        count = 0
-        for s in vals.tolist():
-            count += int((vals == s).sum())
+        count = _literal_square_sum(vals)
     else:
         raise ValueError(f"unknown method {method!r}")
     return CountReport(
@@ -306,8 +300,9 @@ def count_representations(
         raise ValueError("dyadic mode needs box_params")
     t0 = time.perf_counter()
 
-    def prime_array(arr: np.ndarray) -> np.ndarray:
-        return np.array([v for v in arr.tolist() if is_prime(v)], dtype=np.int64)
+    def primes_in(X: float) -> np.ndarray:  # the primes in (X, 2X]
+        ps = np.array(primes_up_to(max(1, math.floor(2 * X))), dtype=np.int64)
+        return ps[np.searchsorted(ps, X, side="right") :]
 
     if mode == "free":
         x_hi = math.isqrt(n)
@@ -326,24 +321,25 @@ def count_representations(
         if xs.size:
             om = _omega_table(int(xs.max()))
             xs = xs[om[xs] <= r]
-        p1s = prime_array(dyadic_range(bp.x2))
-        cube_a = prime_array(dyadic_range(bp.x3))
-        cube_b = prime_array(dyadic_range(bp.x3_star))
-        k_ps = prime_array(dyadic_range(bp.xk_star))
+        p1s = primes_in(bp.x2)
+        cube_a = primes_in(bp.x3)
+        cube_b = primes_in(bp.x3_star)
+        k_ps = primes_in(bp.xk_star)
 
     count = 0
     if min(xs.size, p1s.size, cube_a.size, cube_b.size, k_ps.size) > 0:
-        # left multiset x^2 + p1^2, sorted with multiplicities
-        a_vals, a_counts = np.unique(
-            ((xs * xs)[:, None] + (p1s * p1s)[None, :]).ravel(), return_counts=True
-        )
-        # cubes p2^3 + p3^3 + p4^3, then stream over p5
+        # left multiset x^2 + p1^2 as its distinct values and their multiplicities
+        left = ((xs * xs)[:, None] + (p1s * p1s)[None, :]).ravel()
+        left.sort()
+        starts, a_counts = _runs(left)
+        a_vals = left[starts]
+        # cubes p2^3 + p3^3 + p4^3, sorted once, then stream over p5
         a3 = cube_a**3
         trip = (a3[:, None, None] + a3[None, :, None] + (cube_b**3)[None, None, :]).ravel()
-        trip = trip[trip < n]
+        trip.sort()
         for p5 in k_ps.tolist():
-            targets = n - p5**k - trip
-            targets = targets[targets > 0]
+            rest = n - p5**k  # the targets rest - trip > 0, ascending
+            targets = rest - trip[: np.searchsorted(trip, rest)][::-1]
             idx = np.searchsorted(a_vals, targets)
             ok = (idx < a_vals.size) & (a_vals[np.minimum(idx, a_vals.size - 1)] == targets)
             count += int(a_counts[idx[ok]].sum())

@@ -24,7 +24,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .arith import is_prime, primes_up_to, primitive_root
+from .arith import _generator_powers, is_prime, primes_up_to
 from .errors import VerificationError
 
 J_MIN, J_MAX = 2, 14
@@ -156,16 +156,12 @@ class DirichletCharacter:
 
 
 @lru_cache(maxsize=256)
-def _dlog_table(p: int) -> tuple[int, np.ndarray]:
-    """(g, dlog) where dlog[g^s mod p] = s for the fixed primitive root g."""
-    g = primitive_root(p)
+def _dlog_table(p: int) -> np.ndarray:
+    """dlog[g^s mod p] = s for the least primitive root g (p an odd prime)."""
     dlog = np.zeros(p, dtype=np.int64)
-    acc = 1
-    for s in range(p - 1):
-        dlog[acc] = s
-        acc = acc * g % p
+    dlog[_generator_powers(p)] = np.arange(p - 1)
     dlog.setflags(write=False)
-    return g, dlog
+    return dlog
 
 
 def character(p: int, index: int) -> DirichletCharacter:
@@ -178,7 +174,7 @@ def character(p: int, index: int) -> DirichletCharacter:
         raise ValueError(f"characters are supported for prime modulus only, got {p}")
     if not (0 <= index < p - 1):
         raise ValueError(f"index must be in [0, {p - 2}], got {index}")
-    _, dlog = _dlog_table(p)
+    dlog = _dlog_table(p)
     vals = np.zeros(p, dtype=complex)
     vals[1:] = np.exp(2j * np.pi * index * dlog[1:] / (p - 1))
     return DirichletCharacter(p, index, tuple(vals))
@@ -206,15 +202,9 @@ def char_sums_all(p: int, j: int) -> np.ndarray:
     _check_jq(j, p)
     if not is_prime(p) or p == 2:
         raise ValueError(f"need an odd prime, got {p}")
-    g, _ = _dlog_table(p)
     roots = _roots(p)
     # phase[s] for numerator a: e(a * g^(j s) / p); FFT over s gives all chi_t at once
-    gj = pow(g, j, p)
-    pw = np.empty(p - 1, dtype=np.int64)
-    acc = 1
-    for s in range(p - 1):
-        pw[s] = acc
-        acc = acc * gj % p
+    pw = _generator_powers(p)[j * np.arange(p - 1) % (p - 1)]
     # row a-1: v[s] = e(a g^(j s) / p); G(chi_t, a) = sum_s e(t s/(p-1)) v[s] = conj(fft(v))[t]
     v = roots[np.multiply.outer(np.arange(1, p, dtype=np.int64), pw) % p]
     return np.conj(np.fft.fft(v, axis=1)).T

@@ -41,8 +41,9 @@ from functools import lru_cache
 
 import numpy as np
 
-from .arith import _least_generator, is_prime
+from .arith import _generator_powers, is_prime
 from .errors import VerificationError
+from .expsums import power_hist
 from .reference import K_RANGE, check_k
 
 
@@ -66,26 +67,6 @@ def _check_pk(p: int, k: int) -> None:
     if not is_prime(p):
         raise ValueError(f"p must be prime, got {p}")
     check_k(k)
-
-
-def _generator_powers(p: int) -> np.ndarray:
-    """g^s mod p for s = 0..p-2, g the least primitive root (g = 1 at p = 2).
-
-    Baby steps g^i and giant steps g^(B t), B ~ sqrt(p), combined by one
-    vectorised multiply-reduce (int64-exact for p < 3e9).
-    """
-    if p == 2:
-        return np.ones(1, dtype=np.int64)
-    g = _least_generator(p)
-    step = math.isqrt(p - 1) + 1
-    baby = [1]
-    for _ in range(step):
-        baby.append(baby[-1] * g % p)
-    big = baby.pop()  # g^B
-    giant = [1]
-    while len(giant) * step < p - 1:
-        giant.append(giant[-1] * big % p)
-    return (np.multiply.outer(np.array(giant, dtype=np.int64), baby) % p).ravel()[: p - 1]
 
 
 @dataclass(frozen=True)
@@ -217,10 +198,7 @@ def _unit_sum_product_ld(p: int, k: int) -> np.ndarray:
     mat = np.cos(phase) + 1j * np.sin(phase)
     prod = np.ones(p, dtype=np.clongdouble)
     for j, power in ((2, 2), (3, 3), (k, 1)):
-        h = np.zeros(p, dtype=np.longdouble)
-        for x in range(1, p):
-            h[pow(x, j, p)] += 1
-        prod *= (mat @ h.astype(np.clongdouble)) ** power
+        prod *= (mat @ power_hist(j, p, True).astype(np.clongdouble)) ** power
     prod.setflags(write=False)
     return prod
 

@@ -172,6 +172,24 @@ def hua4_literal(k: int, Q: float) -> int:
     return count
 
 
+def mixed_literal(k: int, P: float) -> tuple[int, int]:
+    """Literal count S of x1^3 + y1^k + y2^k = x2^3 + y3^k + y4^k on the mixed
+    boxes, and the largest |x2 - x1| over its solutions, comparing every
+    (x, y1, y2) with every other; the values must fit int64."""
+    Q = P ** (5.0 / (2 * k))
+    xs = range(math.floor(P) + 1, math.floor(2 * P) + 1)
+    ys = range(math.floor(Q) + 1, math.floor(2 * Q) + 1)
+    rows = [(x**3 + a**k + b**k, x) for x in xs for a in ys for b in ys]
+    vals = np.array([v for v, _ in rows], dtype=np.int64)
+    x_of = np.array([x for _, x in rows], dtype=np.int64)
+    S, max_h = 0, 0
+    for v, x in rows:
+        same = vals == v
+        S += int(same.sum())
+        max_h = max(max_h, int(np.abs(x_of[same] - x).max()))
+    return S, max_h
+
+
 def representations_literal(n: int, k: int, r_max_omega) -> int:
     """Literal loop count of n = x^2 + p1^2 + p2^3 + p3^3 + p4^3 + p5^k.
 

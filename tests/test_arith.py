@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 
 from wgkit.arith import (
     FactoredInt,
+    _generator_powers,
     big_omega,
     crt,
     divisors,
@@ -155,6 +156,16 @@ def test_primitive_root_examples():
         acc = acc * g % 23
         seen.add(acc)
     assert len(seen) == 22  # order exactly p - 1
+
+
+def test_generator_powers_walk_the_unit_group():
+    assert _generator_powers(2).tolist() == [1]
+    for p in primes_up_to(3000)[1:]:
+        pw = _generator_powers(p)
+        g = primitive_root(p)
+        assert pw[1] == g
+        assert (pw[1:] == pw[:-1] * g % p).all()
+        assert sorted(pw.tolist()) == list(range(1, p))
 
 
 def test_primitive_root_rejections():

@@ -113,6 +113,15 @@ def test_count_commands(capsys):
     assert code == 2
 
 
+def test_count_refuses_an_ignored_method(capsys):
+    for what, size in (("mixed", ["--P", "16"]), ("reps", ["--n", "40"])):
+        code = main(["count", "--what", what, "--k", "4", *size, "--method", "exhaustive"])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert "--method" in captured.err
+
+
 def test_singint_command_deterministic(capsys):
     argv = [
         "singint",

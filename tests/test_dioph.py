@@ -1,8 +1,10 @@
 import math
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from oracles import hua4_literal, representations_literal
+from oracles import hua4_literal, mixed_literal, representations_literal
 from wgkit.dioph import (
     CountReport,
     count_admissible_triple,
@@ -83,6 +85,31 @@ def test_triple_count_examples():
         assert mim == exh
 
 
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(st.integers(2, 14), st.floats(1, 25))
+@example(14, 20.0)  # (2Q)^14 > 2^62: the values are Python ints
+def test_hua4_join_equals_literal_count(k, Q):
+    assert count_hua4(k, Q).count == count_hua4(k, Q, method="exhaustive").count
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(st.integers(3, 14), st.floats(2, 24))
+@example(3, 24.0)  # off-diagonal solutions with shifts up to 7
+@example(6, 20.0)
+def test_mixed_join_equals_literal_count(k, P):
+    mc = count_mixed_S(k, P)
+    S, max_h = mixed_literal(k, P)
+    assert mc.S.count == count_mixed_S_exhaustive(k, P) == S
+    assert mc.S1.count == mc.S.parameters["P_count"] * count_hua4(k, mc.Q, "exhaustive").count
+    assert mc.max_h == max_h
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(st.integers(3, 14), st.floats(2, 2e4))
+def test_triple_join_equals_literal_count(k, N):
+    assert count_admissible_triple(k, N).count == count_admissible_triple(k, N, "exhaustive").count
+
+
 def test_fit_scaling_synthetic():
     reports = [
         CountReport("synthetic", {"size": s}, s * s, 0.0, "exhaustive") for s in (2, 4, 8, 16)
@@ -109,6 +136,15 @@ def test_representations_match_literal_oracle():
             assert got == want, (n, r)
 
 
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(st.integers(3, 1000), st.integers(3, 5), st.integers(0, 3))
+@example(100, 3, 3)  # n = 200: several cube triples per target
+def test_representations_join_equals_literal_count(half_n, k, r):
+    n = 2 * half_n
+    want = representations_literal(n, k, lambda om: om <= r)
+    assert count_representations(n, k, r).count == want
+
+
 def test_representations_rejections():
     with pytest.raises(ValueError):
         count_representations(37, 3, 3)
@@ -121,7 +157,7 @@ def test_representations_rejections():
 def test_representations_dyadic_mode():
     bp = params(10**6, 3)
     rep = count_representations(10**6, 3, 3, mode="dyadic", box_params=bp)
-    assert rep.count >= 0
+    assert rep.count == 14
     assert rep.parameters["mode"] == "dyadic"
     with pytest.raises(ValueError):
         count_representations(10**6, 3, 3, mode="dyadic")
