@@ -9,7 +9,9 @@ failed, 2 usage error.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import dataclasses
+import itertools
 import json
 import sys
 
@@ -35,31 +37,62 @@ def _round12(obj):
 
 
 def _emit(payload: dict, fmt: str, output: str | None, csv_text: str | None = None) -> None:
-    if fmt == "csv":
-        text = csv_text if csv_text is not None else _to_csv(payload)
-    else:
-        payload = {"schema_version": SCHEMA_VERSION, **payload}
-        text = json.dumps(_round12(payload), indent=2) + "\n"
-    if output:
-        with open(output, "w") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+    """Write a report as JSON, or as CSV (``csv_text``, else one line per row).
 
-
-def _to_csv(payload: dict) -> str:
-    rows = payload.get("rows")
-    if not rows:
+    A payload's "rows", its last key, may be any iterable of dicts.  They are
+    formatted and written a chunk at a time, so a table is never held whole,
+    as rows or as text.
+    """
+    if fmt == "csv" and csv_text is None and payload.get("rows") is None:
         raise ValueError("this command has no CSV form")
-    header = list(rows[0].keys())
-    lines = [",".join(header)]
-    for row in rows:
-        cells = []
-        for key in header:
-            v = row[key]
-            cells.append(f"{v:.12g}" if isinstance(v, float) else str(v))
-        lines.append(",".join(cells))
-    return "\n".join(lines) + "\n"
+    with open(output, "w") if output else contextlib.nullcontext(sys.stdout) as fh:
+        if fmt == "csv":
+            if csv_text is not None:
+                fh.write(csv_text)
+            else:
+                _write_csv(payload["rows"], fh)
+        else:
+            _write_json({"schema_version": SCHEMA_VERSION, **payload}, fh)
+
+
+def _chunks(rows):
+    """Lists of up to 256 consecutive rows: a table is formatted a chunk at a time."""
+    rows = iter(rows)
+    while chunk := list(itertools.islice(rows, 256)):
+        yield chunk
+
+
+def _write_json(payload: dict, fh) -> None:
+    """The text of ``json.dumps(_round12(payload), indent=2)`` and a newline, rows in chunks."""
+    head = {key: v for key, v in payload.items() if key != "rows"}
+    text = json.dumps(_round12(head), indent=2)
+    if "rows" not in payload:
+        fh.write(text + "\n")
+        return
+    # a chunk dumps as "[\n  {...},\n  {...}\n]"; in the payload its rows sit one level deeper
+    encode = json.JSONEncoder(indent=2).encode
+    fh.write(text[:-2] + ',\n  "rows": [')
+    sep = ""
+    for chunk in _chunks(payload["rows"]):
+        fh.write(sep + encode(_round12(chunk))[1:-2].replace("\n", "\n  "))
+        sep = ","
+    fh.write("\n  ]\n}\n" if sep else "]\n}\n")
+
+
+def _write_csv(rows, fh) -> None:
+    """A header line of the first row's keys, then one line per row."""
+    header = None
+    for chunk in _chunks(rows):
+        if header is None:
+            header = list(chunk[0])
+            fh.write(",".join(header) + "\n")
+        lines = []
+        for row in chunk:
+            cells = [f"{v:.12g}" if isinstance(v, float) else str(v) for v in map(row.get, header)]
+            lines.append(",".join(cells) + "\n")
+        fh.write("".join(lines))
+    if header is None:
+        raise ValueError("this command has no CSV form")
 
 
 def _parse_k_list(raw: str) -> list[int]:
@@ -86,26 +119,27 @@ def cmd_sums(args) -> int:
 
 
 def cmd_local(args) -> int:
-    rows = []
-    failed = False
     residues = {p: [0] if p == 2 and args.parity == "even" else range(p) for p in primes_up_to(args.pmax)}
     n_rows = sum(map(len, residues.values()))
     if n_rows > LOCAL_ROW_BUDGET:
         raise BudgetExceeded(f"local table would hold {n_rows} rows, over the {LOCAL_ROW_BUDGET}-row budget")
-    for p, nres_list in residues.items():
-        K, L, Lstar = localdensity.local_densities_all(p, args.k)
-        bound = localdensity.ep_bound(p, args.k)
-        for nres in nres_list:
-            ep = p * Lstar[nres] - (p - 1) ** 6
-            ok = (
-                abs(ep) <= bound
-                and L[nres] > K[nres]
-                and Lstar[nres] > 0
-                and (abs(ep) < (p - 1) ** 6 if p >= 19 else True)
-            )
-            failed = failed or not ok
-            rows.append(
-                {
+    failed = False
+
+    def rows():
+        nonlocal failed
+        for p, nres_list in residues.items():
+            K, L, Lstar = localdensity.local_densities_all(p, args.k)
+            bound = localdensity.ep_bound(p, args.k)
+            for nres in nres_list:
+                ep = p * Lstar[nres] - (p - 1) ** 6
+                ok = (
+                    abs(ep) <= bound
+                    and L[nres] > K[nres]
+                    and Lstar[nres] > 0
+                    and (abs(ep) < (p - 1) ** 6 if p >= 19 else True)
+                )
+                failed = failed or not ok
+                yield {
                     "p": p,
                     "n_class": nres,
                     "K": int(K[nres]),
@@ -115,9 +149,9 @@ def cmd_local(args) -> int:
                     "bound": float(bound),
                     "pass": ok,
                 }
-            )
+
     _emit(
-        {"command": "local", "k": args.k, "pmax": args.pmax, "rows": rows},
+        {"command": "local", "k": args.k, "pmax": args.pmax, "rows": rows()},
         args.format,
         args.output,
     )

@@ -12,6 +12,14 @@ is a sort-and-run-length join: solutions of A = B number the sum over values v
 of count_A(v) * count_B(v), and sorting a value multiset puts each count(v) in
 one run of equal entries (``_runs``).  At small sizes an exhaustive twin
 compares every entry with every entry, and the two must agree exactly.
+
+The three equation counts never hold their whole value multiset.  Each value
+is an outer value plus an entry of a small sorted multiset W (triple:
+x^3 + (z^3 + y^k), mixed: x^3 + (y1^k + y2^k), fourth moment: y1^k + y^k), and
+``_bands`` cuts the value axis into bands of about ``_BAND_ENTRIES`` entries.
+A band is gathered from each outer value's slice of W, sorted and read by
+``_runs``.  Equal values never straddle a band, so a sum over value runs is
+the sum of its per-band sums, and memory stays bounded by the band size.
 """
 
 from __future__ import annotations
@@ -27,6 +35,10 @@ from .errors import BudgetExceeded, VerificationError
 from .sieveconsts import Parameters
 
 PAIR_BUDGET = 10**8
+
+# entries per band of a streamed join: bounds the memory of one band's values,
+# their outer indices and their sort (a few MB), whatever the count's size
+_BAND_ENTRIES = 2**17
 
 
 @dataclass(frozen=True)
@@ -77,6 +89,74 @@ def _runs(*keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return bounds[:-1], np.diff(bounds)
 
 
+def _band_edges(outer: np.ndarray, inner: np.ndarray) -> list[int]:
+    """Value edges e_0 < e_1 < ... < e_m, about ``_BAND_ENTRIES`` sums per [e_t, e_t+1).
+
+    The sums are outer[i] + inner[j] over sorted arrays; e_0 is the least sum
+    and e_m the largest plus one.  Each inner edge is bisected on a float image
+    of the count of sums below a value (sum_i searchsorted(inner, v - outer[i])),
+    until its bracket holds an eighth of a band.  The edges only size the bands:
+    rounding moves how many sums a band holds, never which band a sum is in.
+    """
+    first = int(outer[0]) + int(inner[0])
+    last = int(outer[-1]) + int(inner[-1]) + 1
+    total = outer.size * inner.size
+    targets = np.arange(_BAND_ENTRIES, total, _BAND_ENTRIES)  # sums below each inner edge
+    # the count is symmetric in the two sides: take the shorter one as needles
+    needles, haystack = sorted((outer.astype(float), inner.astype(float)), key=len)
+    edges = [first]
+    rows = max(1, _BAND_ENTRIES // needles.size)  # edges bisected at once: a band of needles
+    for s in range(0, targets.size, rows):
+        t = targets[s : s + rows]
+        lo, hi = np.full(t.size, float(first)), np.full(t.size, float(last))
+        n_lo, n_hi = np.zeros(t.size, np.int64), np.full(t.size, total)
+        for _ in range(64):
+            if (n_hi - n_lo <= _BAND_ENTRIES // 8).all():
+                break
+            mid = 0.5 * (lo + hi)
+            n = np.searchsorted(haystack, mid[:, None] - needles).sum(axis=1)
+            up = n <= t
+            lo, n_lo = np.where(up, mid, lo), np.where(up, n, n_lo)
+            hi, n_hi = np.where(up, hi, mid), np.where(up, n_hi, n)
+        for e in map(math.ceil, hi.tolist()):
+            if edges[-1] < e < last:
+                edges.append(e)
+    return edges + [last]
+
+
+def _bands(outer: np.ndarray, inner: np.ndarray):
+    """Yield each band's sums outer[i] + inner[j], unsorted, and how many come from each i.
+
+    outer and inner are sorted.  For a band [a, b), two searchsorted calls give
+    every i its slice lo[i] <= j < lo[i] + n[i] of inner, and ``np.repeat``
+    gathers the slices, i by i, with no loop over i.  Every sum lies in exactly
+    one band, and equal sums in the same one.  The edges are Python ints: int64
+    sides give int64 sums, and if either side holds Python ints (object dtype),
+    both are made to.
+    """
+    if object in (outer.dtype, inner.dtype):
+        outer, inner = outer.astype(object), inner.astype(object)
+    edges = _band_edges(outer, inner)
+    for a, b in zip(edges[:-1], edges[1:]):
+        lo = np.searchsorted(inner, a - outer)
+        n = np.searchsorted(inner, b - outer) - lo
+        j = np.repeat(lo - (np.cumsum(n) - n), n)
+        j += np.arange(j.size)
+        vals = inner[j]
+        vals += np.repeat(outer, n)
+        yield vals, n
+
+
+def _square_sum(outer: np.ndarray, inner: np.ndarray) -> int:
+    """Solutions of a = b over the multiset outer[i] + inner[j]: sum over values of c(v)^2."""
+    total = 0
+    for vals, _ in _bands(outer, inner):
+        vals.sort()
+        _, c = _runs(vals)
+        total += int(c @ c)
+    return total
+
+
 def _literal_square_sum(values: np.ndarray) -> int:
     """Solutions of a = b over the multiset, by comparing every entry with every entry."""
     return sum(int((values == s).sum()) for s in values.tolist())
@@ -99,13 +179,10 @@ def count_hua4(k: int, Q: float, method: str = "meet_in_middle") -> CountReport:
     else:
         raise ValueError(f"unknown method {method!r}")
     pk = _powers(ys, k)
-    sums = (pk[:, None] + pk[None, :]).ravel()
     if method == "meet_in_middle":
-        sums.sort()
-        _, c = _runs(sums)
-        count = int(c @ c)
+        count = _square_sum(pk, pk)
     else:
-        count = _literal_square_sum(sums)
+        count = _literal_square_sum((pk[:, None] + pk[None, :]).ravel())
     return CountReport(
         "fourth-moment pair count",
         {"k": k, "Q": Q, "range": (int(math.floor(Q)) + 1, int(math.floor(2 * Q)))},
@@ -150,23 +227,23 @@ def count_mixed_S(k: int, P: float) -> MixedCount:
     hua = count_hua4(k, Q)
 
     pk = _powers(ys, k)
-    pair_sums = (pk[:, None] + pk[None, :]).ravel()
-    vals = (_powers(xs, 3)[:, None] + pair_sums[None, :]).ravel()
-    x_of = np.repeat(xs, pair_sums.size)
-    order = np.lexsort((x_of, vals))  # by value, then by x
-    vals, x_of = vals[order], x_of[order]
-    starts, c = _runs(vals)
-    S_total = int(c @ c)
+    pair_sums = np.sort((pk[:, None] + pk[None, :]).ravel())
+    S_total = S1_direct = max_h = 0
+    for vals, n in _bands(_powers(xs, 3), pair_sums):
+        x_of = np.repeat(xs, n)
+        order = np.lexsort((x_of, vals))  # by value, then by x
+        vals, x_of = vals[order], x_of[order]
+        starts, c = _runs(vals)
+        S_total += int(c @ c)
+        # x ascends within a value run, so its spread is the last x minus the first
+        max_h = max(max_h, int(np.max(x_of[starts + c - 1] - x_of[starts], initial=0)))
+        # S1 directly: per (value, x) multiplicities c, S1 = sum c^2
+        _, c1 = _runs(vals, x_of)
+        S1_direct += int(c1 @ c1)
 
-    # x ascends within a value run, so its spread is the last x minus the first
-    max_h = int(np.max(x_of[starts + c - 1] - x_of[starts], initial=0))
     h_limit = 2.0**k * math.sqrt(P)
     if max_h >= h_limit:
         raise VerificationError(f"off-diagonal shift {max_h} >= 2^k sqrt(P) = {h_limit}")
-
-    # S1 directly: per (value, x) multiplicities c, S1 = sum c^2
-    _, c1 = _runs(vals, x_of)
-    S1_direct = int(c1 @ c1)
 
     wall = time.perf_counter() - t0
     P_count = int(xs.size)
@@ -215,17 +292,13 @@ def count_admissible_triple(k: int, N: float, method: str = "meet_in_middle") ->
         raise BudgetExceeded(f"side multiset of {side} entries exceeds budget")
     t0 = time.perf_counter()
     x3 = _powers(xs, 3)
-    z3 = _powers(zs, 3)
-    yk = _powers(ys, k)
-    vals = (x3[:, None, None] + z3[None, :, None] + yk[None, None, :]).ravel()
+    zy = (_powers(zs, 3)[:, None] + _powers(ys, k)[None, :]).ravel()
     if method == "meet_in_middle":
-        vals.sort()
-        _, c = _runs(vals)
-        count = int(c @ c)
+        count = _square_sum(x3, np.sort(zy))
     elif method == "exhaustive":
         if side**2 > 4 * 10**8:
             raise BudgetExceeded("exhaustive triple scan refused")
-        count = _literal_square_sum(vals)
+        count = _literal_square_sum((x3[:, None] + zy[None, :]).ravel())
     else:
         raise ValueError(f"unknown method {method!r}")
     return CountReport(

@@ -1,9 +1,11 @@
+import io
 import json
 import os
+import tracemalloc
 
 import pytest
 
-from wgkit.cli import main
+from wgkit.cli import _round12, _write_json, main
 from wgkit.reference import K_RANGE
 
 GOLDEN = os.path.join(os.path.dirname(__file__), "..", "golden", "constants_table.csv")
@@ -37,6 +39,34 @@ def test_local_command(capsys):
     assert all(row["pass"] for row in rows)
     p2 = [row for row in rows if row["p"] == 2]
     assert p2 and p2[0]["K"] == 0  # K(2, even) = 0
+
+
+def test_streamed_json_is_the_one_shot_dump():
+    # rows are written in chunks; the text is json.dumps of the whole payload
+    for n in (0, 1, 255, 256, 257, 700):
+        rows = [{"p": i, "E_p": i / 7, "pass": i % 3 == 0, "name": f"r,\n{i}"} for i in range(n)]
+        payload = {"schema_version": 1, "command": "t", "x": [1.5, {"y": None}], "rows": rows}
+        fh = io.StringIO()
+        _write_json({**payload, "rows": iter(rows)}, fh)
+        assert fh.getvalue() == json.dumps(_round12(payload), indent=2) + "\n"
+
+
+def test_local_table_is_streamed(tmp_path):
+    # the table is written as it is computed: it is never held whole, as rows or as text
+    target = tmp_path / "local.json"
+    tracemalloc.start()
+    try:
+        code = main(["--output", str(target), "local", "--pmax", "499", "--k", "4"])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 0
+    text = target.read_text()
+    assert peak < len(text)
+    assert text == json.dumps(json.loads(text), indent=2) + "\n"
+    assert len(json.loads(text)["rows"]) == 1 + sum(
+        p for p in range(3, 500) if all(p % d for d in range(2, p))
+    )
 
 
 def test_local_k_range_usage_error(capsys):

@@ -1,10 +1,13 @@
 import math
+import tracemalloc
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from oracles import hua4_literal, mixed_literal, representations_literal
+from wgkit import dioph
 from wgkit.dioph import (
     CountReport,
     count_admissible_triple,
@@ -108,6 +111,94 @@ def test_mixed_join_equals_literal_count(k, P):
 @given(st.integers(3, 14), st.floats(2, 2e4))
 def test_triple_join_equals_literal_count(k, N):
     assert count_admissible_triple(k, N).count == count_admissible_triple(k, N, "exhaustive").count
+
+
+def _in_bands(entries, count, *args):
+    """count(*args) with bands of about ``entries`` sums, and the size of every band."""
+    sizes = []
+    bands = dioph._bands
+
+    def recorded(outer, inner):
+        for vals, n in bands(outer, inner):
+            sizes.append(vals.size)
+            yield vals, n
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(dioph, "_BAND_ENTRIES", entries)
+        mp.setattr(dioph, "_bands", recorded)
+        return count(*args), sizes
+
+
+ONE_BAND = 2**62
+
+
+@settings(max_examples=25, deadline=None, derandomize=True)
+@given(st.integers(2, 14), st.floats(1, 25))
+@example(14, 20.0)  # Python-int sums: the edges are Python ints too
+@example(3, 25.0)
+def test_hua4_count_is_band_invariant(k, Q):
+    banded, sizes = _in_bands(7, count_hua4, k, Q)
+    whole, one = _in_bands(ONE_BAND, count_hua4, k, Q)
+    assert banded.count == whole.count == count_hua4(k, Q, "exhaustive").count
+    assert sum(sizes) == sum(one) == dyadic_range(Q).size ** 2 and len(one) == 1
+    if sum(sizes) >= 100:
+        assert len(sizes) >= sum(sizes) // 14  # about 7 sums a band
+
+
+@settings(max_examples=25, deadline=None, derandomize=True)
+@given(st.integers(3, 14), st.floats(2, 24))
+@example(3, 24.0)  # off-diagonal solutions with shifts up to 7
+def test_mixed_count_is_band_invariant(k, P):
+    banded, sizes = _in_bands(7, count_mixed_S, k, P)
+    whole, one = _in_bands(ONE_BAND, count_mixed_S, k, P)
+    S, max_h = mixed_literal(k, P)
+    assert banded.S.count == whole.S.count == S
+    assert banded.S1.count == whole.S1.count == (
+        banded.S.parameters["P_count"] * count_hua4(k, banded.Q, "exhaustive").count
+    )
+    assert banded.max_h == whole.max_h == max_h
+    assert sum(sizes) == sum(one) and len(one) == 2  # one band for hua4, one for S
+    if sum(sizes) >= 100:
+        assert len(sizes) >= sum(sizes) // 14
+
+
+@settings(max_examples=25, deadline=None, derandomize=True)
+@given(st.integers(3, 14), st.floats(2, 2e4))
+@example(3, 2e4)
+def test_triple_count_is_band_invariant(k, N):
+    banded, sizes = _in_bands(7, count_admissible_triple, k, N)
+    whole, one = _in_bands(ONE_BAND, count_admissible_triple, k, N)
+    assert banded.count == whole.count == count_admissible_triple(k, N, "exhaustive").count
+    assert sum(sizes) == sum(one) and len(one) == 1
+    if sum(sizes) >= 100:
+        assert len(sizes) >= sum(sizes) // 14
+
+
+def test_band_edges_split_the_sums_evenly():
+    # every sum of two sorted sides lands in one band; bands hold about the budget
+    outer = np.arange(1, 300, dtype=np.int64) ** 3
+    inner = np.sort((np.arange(5, 40)[:, None] ** 3 + np.arange(2, 30)[None, :] ** 4).ravel())
+    sums = np.sort((outer[:, None] + inner[None, :]).ravel())
+    edges = dioph._band_edges(outer, inner)
+    assert edges[0] == sums[0] and edges[-1] == sums[-1] + 1
+    assert all(a < b for a, b in zip(edges, edges[1:]))
+    sizes = np.diff(np.searchsorted(sums, edges))
+    assert sizes.sum() == sums.size and sizes.max() <= 2 * dioph._BAND_ENTRIES
+    bands = list(dioph._bands(outer, inner))
+    assert [v.size for v, _ in bands] == sizes.tolist()
+    assert np.array_equal(np.sort(np.concatenate([v for v, _ in bands])), sums)
+
+
+def test_triple_count_memory_is_bounded_by_the_band():
+    # the value multiset has 12.8M entries (~100 MB); a band holds 2^17
+    tracemalloc.start()
+    try:
+        rep = count_admissible_triple(3, 1e8)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rep.count == 26585100
+    assert peak <= 32 * 8 * dioph._BAND_ENTRIES  # 32 int64 arrays of one band: 32 MB
 
 
 def test_fit_scaling_synthetic():
