@@ -8,20 +8,29 @@ The nested integral behind c_r(k) collapses to a one-dimensional recursion:
 
 Each level is sampled on a lattice anchored at U_k with step 1/S (S integer),
 so the shift t -> t-1 stays on-lattice and no interpolation enters the
-recursion; the cumulative integral per level is composite Simpson.  The
-integrand is smooth everywhere (log(t-1) vanishes at t = 2; no singularity),
-so refinement converges at fourth order, and doubling S is used as the
+recursion.  The cumulative integral per level is composite Simpson by
+``_cumsimpson``: the per-cell formula of scipy's ``cumulative_simpson``
+(scipy >= 1.12; Cartwright 2016, eqn 10), each cell integrated from its
+three-point parabola, but only the half of the cell formulas that scipy keeps
+is evaluated, so every level is bit-identical to scipy's.  The integrand is
+smooth everywhere (log(t-1) vanishes at t = 2; no singularity), so
+refinement converges at fourth order, and doubling S is used as the
 convergence check.  Levels whose supremum falls below 1e-15 short-circuit to
 the zero function; the recursion depth reaches ~500 for k = 14.
+
+The converged values are cached per process and per (k, tol, r_cap), so
+``tail_sum`` and the margins reuse the tables ``constants_table`` built.
 """
 
 from __future__ import annotations
 
+import functools
 import math
+from collections.abc import Mapping
 from dataclasses import dataclass
+from types import MappingProxyType
 
 import numpy as np
-from scipy.integrate import cumulative_simpson
 
 from . import reference
 from .errors import VerificationError
@@ -78,6 +87,29 @@ class LevelFunction:
         return float(self.ys[-1])
 
 
+def _cumsimpson(f: np.ndarray, h: float) -> np.ndarray:
+    """Cumulative composite Simpson integral of ``f`` (n >= 3 samples, step h), from 0.
+
+    Cell [x_i, x_{i+1}] is integrated from the parabola through three
+    neighbouring samples, h/3 * (5 f_a/4 + 2 f_b - f_c/4) with f_c the sample
+    outside the cell and f_b the cell's end next to it: forward
+    (a, b, c = i, i+1, i+2) for even i, backward (a, b, c = i+1, i, i-1) for
+    odd i and for the last cell.  The cells are then summed left to right.
+    """
+    n = f.size
+    c = h / 3
+    even, mid, far = f[0 : n - 2 : 2], f[1 : n - 1 : 2], f[2:n:2]
+    cells = np.empty(n - 1)
+    cells[0 : n - 2 : 2] = c * (5 * even / 4 + 2 * mid - far / 4)
+    cells[1::2] = c * (5 * far / 4 + 2 * mid - even / 4)
+    if n % 2 == 0:
+        cells[-1] = c * (5 * f[-1] / 4 + 2 * f[-2] - f[-3] / 4)
+    out = np.empty(n)
+    out[0] = 0.0
+    np.cumsum(cells, out=out[1:])
+    return out
+
+
 def _levels(k: int, steps_per_unit: int, top: int):
     """Yield (m, xs, ys): the level g_m sampled on its lattice, m = 2..top.
 
@@ -114,7 +146,7 @@ def _levels(k: int, steps_per_unit: int, top: int):
             base = float(np.polyval(anti, xs[0]) - np.polyval(anti, m))
         else:
             base = 0.0
-        ys = cumulative_simpson(integrand, dx=h, initial=0.0) + base
+        ys = _cumsimpson(integrand, h) + base
         yield m, xs, ys
         prev_ys = None if ys.max() < ZERO_LEVEL_SUP else ys
 
@@ -128,15 +160,19 @@ def _cascade(k: int, steps_per_unit: int, r_cap: int | None = None) -> dict[int,
     return out
 
 
-def _converged_values(k: int, tol: float, r_cap: int | None = None) -> tuple[dict[int, float], float]:
-    """Refine the lattice until halving the step moves every c_r by < tol."""
+@functools.lru_cache(maxsize=None)
+def _converged_values(k: int, tol: float, r_cap: int | None = None) -> tuple[Mapping[int, float], float]:
+    """Refine the lattice until halving the step moves every c_r by < tol.
+
+    Cached per process; the values come as a read-only mapping.
+    """
     steps = _BASE_STEPS_PER_UNIT
     coarse = _cascade(k, steps, r_cap)
     while True:
         fine = _cascade(k, 2 * steps, r_cap)
         err = max(abs(fine[r] - coarse[r]) for r in fine)
         if err < tol:
-            return fine, err
+            return MappingProxyType(fine), err
         steps *= 2
         coarse = fine
         if steps > 4096:

@@ -62,19 +62,30 @@ def _chunks(rows):
         yield chunk
 
 
+# the members of a flat row, one per line at the depth of a payload's rows;
+# without indent the encoder is json's C encoder
+_encode_row_members = json.JSONEncoder(separators=(",\n      ", ": ")).encode
+
+
+def _json_row(row: dict) -> str:
+    """One flat row as ``json.dumps(..., indent=2)`` lays it out inside a payload's rows."""
+    return "\n    {\n      " + _encode_row_members(row)[1:-1] + "\n    }" if row else "\n    {}"
+
+
 def _write_json(payload: dict, fh) -> None:
-    """The text of ``json.dumps(_round12(payload), indent=2)`` and a newline, rows in chunks."""
+    """The text of ``json.dumps(_round12(payload), indent=2)`` and a newline, rows in chunks.
+
+    Rows are flat dicts of scalars (numbers, strings, booleans, None).
+    """
     head = {key: v for key, v in payload.items() if key != "rows"}
     text = json.dumps(_round12(head), indent=2)
     if "rows" not in payload:
         fh.write(text + "\n")
         return
-    # a chunk dumps as "[\n  {...},\n  {...}\n]"; in the payload its rows sit one level deeper
-    encode = json.JSONEncoder(indent=2).encode
     fh.write(text[:-2] + ',\n  "rows": [')
     sep = ""
     for chunk in _chunks(payload["rows"]):
-        fh.write(sep + encode(_round12(chunk))[1:-2].replace("\n", "\n  "))
+        fh.write(sep + ",".join(map(_json_row, _round12(chunk))))
         sep = ","
     fh.write("\n  ]\n}\n" if sep else "]\n}\n")
 

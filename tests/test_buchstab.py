@@ -2,10 +2,16 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from oracles import gauss_legendre, independent_level_cascade, nested_c4
-from wgkit import reference
+from wgkit import buchstab, cli, reference
 from wgkit.buchstab import (
+    DEFAULT_TOL,
+    _converged_values,
+    _cumsimpson,
     constants_table,
     iterated_integral,
     level_function,
@@ -80,6 +86,39 @@ def test_level_function_shares_the_cascade_levels():
     # past U_k the level is the zero function
     g9 = level_function(9, 3)  # U(3) = 8
     assert g9.top_value == 0.0 and g9(8.5) == 0.0 and g9(20.0) == 0.0
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(
+    n=st.one_of(st.integers(3, 300), st.sampled_from([128001, 128002])),
+    pool=hnp.arrays(np.float64, 300, elements=st.floats(-1e100, 1e100)),
+    h=st.floats(1e-6, 1e3),
+)
+@example(n=3, pool=np.arange(300.0), h=0.5)
+@example(n=4, pool=np.arange(300.0), h=0.5)
+@example(n=128001, pool=np.sin(np.arange(300.0)), h=1 / 256)
+@example(n=128002, pool=np.sin(np.arange(300.0)), h=1 / 256)
+def test_cumsimpson_is_scipys_cumulative_simpson(n, pool, h):
+    # the kept half-interval formulas of scipy's kernel, bit for bit, for either parity
+    from scipy.integrate import cumulative_simpson
+
+    f = np.resize(pool, n)
+    assert np.array_equal(_cumsimpson(f, h), cumulative_simpson(f, dx=h, initial=0.0))
+
+
+def test_cascade_runs_once_per_k_and_tol(all_tables, monkeypatch, capsys):
+    # tail_sum and the margins reuse the converged values constants_table built
+    calls = []
+    cascade = buchstab._cascade
+    monkeypatch.setattr(buchstab, "_cascade", lambda *args: calls.append(args) or cascade(*args))
+    for k in reference.K_RANGE:
+        assert tail_sum(k) == all_tables[k].C_value
+    assert cli.main(["margin"]) == 0
+    capsys.readouterr()
+    assert calls == []
+    values, _ = _converged_values(3, DEFAULT_TOL)
+    with pytest.raises(TypeError):
+        values[4] = 0.0
 
 
 def test_table_k3():

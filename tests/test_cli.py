@@ -1,10 +1,14 @@
 import io
 import json
+import math
 import os
+import subprocess
+import sys
 import tracemalloc
 
 import pytest
 
+import wgkit
 from wgkit.cli import _round12, _write_json, main
 from wgkit.reference import K_RANGE
 
@@ -49,6 +53,17 @@ def test_streamed_json_is_the_one_shot_dump():
         fh = io.StringIO()
         _write_json({**payload, "rows": iter(rows)}, fh)
         assert fh.getvalue() == json.dumps(_round12(payload), indent=2) + "\n"
+    # every scalar a flat row may hold, and an empty row
+    rows = [
+        {"n": -3, "x": 1e-300, "nan": math.nan, "inf": -math.inf, "ok": False, "none": None},
+        {},
+        {"s": 'é ü \u2211 "q" \\ \t \x00 \U0001f600', "big": 2**70, "y": 0.1 + 0.2},
+        {},
+    ]
+    payload = {"schema_version": 1, "command": "t", "rows": rows}
+    fh = io.StringIO()
+    _write_json({**payload, "rows": iter(rows)}, fh)
+    assert fh.getvalue() == json.dumps(_round12(payload), indent=2) + "\n"
 
 
 def test_local_table_is_streamed(tmp_path):
@@ -188,3 +203,41 @@ def test_output_file_writing(tmp_path, capsys):
     assert code == 0
     payload = json.loads(target.read_text())
     assert payload["tables"][0]["k"] == 3
+
+
+_SCIPY_PROBE = """
+import contextlib, io, sys
+import wgkit.cli
+
+def scipy_modules():
+    return sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
+
+print(scipy_modules())
+with contextlib.redirect_stdout(io.StringIO()):
+    for argv in %r:
+        wgkit.cli.main(argv)
+print(scipy_modules())
+"""
+
+
+def test_no_command_loads_scipy():
+    # scipy is a test dependency only: neither importing the CLI nor running a command loads it
+    commands = [
+        ["constants", "--k", "3"],
+        ["margin"],
+        ["local", "--pmax", "20", "--k", "4"],
+        ["sums", "--jmax", "3", "--qmax", "20", "--ppmax", "32"],
+        ["singular", "--n", "40", "--k", "3", "--pmax", "50"],
+        ["count", "--what", "hua4", "--k", "3", "--Q", "50"],
+        ["singint", "--n-grid", "1e8,1e9", "--k", "3"],
+    ]
+    src = os.path.dirname(os.path.dirname(wgkit.__file__))
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+    proc = subprocess.run(
+        [sys.executable, "-c", _SCIPY_PROBE % (commands,)],
+        env={**os.environ, "PYTHONPATH": path},
+        capture_output=True,
+        text=True,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == ["[]", "[]"]
