@@ -361,7 +361,7 @@ def main(argv: list[str] | None = None) -> int:
     ap = build_parser()
     args = ap.parse_args(argv)
     # validate shared numeric ranges up front: usage errors exit 2
-    for attr, lo in (("qmax", 1), ("pmax", 2), ("samples", 1024)):
+    for attr, lo in (("qmax", 2), ("pmax", 2), ("samples", 1024)):
         if getattr(args, attr, None) is not None and getattr(args, attr) < lo:
             ap.error(f"--{attr} must be >= {lo}")
     if getattr(args, "k", None) is not None and isinstance(args.k, int):

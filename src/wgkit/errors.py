@@ -6,4 +6,4 @@ class VerificationError(AssertionError):
 
 
 class BudgetExceeded(ValueError):
-    """A counting job was refused because its estimated cost is over budget."""
+    """A job was refused because its estimated cost is over budget."""

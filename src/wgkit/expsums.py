@@ -8,12 +8,24 @@ The basic objects are, for a modulus q, exponent j and numerator a,
 
 evaluated by direct summation against an exact table of q-th roots of unity
 (angles 2*pi*m'/q with m' reduced mod q), so there is no phase drift.  The
-verification grid additionally uses a spectral path (the sum over m grouped by
-the residue of m^j is a DFT of a power histogram), which is cross-checked
-against the direct path in the tests.
+verification grid additionally uses a spectral path, which is cross-checked
+against the direct path in the tests: the sum over m grouped by the residue
+of m^j is a DFT of a power histogram.  One kernel serves a whole tuple of
+exponents at a modulus: a cumulative power table (the row of m^j from the
+row of m^(j-1), one multiply-reduce each), one offset ``bincount`` for every
+row, and one FFT along the last axis.  The per-j functions are its one-row
+case.
+
+Character sums mod a prime p need only gcd(j, p - 1) rows, not p - 1: with
+m = g^s and a = g^r, G(chi_t, j, a) is the DFT over s of e(g^(r + j s) / p);
+replacing r by r + j shifts that sequence by one step in s, which changes
+only the phase of its DFT, so |G(chi_t, j, a)| depends on ind a = r only
+mod gcd(j, p - 1).
 
 Magnitude assertions use tolerance 1e-6 * q; moduli stay <= 10**4 so
-accumulation error is orders of magnitude below that.
+accumulation error is orders of magnitude below that.  ``verify_bounds``
+estimates its FFT work before it starts and refuses a sweep over
+``SWEEP_POINT_BUDGET``.
 """
 
 from __future__ import annotations
@@ -25,10 +37,12 @@ from functools import lru_cache
 import numpy as np
 
 from .arith import _generator_powers, is_prime, primes_up_to
-from .errors import VerificationError
+from .errors import BudgetExceeded, VerificationError
 
 J_MIN, J_MAX = 2, 14
 MAG_TOL = 1e-6  # relative to q
+# FFT points (rows times length) one verify_bounds sweep may transform
+SWEEP_POINT_BUDGET = 10**8
 
 
 @dataclass(frozen=True)
@@ -62,15 +76,31 @@ def _roots(q: int) -> np.ndarray:
     return table
 
 
-@lru_cache(maxsize=2048)
-def _power_residues(j: int, q: int) -> np.ndarray:
-    """m^j mod q for m = 1..q, computed by repeated multiply-reduce (int64-safe)."""
+def _power_table(js: tuple[int, ...], q: int) -> np.ndarray:
+    """Rows m^j mod q for m = 1..q, one per exponent of the ascending ``js``.
+
+    Each power comes from the previous one by one multiply-reduce (int64-safe),
+    so the table costs max(js) steps however many rows it holds.
+    """
     m = np.arange(1, q + 1, dtype=np.int64)
     acc = np.ones(q, dtype=np.int64)
-    for _ in range(j):
-        acc = acc * m % q
-    acc.setflags(write=False)
-    return acc
+    table = np.empty((len(js), q), dtype=np.int64)
+    e = 0
+    for i, j in enumerate(js):
+        for _ in range(j - e):
+            np.multiply(acc, m, out=acc)
+            np.remainder(acc, q, out=acc)
+        e = j
+        table[i] = acc
+    return table
+
+
+@lru_cache(maxsize=2048)
+def _power_residues(j: int, q: int) -> np.ndarray:
+    """m^j mod q for m = 1..q (read-only)."""
+    res = _power_table((j,), q)[0]
+    res.setflags(write=False)
+    return res
 
 
 @lru_cache(maxsize=2048)
@@ -104,24 +134,35 @@ def unit_sum(j: int, q: int, a: int) -> ExpSumValue:
     return ExpSumValue(float(total.real), float(total.imag), q, j, a % q)
 
 
+def _power_hists(js: tuple[int, ...], q: int, units_only: bool) -> np.ndarray:
+    """h[i, v] = #{m in 1..q : m^js[i] = v mod q (and gcd(m,q)=1 if units_only)}."""
+    table = _power_table(js, q)
+    if units_only:
+        table = table[:, _unit_mask(q)]
+    # row i counts into bins [i q, (i + 1) q) of one bincount
+    table += q * np.arange(len(js), dtype=np.int64)[:, None]
+    return np.bincount(table.ravel(), minlength=len(js) * q).reshape(len(js), q)
+
+
 def power_hist(j: int, q: int, units_only: bool) -> np.ndarray:
     """Histogram h[v] = #{m in 1..q : m^j = v mod q (and gcd(m,q)=1 if units_only)}."""
-    res = _power_residues(j, q)
-    if units_only:
-        res = res[_unit_mask(q)]
-    return np.bincount(res, minlength=q).astype(np.int64)
+    return _power_hists((j,), q, units_only)[0]
 
 
-def _spectrum(hist: np.ndarray) -> np.ndarray:
-    """S(a) = sum_v hist[v] e(a v / q) for all a at once (conjugate DFT)."""
-    return np.conj(np.fft.fft(hist.astype(np.float64)))
+def _power_spectra(js: tuple[int, ...], q: int, units_only: bool) -> np.ndarray:
+    """Row i: the complete (or unit) sums of exponent js[i] for every a = 0..q-1.
+
+    S(a) = sum_v h[v] e(a v / q), the conjugate DFT of each histogram row.
+    """
+    out = np.fft.fft(_power_hists(js, q, units_only).astype(np.float64))
+    return np.conjugate(out, out=out)
 
 
 @lru_cache(maxsize=4096)
 def complete_sums_all(j: int, q: int) -> np.ndarray:
     """Complete sums for every numerator a = 0..q-1 (spectral path)."""
     _check_jq(j, q)
-    out = _spectrum(power_hist(j, q, False))
+    out = _power_spectra((j,), q, False)[0]
     out.setflags(write=False)
     return out
 
@@ -130,7 +171,7 @@ def complete_sums_all(j: int, q: int) -> np.ndarray:
 def unit_sums_all(j: int, q: int) -> np.ndarray:
     """Unit sums for every numerator a = 0..q-1 (spectral path)."""
     _check_jq(j, q)
-    out = _spectrum(power_hist(j, q, True))
+    out = _power_spectra((j,), q, True)[0]
     out.setflags(write=False)
     return out
 
@@ -194,20 +235,23 @@ def char_sum(chi: DirichletCharacter, j: int, a: int) -> ExpSumValue:
     return ExpSumValue(float(total.real), float(total.imag), q, j, a % q)
 
 
-def char_sums_all(p: int, j: int) -> np.ndarray:
-    """|G| over all characters and numerators: array of shape (p-1, p-1).
+def char_class_sums(p: int, j: int) -> tuple[np.ndarray, np.ndarray]:
+    """Character sums for one numerator per class of ind a mod d = gcd(j, p-1).
 
-    Entry [t, a-1] is G(chi_t, j, a).  Uses an FFT over the discrete log.
+    Returns ``(a, G)``: a[c] is the least unit with ind a = c mod d, and
+    G[c, t] = G(chi_t, j, a[c]) for t = 0..p-2.  |G(chi_t, j, a)| is the same
+    for every a in a class (module docstring), so the d rows carry every
+    magnitude of the (p-1) x (p-1) table.  One FFT over the discrete log per row.
     """
     _check_jq(j, p)
     if not is_prime(p) or p == 2:
         raise ValueError(f"need an odd prime, got {p}")
-    roots = _roots(p)
-    # phase[s] for numerator a: e(a * g^(j s) / p); FFT over s gives all chi_t at once
+    d = math.gcd(j, p - 1)
+    reps = 1 + np.argmax(_dlog_table(p)[1:] % d == np.arange(d)[:, None], axis=1)
+    # row c: v[s] = e(a_c g^(j s) / p); G(chi_t, a_c) = sum_s e(t s/(p-1)) v[s] = fft(v)[-t]
     pw = _generator_powers(p)[j * np.arange(p - 1) % (p - 1)]
-    # row a-1: v[s] = e(a g^(j s) / p); G(chi_t, a) = sum_s e(t s/(p-1)) v[s] = conj(fft(v))[t]
-    v = roots[np.multiply.outer(np.arange(1, p, dtype=np.int64), pw) % p]
-    return np.conj(np.fft.fft(v, axis=1)).T
+    v = _roots(p)[np.multiply.outer(reps, pw) % p]
+    return reps, np.fft.fft(v, axis=1)[:, -np.arange(p - 1) % (p - 1)]
 
 
 def vanishing_exponent(p: int, j: int) -> int:
@@ -284,6 +328,32 @@ class BoundReport:
         }
 
 
+def _sweep_points(
+    js: tuple[int, ...], q_max: int, pp_max: int, char_p_max: int, twisted_q_max: int
+):
+    """Rows times length of each FFT batch ``verify_bounds`` runs, in sweep order.
+
+    The vanishing levels are counted with every j, the twisted pairs with
+    their product modulus only; the count is lazy, so a caller can stop as
+    soon as it passes a budget whatever the arguments.
+    """
+    n = len(js)
+    for q in range(1, q_max + 1):
+        yield n * q * (2 if is_prime(q) else 1)
+    for p in range(2, math.isqrt(pp_max) + 1):
+        if is_prime(p):
+            q = p * p
+            while q <= pp_max:
+                yield n * q
+                q *= p
+    for p in primes_up_to(min(char_p_max, q_max))[1:]:
+        yield sum(math.gcd(j, p - 1) for j in js) * (p - 1)
+    for q1 in range(2, twisted_q_max + 1):
+        for q2 in range(q1 + 1, twisted_q_max + 1):
+            if math.gcd(q1, q2) == 1:
+                yield n * q1 * q2
+
+
 def verify_bounds(
     j_max: int = 14,
     q_max: int = 499,
@@ -302,6 +372,9 @@ def verify_bounds(
       * prime modulus:  |S*(p,a)| <= (gcd(j,p-1) - 1) sqrt(p) + 1,
       * prime powers p^l <= pp_max with l >= gamma(p, j): S*(p^l, a) = 0,
       * optional twisted multiplicativity over coprime pairs <= twisted_q_max.
+
+    Raises ``BudgetExceeded``, before any work, for a sweep over
+    ``SWEEP_POINT_BUDGET`` FFT points.
     """
     if q_max < 2:
         raise ValueError(f"q_max must be >= 2, got {q_max}")
@@ -309,68 +382,86 @@ def verify_bounds(
         raise ValueError(f"j_max must be in [{J_MIN}, {J_MAX}], got {j_max}")
     if pp_max is None:
         pp_max = q_max
+    if pp_max < 2:
+        raise ValueError(f"pp_max must be >= 2, got {pp_max}")
+    if char_p_max < 3:
+        raise ValueError(f"char_p_max must be >= 3 (the least odd prime), got {char_p_max}")
+    js = tuple(range(J_MIN, j_max + 1))
+    points = 0
+    for batch in _sweep_points(js, q_max, pp_max, char_p_max, twisted_q_max):
+        points += batch
+        if points > SWEEP_POINT_BUDGET:
+            raise BudgetExceeded(
+                f"the sums sweep would transform over {SWEEP_POINT_BUDGET} FFT points; "
+                "lower q_max, pp_max or twisted_q_max"
+            )
     rep = BoundReport(j_max=j_max, q_max=q_max, pp_max=pp_max)
     primes = set(primes_up_to(q_max))
+    worst = np.zeros(len(js))
+    worst_q = np.ones(len(js), dtype=np.int64)
+    worst_a = np.ones(len(js), dtype=np.int64)
+    found = []  # found modulus by modulus, reported j by j
+    for q in range(1, q_max + 1):
+        # unit numerators a = 0..q-1; a = 0 stands for m = q (a unit only for q = 1)
+        units = np.nonzero(np.roll(_unit_mask(q), 1))[0]
+        mags = np.abs(_power_spectra(js, q, False)[:, units])
+        # Python-scalar powers: numpy's array power can differ in the last ulp
+        ratios = mags / np.array([q ** (1 - 1 / j) for j in js])[:, None]
+        i = ratios.argmax(axis=1)
+        best = ratios.max(axis=1)
+        better = best > worst
+        worst[better] = best[better]
+        worst_q[better] = q
+        worst_a[better] = units[i[better]]
+        if q in primes:
+            tol = MAG_TOL * q
+            bound = np.array([(math.gcd(j, q - 1) - 1) * math.sqrt(q) for j in js])[:, None]
+            slack_p = bound - mags
+            slack_u = bound + 1 - np.abs(_power_spectra(js, q, True)[:, units])
+            rep.prime_slack = min(rep.prime_slack, float(slack_p.min()))
+            rep.unit_slack = min(rep.unit_slack, float(slack_u.min()))
+            for name, slack in (("complete_prime_bound", slack_p), ("unit_prime_bound", slack_u)):
+                for r in np.nonzero((slack < -tol).any(axis=1))[0]:
+                    found.append((name, js[r], q, int(units[np.argmin(slack[r])])))
+    for r, j in enumerate(js):
+        rep.complete_ratio[j] = (float(worst[r]), int(worst_q[r]), int(worst_a[r]))
+    rep.violations.extend(sorted(found, key=lambda v: v[1]))
 
-    for j in range(J_MIN, j_max + 1):
-        worst = (0.0, 1, 1)
-        for q in range(1, q_max + 1):
-            mags = np.abs(complete_sums_all(j, q))
-            # unit numerators a = 0..q-1; a = 0 stands for m = q (a unit only for q = 1)
-            units = np.nonzero(np.roll(_unit_mask(q), 1))[0]
-            ratios = mags[units] / q ** (1 - 1 / j)
-            i = int(np.argmax(ratios))
-            if ratios[i] > worst[0]:
-                worst = (float(ratios[i]), q, int(units[i]))
-            if q in primes:
-                tol = MAG_TOL * q
-                g = math.gcd(j, q - 1)
-                bound = (g - 1) * math.sqrt(q)
-                umags = np.abs(unit_sums_all(j, q))
-                slack_p = bound - mags[units]
-                slack_u = bound + 1 - umags[units]
-                rep.prime_slack = min(rep.prime_slack, float(slack_p.min()))
-                rep.unit_slack = min(rep.unit_slack, float(slack_u.min()))
-                if (slack_p < -tol).any():
-                    a_bad = int(units[np.argmin(slack_p)])
-                    rep.violations.append(("complete_prime_bound", j, q, a_bad))
-                if (slack_u < -tol).any():
-                    a_bad = int(units[np.argmin(slack_u)])
-                    rep.violations.append(("unit_prime_bound", j, q, a_bad))
-        rep.complete_ratio[j] = worst
-
-    # vanishing of unit sums at high prime powers
-    for j in range(J_MIN, j_max + 1):
-        for p in primes_up_to(int(math.isqrt(pp_max)) + 1):
-            gamma = vanishing_exponent(p, j)
-            ell = gamma
-            while p**ell <= pp_max:
-                q = p**ell
-                mags = np.abs(unit_sums_all(j, q))
+    # vanishing of unit sums at high prime powers: each p^l once, for the j with gamma <= l
+    found = []
+    for p in primes_up_to(int(math.isqrt(pp_max)) + 1):
+        gammas = [vanishing_exponent(p, j) for j in js]
+        q, ell = p * p, 2
+        while q <= pp_max:
+            level_js = tuple(j for j, gamma in zip(js, gammas) if gamma <= ell)
+            if level_js:
                 units = np.roll(_unit_mask(q), 1)
-                m = float(mags[units].max())
-                rep.vanishing_max = max(rep.vanishing_max, m)
-                if m > MAG_TOL * q:
-                    rep.violations.append(("unit_sum_vanishing", j, q, m))
-                ell += 1
+                peaks = np.abs(_power_spectra(level_js, q, True)[:, units]).max(axis=1)
+                rep.vanishing_max = max(rep.vanishing_max, float(peaks.max()))
+                for j, m in zip(level_js, peaks.tolist()):
+                    if m > MAG_TOL * q:
+                        found.append(("unit_sum_vanishing", j, q, m))
+            q *= p
+            ell += 1
+    rep.violations.extend(sorted(found, key=lambda v: v[1]))
 
     # character-sum ratios and the Weil-type bound |G| <= (j+1) sqrt(p)
-    for j in range(J_MIN, j_max + 1):
-        worst = (0.0, 3, 1)
-        for p in primes_up_to(min(char_p_max, q_max)):
-            if p == 2:
-                continue
-            mags = np.abs(char_sums_all(p, j))
-            ratio = float(mags.max() / math.sqrt(p))
-            if ratio > worst[0]:
-                t, a1 = np.unravel_index(int(np.argmax(mags)), mags.shape)
-                worst = (ratio, p, int(a1) + 1)
-            if mags.max() > (j + 1) * math.sqrt(p) + MAG_TOL * p:
-                rep.violations.append(("weil_char_bound", j, p, float(mags.max())))
-        rep.char_ratio[j] = worst
+    char_primes = primes_up_to(min(char_p_max, q_max))[1:]
+    for j in js:
+        worst_char = (0.0, 3, 1)
+        for p in char_primes:
+            reps, sums = char_class_sums(p, j)
+            mags = np.abs(sums)
+            peak = mags.max()
+            ratio = float(peak / math.sqrt(p))
+            if ratio > worst_char[0]:
+                worst_char = (ratio, p, int(reps[np.argmax(mags) // (p - 1)]))
+            if peak > (j + 1) * math.sqrt(p) + MAG_TOL * p:
+                rep.violations.append(("weil_char_bound", j, p, float(peak)))
+        rep.char_ratio[j] = worst_char
 
     if twisted_q_max:
-        for j in range(J_MIN, j_max + 1):
+        for j in js:
             for q1 in range(2, twisted_q_max + 1):
                 for q2 in range(q1 + 1, twisted_q_max + 1):
                     if math.gcd(q1, q2) != 1:

@@ -158,6 +158,23 @@ def independent_level_cascade(k: int, r_top: int, M: int = 3000) -> dict[int, fl
     return out
 
 
+def char_sums_matrix(p: int, j: int) -> np.ndarray:
+    """Every character sum mod an odd prime p, one FFT row per numerator.
+
+    Entry [t, a-1] is G(chi_t, j, -a) = sum_s e(t s/(p-1)) e(-a g^(j s)/p),
+    g the least primitive root: the full (p-1) x (p-1) table whose
+    magnitudes the index-class rows must reproduce (a -> -a only permutes
+    its columns).
+    """
+    from wgkit.arith import primitive_root
+
+    g = primitive_root(p)
+    roots = np.exp(2j * np.pi * np.arange(p) / p)
+    pw = np.array([pow(g, j * s, p) for s in range(p - 1)], dtype=np.int64)
+    v = roots[np.multiply.outer(np.arange(1, p, dtype=np.int64), pw) % p]
+    return np.conj(np.fft.fft(v, axis=1)).T
+
+
 def hua4_literal(k: int, Q: float) -> int:
     """Literal 4-loop count of y1^k + y2^k = y3^k + y4^k on (Q, 2Q]."""
     ys = [y for y in range(1, 10**7) if Q < y <= 2 * Q]

@@ -4,9 +4,13 @@ import math
 import os
 import subprocess
 import sys
+import time
 import tracemalloc
+from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import wgkit
 from wgkit.cli import _round12, _write_json, main
@@ -30,9 +34,28 @@ def test_sums_command_json(capsys):
 
 
 def test_sums_usage_error(capsys):
-    with pytest.raises(SystemExit) as exc:
-        main(["sums", "--qmax", "0"])
-    assert exc.value.code == 2
+    for qmax in ("0", "1"):
+        with pytest.raises(SystemExit) as exc:
+            main(["sums", "--qmax", qmax])
+        assert exc.value.code == 2
+        assert "--qmax must be >= 2" in capsys.readouterr().err
+    # the sweep's own argument checks name the argument and exit 2
+    code = main(["sums", "--qmax", "10", "--ppmax", "0"])
+    assert code == 2
+    assert "pp_max must be >= 2" in capsys.readouterr().err
+
+
+def test_sums_refuses_sweeps_over_budget(capsys):
+    # both would run for hours; the estimate refuses them before any FFT
+    for argv in (["sums", "--qmax", "100000"], ["sums", "--twisted-qmax", "500"]):
+        start = time.perf_counter()
+        code = main(argv)
+        elapsed = time.perf_counter() - start
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert "FFT points" in captured.err
+        assert elapsed < 1.0
 
 
 def test_local_command(capsys):
@@ -241,3 +264,60 @@ def test_no_command_loads_scipy():
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.splitlines() == ["[]", "[]"]
+
+
+def _argv(*tokens):
+    return [str(t) for t in tokens]
+
+
+_SMALL_ARGS = {
+    "sums": st.builds(
+        lambda j, q, pp, t: _argv("sums", "--jmax", j, "--qmax", q, "--ppmax", pp, "--twisted-qmax", t),
+        st.integers(2, 5), st.integers(2, 40), st.integers(2, 200), st.integers(0, 8),
+    ),
+    "local": st.builds(
+        lambda pmax, k, parity: _argv("local", "--pmax", pmax, "--k", k, "--parity", parity),
+        st.integers(2, 40), st.integers(3, 14), st.sampled_from(("even", "all")),
+    ),
+    "singular": st.builds(
+        lambda n, k, pmax: _argv("singular", "--n", 2 * n, "--k", k, "--pmax", pmax),
+        st.integers(2, 10**6), st.integers(3, 14), st.integers(2, 300),
+    ),
+    "count": st.one_of(
+        st.builds(lambda k, Q: _argv("count", "--what", "hua4", "--k", k, "--Q", Q),
+                  st.integers(2, 6), st.integers(2, 40)),
+        st.builds(lambda k, P: _argv("count", "--what", "mixed", "--k", k, "--P", P),
+                  st.integers(3, 6), st.integers(4, 24)),
+        st.builds(lambda N: _argv("count", "--what", "triple", "--k", 3, "--N", N),
+                  st.integers(100, 10**5)),
+        st.builds(lambda n: _argv("count", "--what", "reps", "--k", 3, "--n", n, "--r", 3),
+                  st.integers(10, 2000)),
+    ),
+}
+
+
+def _run_in_process(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        code = main(argv)
+    return code, out.getvalue()
+
+
+@pytest.mark.parametrize("command", sorted(_SMALL_ARGS))
+@settings(max_examples=3, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_cli_stdout_is_byte_deterministic(command, data):
+    # two runs in this process (warm caches) and one fresh interpreter print the same bytes
+    argv = data.draw(_SMALL_ARGS[command])
+    code1, out1 = _run_in_process(argv)
+    code2, out2 = _run_in_process(argv)
+    src = os.path.dirname(os.path.dirname(wgkit.__file__))
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+    proc = subprocess.run(
+        [sys.executable, "-m", "wgkit.cli", *argv],
+        env={**os.environ, "PYTHONPATH": path},
+        capture_output=True,
+    )
+    assert out1 == out2
+    assert proc.stdout == out1.encode()
+    assert code1 == code2 == proc.returncode

@@ -1,14 +1,23 @@
 import cmath
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oracles import char_sums_matrix
+from wgkit.arith import primes_up_to
 from wgkit.expsums import (
     MAG_TOL,
+    SWEEP_POINT_BUDGET,
     BoundReport,
+    _dlog_table,
+    _power_hists,
+    _power_spectra,
+    _sweep_points,
     all_characters,
+    char_class_sums,
     char_sum,
     character,
     complete_sum,
@@ -69,6 +78,50 @@ def test_spectral_path_agrees_with_direct():
             for a in range(q):
                 assert call[a] == pytest.approx(complete_sum(j, q, a).value, abs=1e-9)
                 assert uall[a] == pytest.approx(unit_sum(j, q, a).value, abs=1e-9)
+
+
+def test_multi_exponent_kernel_rows_are_the_single_row_path():
+    # one power table, bincount and FFT for all j: every row bit-identical to the per-j call
+    js = tuple(range(2, 15))
+    for q in range(1, 121):
+        for units_only, single in ((False, complete_sums_all), (True, unit_sums_all)):
+            hists = _power_hists(js, q, units_only)
+            spectra = _power_spectra(js, q, units_only)
+            for i, j in enumerate(js):
+                literal = [pow(m, j, q) for m in range(1, q + 1) if not units_only or math.gcd(m, q) == 1]
+                assert np.array_equal(hists[i], np.bincount(literal, minlength=q)), (q, j, units_only)
+                assert np.array_equal(spectra[i], single(j, q)), (q, j, units_only)
+
+
+def test_char_class_sums_cover_every_character_sum():
+    # |G(chi_t, j, a)| depends on ind a only mod gcd(j, p - 1): one row per class
+    for p in primes_up_to(61)[1:]:
+        chars = all_characters(p)
+        dlog = _dlog_table(p)
+        for j in range(2, 15):
+            d = math.gcd(j, p - 1)
+            reps, sums = char_class_sums(p, j)
+            assert sums.shape == (d, p - 1)
+            assert reps.tolist() == [min(a for a in range(1, p) if dlog[a] % d == c) for c in range(d)]
+            for a in range(1, p):
+                c = dlog[a] % d
+                for t, chi in enumerate(chars):
+                    direct = char_sum(chi, j, a).value
+                    assert abs(abs(sums[c, t]) - abs(direct)) <= 1e-9, (p, j, t, a)
+                    assert a != reps[c] or abs(sums[c, t] - direct) <= 1e-9, (p, j, t, a)
+            full = np.abs(char_sums_matrix(p, j)).max()
+            assert np.abs(sums).max() == pytest.approx(full, abs=1e-9), (p, j)
+
+
+def test_reported_witnesses_attain_their_ratios():
+    rep = verify_bounds(j_max=14, q_max=250, pp_max=2500)
+    for j, (ratio, q, a) in rep.complete_ratio.items():
+        assert math.gcd(a, q) == 1 or q == 1
+        assert abs(complete_sum(j, q, a).value) / q ** (1 - 1 / j) == pytest.approx(ratio, abs=1e-9)
+    for j, (ratio, p, a) in rep.char_ratio.items():
+        assert 0 < a < p
+        attained = max(abs(char_sum(chi, j, a).value) for chi in all_characters(p)) / math.sqrt(p)
+        assert attained == pytest.approx(ratio, abs=1e-9), (j, p, a)
 
 
 def test_exponent_range_rejected():
@@ -183,8 +236,21 @@ def test_verify_bounds_rejects_bad_args():
         verify_bounds(j_max=2, q_max=0)
     with pytest.raises(ValueError):
         verify_bounds(j_max=1, q_max=10)
+    for pp_max in (-5, 0, 1):
+        with pytest.raises(ValueError, match="pp_max must be >= 2"):
+            verify_bounds(j_max=2, q_max=10, pp_max=pp_max)
+    for char_p_max in (-1, 0, 1, 2):
+        with pytest.raises(ValueError, match="char_p_max must be >= 3"):
+            verify_bounds(j_max=2, q_max=10, char_p_max=char_p_max)
 
 
 def test_trivial_bound_guard():
     s = complete_sum(2, 9, 3)
     assert abs(s.value) <= 9 + 1e-6
+
+
+def test_sweep_budget_admits_the_documented_sweeps():
+    # README command, the benchmark's sums, acceptance criterion 5 (with its twisted pairs)
+    js = tuple(range(2, 15))
+    for q_max, pp_max, twisted_q_max in ((499, 10**4, 0), (250, 2500, 0), (499, 10**4, 60)):
+        assert sum(_sweep_points(js, q_max, pp_max, 199, twisted_q_max)) <= SWEEP_POINT_BUDGET
