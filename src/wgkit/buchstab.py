@@ -164,8 +164,11 @@ def _cascade(k: int, steps_per_unit: int, r_cap: int | None = None) -> dict[int,
 def _converged_values(k: int, tol: float, r_cap: int | None = None) -> tuple[Mapping[int, float], float]:
     """Refine the lattice until halving the step moves every c_r by < tol.
 
-    Cached per process; the values come as a read-only mapping.
+    Cached per process; the values come as a read-only mapping.  A tol that
+    is not positive (NaN included) is refused: no lattice could meet it.
     """
+    if not tol > 0:
+        raise ValueError(f"tol must be positive, got {tol}")
     steps = _BASE_STEPS_PER_UNIT
     coarse = _cascade(k, steps, r_cap)
     while True:
@@ -197,8 +200,6 @@ def iterated_integral(r: int, k: int, tol: float = DEFAULT_TOL) -> float:
     reference.check_k(k)
     if r < 4:
         raise ValueError(f"the nested integral needs r >= 4, got {r}")
-    if tol <= 0:
-        raise ValueError("tol must be positive")
     if r - 1 >= upper_limit(k):
         return 0.0
     values, _ = _converged_values(k, tol, r_cap=r)

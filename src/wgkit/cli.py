@@ -15,8 +15,10 @@ import itertools
 import json
 import sys
 
+import numpy as np
+
 from . import buchstab, dioph, expsums, localdensity, reference, sieveconsts, singint, singular
-from .arith import primes_up_to
+from .arith import _generator_powers, primes_up_to
 from .errors import BudgetExceeded, VerificationError
 
 SCHEMA_VERSION = 1
@@ -36,23 +38,27 @@ def _round12(obj):
     return obj
 
 
-def _emit(payload: dict, fmt: str, output: str | None, csv_text: str | None = None) -> None:
+def _emit(payload: dict, fmt: str, output: str | None, csv_text: str | None = None, texts=None) -> None:
     """Write a report as JSON, or as CSV (``csv_text``, else one line per row).
 
     A payload's "rows", its last key, may be any iterable of dicts.  They are
     formatted and written a chunk at a time, so a table is never held whole,
-    as rows or as text.
+    as rows or as text.  A command that formats its own rows passes ``texts``
+    instead: the table's text in ``fmt``, a chunk at a time (``_write_json``
+    says how JSON rows are laid out; CSV text starts with its header line).
     """
-    if fmt == "csv" and csv_text is None and payload.get("rows") is None:
+    if fmt == "csv" and csv_text is None and texts is None and payload.get("rows") is None:
         raise ValueError("this command has no CSV form")
     with open(output, "w") if output else contextlib.nullcontext(sys.stdout) as fh:
         if fmt == "csv":
             if csv_text is not None:
                 fh.write(csv_text)
+            elif texts is not None:
+                fh.writelines(texts)
             else:
                 _write_csv(payload["rows"], fh)
         else:
-            _write_json({"schema_version": SCHEMA_VERSION, **payload}, fh)
+            _write_json({"schema_version": SCHEMA_VERSION, **payload}, fh, texts)
 
 
 def _chunks(rows):
@@ -72,22 +78,32 @@ def _json_row(row: dict) -> str:
     return "\n    {\n      " + _encode_row_members(row)[1:-1] + "\n    }" if row else "\n    {}"
 
 
-def _write_json(payload: dict, fh) -> None:
+def _write_json(payload: dict, fh, row_texts=None) -> None:
     """The text of ``json.dumps(_round12(payload), indent=2)`` and a newline, rows in chunks.
 
     Rows are flat dicts of scalars (numbers, strings, booleans, None).
+    ``row_texts``, when given, stands for the rows: it yields their text a
+    chunk at a time, each row as ``_json_row`` lays out its rounded dict and
+    the rows of a chunk joined by commas.
     """
     head = {key: v for key, v in payload.items() if key != "rows"}
     text = json.dumps(_round12(head), indent=2)
-    if "rows" not in payload:
-        fh.write(text + "\n")
-        return
+    if row_texts is None:
+        if "rows" not in payload:
+            fh.write(text + "\n")
+            return
+        row_texts = (",".join(map(_json_row, _round12(chunk))) for chunk in _chunks(payload["rows"]))
     fh.write(text[:-2] + ',\n  "rows": [')
     sep = ""
-    for chunk in _chunks(payload["rows"]):
-        fh.write(sep + ",".join(map(_json_row, _round12(chunk))))
+    for chunk in row_texts:
+        fh.write(sep + chunk)
         sep = ","
     fh.write("\n  ]\n}\n" if sep else "]\n}\n")
+
+
+def _csv_cells(values) -> str:
+    """One CSV line's cells: floats to 12 significant digits, anything else as ``str``."""
+    return ",".join(f"{v:.12g}" if isinstance(v, float) else str(v) for v in values)
 
 
 def _write_csv(rows, fh) -> None:
@@ -97,11 +113,7 @@ def _write_csv(rows, fh) -> None:
         if header is None:
             header = list(chunk[0])
             fh.write(",".join(header) + "\n")
-        lines = []
-        for row in chunk:
-            cells = [f"{v:.12g}" if isinstance(v, float) else str(v) for v in map(row.get, header)]
-            lines.append(",".join(cells) + "\n")
-        fh.write("".join(lines))
+        fh.write("".join(_csv_cells(map(row.get, header)) + "\n" for row in chunk))
     if header is None:
         raise ValueError("this command has no CSV form")
 
@@ -129,42 +141,58 @@ def cmd_sums(args) -> int:
     return 0 if rep.passed else 1
 
 
+def _local_classes(p: int, k: int, fmt: str) -> tuple[list[str], list[bool]]:
+    """The row body after "p" and "n_class", and the row check, per class of n at p.
+
+    Column c of ``class_counts`` is class c: the body holds K, L, L*, E_p, its
+    bound and the check, as JSON members or CSV cells, formatted once for all
+    the residues of the class.
+    """
+    cc = localdensity.class_counts(p, k)
+    bound = localdensity.ep_bound(p, k)
+    bodies, passes = [], []
+    for K, L, Lstar in zip(cc.K, cc.L, cc.Lstar):
+        ep = p * Lstar - (p - 1) ** 6
+        ok = abs(ep) <= bound and L > K and Lstar > 0 and (abs(ep) < (p - 1) ** 6 if p >= 19 else True)
+        body = {"K": K, "L": L, "Lstar": Lstar, "E_p": float(ep), "bound": float(bound), "pass": ok}
+        bodies.append(_csv_cells(body.values()) if fmt == "csv" else _encode_row_members(_round12(body))[1:-1])
+        passes.append(ok)
+    return bodies, passes
+
+
 def cmd_local(args) -> int:
-    residues = {p: [0] if p == 2 and args.parity == "even" else range(p) for p in primes_up_to(args.pmax)}
-    n_rows = sum(map(len, residues.values()))
+    primes = primes_up_to(args.pmax)
+    n_res = {p: 1 if p == 2 and args.parity == "even" else p for p in primes}
+    n_rows = sum(n_res.values())
     if n_rows > LOCAL_ROW_BUDGET:
         raise BudgetExceeded(f"local table would hold {n_rows} rows, over the {LOCAL_ROW_BUDGET}-row budget")
+    csv = args.format == "csv"
     failed = False
+    # every class body before the first row is written: made while the text
+    # grows, the engine's cache entries kept the freed text's pages resident
+    classes = [_local_classes(p, args.k, args.format) for p in primes]
 
     def rows():
+        # each residue's row is "p", "n_class" spliced in front of its class's body
         nonlocal failed
-        for p, nres_list in residues.items():
-            K, L, Lstar = localdensity.local_densities_all(p, args.k)
-            bound = localdensity.ep_bound(p, args.k)
-            for nres in nres_list:
-                ep = p * Lstar[nres] - (p - 1) ** 6
-                ok = (
-                    abs(ep) <= bound
-                    and L[nres] > K[nres]
-                    and Lstar[nres] > 0
-                    and (abs(ep) < (p - 1) ** 6 if p >= 19 else True)
-                )
-                failed = failed or not ok
-                yield {
-                    "p": p,
-                    "n_class": nres,
-                    "K": int(K[nres]),
-                    "L": int(L[nres]),
-                    "Lstar": int(Lstar[nres]),
-                    "E_p": float(ep),
-                    "bound": float(bound),
-                    "pass": ok,
-                }
+        for p, (bodies, passes) in zip(primes, classes):
+            cols = np.zeros(p, dtype=np.intp)  # n = 0 is column 0, g^s column 1 + s mod G
+            cols[_generator_powers(p)] = 1 + np.arange(p - 1) % (len(bodies) - 1)
+            cols = cols[: n_res[p]].tolist()
+            failed = failed or not all(passes[c] for c in set(cols))
+            if csv:
+                yield from (f"{p},{n},{bodies[c]}\n" for n, c in enumerate(cols))
+            else:
+                yield from (f'\n    {{\n      "p": {p},\n      "n_class": {n},\n      {bodies[c]}\n    }}'
+                            for n, c in enumerate(cols))
 
+    chunks = ("".join(c) if csv else ",".join(c) for c in _chunks(rows()))
+    header = "p,n_class,K,L,Lstar,E_p,bound,pass\n"
     _emit(
-        {"command": "local", "k": args.k, "pmax": args.pmax, "rows": rows()},
+        {"command": "local", "k": args.k, "pmax": args.pmax},
         args.format,
         args.output,
+        texts=itertools.chain([header], chunks) if csv else chunks,
     )
     return 1 if failed else 0
 

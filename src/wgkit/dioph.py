@@ -58,13 +58,14 @@ class ScalingFit:
     max_residual: float
 
 
+def dyadic_size(X: float) -> int:
+    """How many integers the half-open box (X, 2X] holds: ``dyadic_range(X).size``, unbuilt."""
+    return max(0, math.floor(2 * X) - math.floor(X))
+
+
 def dyadic_range(X: float) -> np.ndarray:
-    """Integers in the half-open box (X, 2X]."""
-    lo = math.floor(X) + 1
-    hi = math.floor(2 * X)
-    if hi < lo:
-        return np.empty(0, dtype=np.int64)
-    return np.arange(lo, hi + 1, dtype=np.int64)
+    """Integers in the half-open box (X, 2X]; check its size with ``dyadic_size`` first."""
+    return np.arange(math.floor(X) + 1, math.floor(2 * X) + 1, dtype=np.int64)
 
 
 def _powers(values: np.ndarray, k: int) -> np.ndarray:
@@ -168,16 +169,17 @@ def count_hua4(k: int, Q: float, method: str = "meet_in_middle") -> CountReport:
         raise ValueError(f"Q must be >= 1, got {Q}")
     if k < 2:
         raise ValueError(f"k must be >= 2, got {k}")
-    ys = dyadic_range(Q)
-    t0 = time.perf_counter()
+    n = dyadic_size(Q)
     if method == "meet_in_middle":
-        if ys.size**2 > PAIR_BUDGET:
-            raise BudgetExceeded(f"pair table would hold {ys.size**2} entries")
+        if n**2 > PAIR_BUDGET:
+            raise BudgetExceeded(f"pair table would hold {n**2} entries, over the {PAIR_BUDGET} budget")
     elif method == "exhaustive":
-        if ys.size**4 > 4 * 10**8:
-            raise BudgetExceeded(f"exhaustive scan of {ys.size**4} tuples refused")
+        if n**4 > 4 * 10**8:
+            raise BudgetExceeded(f"exhaustive scan of {n**4} tuples refused, over the 4*10^8 budget")
     else:
         raise ValueError(f"unknown method {method!r}")
+    t0 = time.perf_counter()
+    ys = dyadic_range(Q)
     pk = _powers(ys, k)
     if method == "meet_in_middle":
         count = _square_sum(pk, pk)
@@ -215,15 +217,15 @@ def count_mixed_S(k: int, P: float) -> MixedCount:
     if P < 2:
         raise ValueError(f"P must be >= 2, got {P}")
     Q = P ** (5.0 / (2 * k))
-    xs = dyadic_range(P)
-    ys = dyadic_range(Q)
-    n_pairs = xs.size * ys.size**2
+    n_x, n_y = dyadic_size(P), dyadic_size(Q)
+    n_pairs = n_x * n_y**2
     if n_pairs > PAIR_BUDGET:
         raise BudgetExceeded(
-            f"{xs.size} x-values times {ys.size}^2 y-pairs = {n_pairs} entries "
+            f"{n_x} x-values times {n_y}^2 y-pairs = {n_pairs} entries "
             f"exceeds the {PAIR_BUDGET} budget"
         )
     t0 = time.perf_counter()
+    xs, ys = dyadic_range(P), dyadic_range(Q)
     hua = count_hua4(k, Q)
 
     pk = _powers(ys, k)
@@ -266,10 +268,9 @@ def count_mixed_S(k: int, P: float) -> MixedCount:
 def count_mixed_S_exhaustive(k: int, P: float) -> int:
     """Literal comparison count of the mixed equation (oracle for small P)."""
     Q = P ** (5.0 / (2 * k))
-    xs = dyadic_range(P)
-    ys = dyadic_range(Q)
-    if xs.size * ys.size**2 > 10**4:
-        raise BudgetExceeded("exhaustive mixed count refused")
+    if dyadic_size(P) * dyadic_size(Q) ** 2 > 10**4:
+        raise BudgetExceeded("exhaustive mixed count refused, over the 10^4-entry budget")
+    xs, ys = dyadic_range(P), dyadic_range(Q)
     pk = _powers(ys, k)
     x3 = _powers(xs, 3)
     return _literal_square_sum((x3[:, None, None] + pk[None, :, None] + pk[None, None, :]).ravel())
@@ -284,20 +285,19 @@ def count_admissible_triple(k: int, N: float, method: str = "meet_in_middle") ->
         raise ValueError(f"k must be >= 3, got {k}")
     if N < 2:
         raise ValueError(f"N must be >= 2, got {N}")
-    xs = dyadic_range(N ** (1.0 / 3))
-    zs = dyadic_range(N ** (5.0 / 18))
-    ys = dyadic_range(N ** (5.0 / (6 * k)))
-    side = xs.size * zs.size * ys.size
+    X, Z, Y = N ** (1.0 / 3), N ** (5.0 / 18), N ** (5.0 / (6 * k))
+    side = dyadic_size(X) * dyadic_size(Z) * dyadic_size(Y)
     if side > PAIR_BUDGET:
-        raise BudgetExceeded(f"side multiset of {side} entries exceeds budget")
+        raise BudgetExceeded(f"side multiset of {side} entries exceeds the {PAIR_BUDGET} budget")
     t0 = time.perf_counter()
+    xs, zs, ys = dyadic_range(X), dyadic_range(Z), dyadic_range(Y)
     x3 = _powers(xs, 3)
     zy = (_powers(zs, 3)[:, None] + _powers(ys, k)[None, :]).ravel()
     if method == "meet_in_middle":
         count = _square_sum(x3, np.sort(zy))
     elif method == "exhaustive":
         if side**2 > 4 * 10**8:
-            raise BudgetExceeded("exhaustive triple scan refused")
+            raise BudgetExceeded(f"exhaustive triple scan of {side**2} pairs refused, over the 4*10^8 budget")
         count = _literal_square_sum((x3[:, None] + zy[None, :]).ravel())
     else:
         raise ValueError(f"unknown method {method!r}")

@@ -181,19 +181,20 @@ class DirichletCharacter:
     """A Dirichlet character mod a prime, labeled by an index via a fixed primitive root.
 
     index 0 is the principal character.  ``values[m]`` holds chi(m) for
-    m = 0..p-1, with chi(m) = 0 when p | m.
+    m = 0..p-1, with chi(m) = 0 when p | m, as a read-only array.  The modulus
+    and the index determine the values, so they alone make equality and hash.
     """
 
     modulus: int
     index: int
-    values: tuple[complex, ...]
+    values: np.ndarray = field(compare=False, repr=False)
 
     @property
     def is_principal(self) -> bool:
         return self.index == 0
 
     def __call__(self, m: int) -> complex:
-        return self.values[m % self.modulus]
+        return complex(self.values[m % self.modulus])
 
 
 @lru_cache(maxsize=256)
@@ -210,15 +211,16 @@ def character(p: int, index: int) -> DirichletCharacter:
     if p == 2:
         if index != 0:
             raise ValueError("only the principal character exists mod 2")
-        return DirichletCharacter(2, 0, (0j, 1 + 0j))
-    if not is_prime(p):
-        raise ValueError(f"characters are supported for prime modulus only, got {p}")
-    if not (0 <= index < p - 1):
-        raise ValueError(f"index must be in [0, {p - 2}], got {index}")
-    dlog = _dlog_table(p)
-    vals = np.zeros(p, dtype=complex)
-    vals[1:] = np.exp(2j * np.pi * index * dlog[1:] / (p - 1))
-    return DirichletCharacter(p, index, tuple(vals))
+        vals = np.array([0j, 1 + 0j])
+    else:
+        if not is_prime(p):
+            raise ValueError(f"characters are supported for prime modulus only, got {p}")
+        if not (0 <= index < p - 1):
+            raise ValueError(f"index must be in [0, {p - 2}], got {index}")
+        vals = np.zeros(p, dtype=complex)
+        vals[1:] = np.exp(2j * np.pi * index * _dlog_table(p)[1:] / (p - 1))
+    vals.setflags(write=False)
+    return DirichletCharacter(p, index, vals)
 
 
 def all_characters(p: int) -> list[DirichletCharacter]:
@@ -229,9 +231,9 @@ def char_sum(chi: DirichletCharacter, j: int, a: int) -> ExpSumValue:
     """G(chi, j, a) = sum_m chi(m) e(a m^j / q); reduces to the unit sum for chi principal."""
     q = chi.modulus
     _check_jq(j, q)
-    idx = (a % q) * _power_residues(j, q) % q
-    vals = np.asarray(chi.values)[np.arange(1, q + 1) % q]
-    total = (vals * _roots(q)[idx]).sum()
+    # m = 1..q-1; the term m = q vanishes, as chi(q) = 0
+    idx = (a % q) * _power_residues(j, q)[:-1] % q
+    total = (chi.values[1:] * _roots(q)[idx]).sum()
     return ExpSumValue(float(total.real), float(total.imag), q, j, a % q)
 
 

@@ -183,8 +183,10 @@ def singular_integral(
 
 def growth_fit(n_grid: list[int], k: int):
     """Fitted slope of log J(n) against log n over a grid of even n."""
-    if len(n_grid) < 2:
-        raise ValueError("need at least two grid points")
+    if len(set(n_grid)) < 2:
+        raise ValueError("need at least two distinct grid points")
+    if min(n_grid) < 2:
+        raise ValueError(f"grid points must be >= 2, got {min(n_grid)}")
     evals = [singular_integral(n, k) for n in n_grid]
     xs = np.log(np.array([e.n for e in evals], dtype=float))
     ys = np.log(np.array([e.value for e in evals]))

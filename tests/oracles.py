@@ -253,3 +253,36 @@ def representations_literal(n: int, k: int, r_max_omega) -> int:
                             if s >= n:
                                 break
     return count
+
+
+def local_table_per_row(fmt: str, pmax: int, k: int, parity: str) -> tuple[int, str]:
+    """(exit code, stdout) of ``wgkit --format fmt local``, one row dict per residue.
+
+    Every residue n mod p takes its own K, L, L* from the counts spread over
+    all residues, its own row check and its own dict; the table is then
+    written in one piece: ``json.dumps(..., indent=2)`` with floats rounded to
+    12 significant digits, or a CSV header and one ``.12g`` line per row.
+    """
+    import json
+
+    from wgkit.arith import primes_up_to
+    from wgkit.localdensity import ep_bound, local_densities_all
+
+    rows, failed = [], False
+    for p in primes_up_to(pmax):
+        K, L, Lstar = local_densities_all(p, k)
+        bound = ep_bound(p, k)
+        for n in [0] if p == 2 and parity == "even" else range(p):
+            ep = p * Lstar[n] - (p - 1) ** 6
+            ok = abs(ep) <= bound and L[n] > K[n] and Lstar[n] > 0 and (p < 19 or abs(ep) < (p - 1) ** 6)
+            failed = failed or not ok
+            rows.append({"p": p, "n_class": n, "K": K[n], "L": L[n], "Lstar": Lstar[n],
+                         "E_p": float(ep), "bound": float(bound), "pass": ok})
+    if fmt == "csv":
+        cells = (",".join(f"{v:.12g}" if isinstance(v, float) else str(v) for v in r.values()) for r in rows)
+        text = "".join(line + "\n" for line in [",".join(rows[0]), *cells])
+    else:
+        rounded = [{key: float(f"{v:.12g}") if isinstance(v, float) else v for key, v in r.items()} for r in rows]
+        payload = {"schema_version": 1, "command": "local", "k": k, "pmax": pmax, "rows": rounded}
+        text = json.dumps(payload, indent=2) + "\n"
+    return (1 if failed else 0), text

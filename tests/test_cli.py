@@ -9,10 +9,11 @@ import tracemalloc
 from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import wgkit
+from oracles import local_table_per_row
 from wgkit.cli import _round12, _write_json, main
 from wgkit.reference import K_RANGE
 
@@ -107,6 +108,33 @@ def test_local_table_is_streamed(tmp_path):
     )
 
 
+@settings(max_examples=25, deadline=None, derandomize=True)
+@given(
+    fmt=st.sampled_from(("json", "csv")),
+    pmax=st.integers(2, 300),
+    k=st.integers(3, 14),
+    parity=st.sampled_from(("even", "all")),
+)
+@example(fmt="json", pmax=2, k=3, parity="even")
+@example(fmt="csv", pmax=2, k=3, parity="all")
+@example(fmt="json", pmax=100, k=14, parity="even")
+def test_local_class_bodies_equal_the_per_row_writer(fmt, pmax, k, parity):
+    # one body per class, "p" and "n_class" spliced in per residue: the bytes
+    # and the exit code of a table written one row dict at a time
+    argv = _argv("--format", fmt, "local", "--pmax", pmax, "--k", k, "--parity", parity)
+    assert _run_in_process(argv) == local_table_per_row(fmt, pmax, k, parity)
+
+
+def test_local_parity_all_fails_at_two(capsys):
+    # six units mod 2 sum to 0, so L*(2, 1) = 0: every --parity all table exits 1
+    for argv in (["local", "--pmax", "2", "--k", "3", "--parity", "all"],
+                 ["--format", "csv", "local", "--pmax", "50", "--k", "7", "--parity", "all"]):
+        assert main(argv) == 1
+    capsys.readouterr()
+    rows = json.loads(run_cli(capsys, ["local", "--pmax", "2", "--k", "3", "--parity", "all"])[1])["rows"]
+    assert [(r["n_class"], r["Lstar"], r["pass"]) for r in rows] == [(0, 1, True), (1, 0, False)]
+
+
 def test_local_k_range_usage_error(capsys):
     # the range in the message comes from K_RANGE, for --k and for a k list
     for argv in (["local", "--pmax", "50", "--k", "15"], ["constants", "--k", "15"]):
@@ -188,6 +216,53 @@ def test_count_refuses_an_ignored_method(capsys):
         assert code == 2
         assert captured.out == ""
         assert "--method" in captured.err
+
+
+def test_count_refuses_oversize_boxes_before_building_them(capsys):
+    # each box holds 10^12 integers or more; the budget is checked on its size alone
+    for argv in (
+        ["count", "--what", "hua4", "--k", "3", "--Q", "1e12"],
+        ["count", "--what", "hua4", "--k", "3", "--Q", "1e12", "--method", "exhaustive"],
+        ["count", "--what", "mixed", "--k", "4", "--P", "1e12"],
+        ["count", "--what", "triple", "--k", "3", "--N", "1e30"],
+    ):
+        tracemalloc.start()
+        try:
+            code = main(argv)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        captured = capsys.readouterr()
+        assert code == 2, argv
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and "budget" in captured.err
+        assert peak < 2**20, (argv, peak)
+
+
+def test_tol_must_be_positive(capsys):
+    # a tolerance no lattice can meet is a usage error, refused before any cascade
+    for argv in (["constants", "--k", "14", "--tol", tol] for tol in ("0", "-1", "nan")):
+        start = time.perf_counter()
+        code = main(argv)
+        elapsed = time.perf_counter() - start
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert "tol must be positive" in captured.err
+        assert elapsed < 0.5
+    assert main(["margin", "--tol", "0"]) == 2
+    assert "tol must be positive" in capsys.readouterr().err
+
+
+def test_singint_refuses_a_degenerate_grid(capfd):
+    # a point below 2, or one point repeated, is refused before the fit
+    for grid in ("0,1e8", "-5,1e8", "1e8,1e8"):
+        code = main(["singint", "--k", "3", f"--n-grid={grid}"])
+        captured = capfd.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and "grid points" in captured.err
+        assert "DLASCL" not in captured.err
 
 
 def test_singint_command_deterministic(capsys):

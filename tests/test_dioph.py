@@ -16,6 +16,7 @@ from wgkit.dioph import (
     count_mixed_S_exhaustive,
     count_representations,
     dyadic_range,
+    dyadic_size,
     fit_scaling,
     is_in_Br,
     is_in_Nr,
@@ -29,6 +30,12 @@ def test_dyadic_range_half_open():
     assert dyadic_range(10).tolist() == list(range(11, 21))
     assert dyadic_range(1.5).tolist() == [2, 3]
     assert dyadic_range(0.4).size == 0
+
+
+@given(st.floats(0, 10**5, allow_nan=False))
+def test_dyadic_size_is_the_range_size(X):
+    # the budget checks size a box without building it
+    assert dyadic_size(X) == dyadic_range(X).size
 
 
 def test_hua4_examples():

@@ -171,6 +171,17 @@ def test_char_sum_examples():
         assert abs(char_sum(chi, 3, 1).value) <= 4 * math.sqrt(7) + 1e-9
 
 
+def test_character_values_are_one_read_only_array():
+    chi = character(11, 3)
+    assert chi.values.shape == (11,) and not chi.values.flags.writeable
+    assert chi(0) == 0 and chi(1) == 1 and isinstance(chi(2), complex)
+    # modulus and index fix the values: equal characters hash alike, others differ
+    assert chi == character(11, 3) and hash(chi) == hash(character(11, 3))
+    assert chi != character(11, 4) and chi != character(13, 3)
+    assert len({*all_characters(11), *all_characters(11)}) == 10
+    assert character(2, 0).values.tolist() == [0, 1]
+
+
 def test_vanishing_exponent_table():
     assert vanishing_exponent(2, 2) == 4  # 2^1 || 2
     assert vanishing_exponent(3, 2) == 2
