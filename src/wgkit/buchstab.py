@@ -113,27 +113,28 @@ def _cumsimpson(f: np.ndarray, h: float) -> np.ndarray:
 def _levels(k: int, steps_per_unit: int, top: int):
     """Yield (m, xs, ys): the level g_m sampled on its lattice, m = 2..top.
 
-    The lattice is U_k - j/S, so g_{m-1}(t - 1) is an on-lattice lookup
-    shifted by S indices.  A level shorter than two lattice cells, or any
-    level after one whose supremum fell below ZERO_LEVEL_SUP, is the zero
-    function and comes as (m, None, None).
+    Every level samples a suffix of one lattice U_k - j/S, j = n_2..0: level
+    m drops the first (m - 2)S points of level 2's, so g_{m-1}(t - 1) at level
+    m's samples is the first samples of g_{m-1}, a slice.  A level shorter
+    than two lattice cells, or any level after one whose supremum fell below
+    ZERO_LEVEL_SUP, is the zero function and comes as (m, None, None).
     """
     U = upper_limit(k)
     h = 1.0 / steps_per_unit
+    n_2 = int(math.floor((U - 2) / h + 1e-12))
+    lattice = U - h * np.arange(n_2, -1, -1)
     prev_ys = None
     for m in range(2, top + 1):
-        n_m = int(math.floor((U - m) / h + 1e-12))
+        n_m = n_2 - (m - 2) * steps_per_unit
         if (m > 2 and prev_ys is None) or U - m <= 0 or n_m < 2:
             prev_ys = None
             yield m, None, None
             continue
-        xs = U - h * np.arange(n_m, -1, -1)
+        xs = lattice[-(n_m + 1) :]
         if m == 2:
             integrand = np.log(xs - 1.0) / xs
         else:
-            # g_{m-1}(xs - 1): on-lattice lookup, shifted by S indices
-            idx = (prev_ys.size - 1) - n_m - steps_per_unit + np.arange(xs.size)
-            integrand = prev_ys[idx] / xs
+            integrand = prev_ys[: xs.size] / xs  # g_{m-1}(xs - 1)
         # partial bottom cell [m, xs[0]]; the integrand vanishes at t = m exactly
         w = xs[0] - m
         if w > 1e-13:
@@ -165,10 +166,11 @@ def _converged_values(k: int, tol: float, r_cap: int | None = None) -> tuple[Map
     """Refine the lattice until halving the step moves every c_r by < tol.
 
     Cached per process; the values come as a read-only mapping.  A tol that
-    is not positive (NaN included) is refused: no lattice could meet it.
+    is not positive and finite (NaN and inf included) is refused: no lattice
+    could meet the first, and any would pass the second.
     """
-    if not tol > 0:
-        raise ValueError(f"tol must be positive, got {tol}")
+    if not 0 < tol < math.inf:
+        raise ValueError(f"tol must be positive and finite, got {tol}")
     steps = _BASE_STEPS_PER_UNIT
     coarse = _cascade(k, steps, r_cap)
     while True:

@@ -13,6 +13,7 @@ import contextlib
 import dataclasses
 import itertools
 import json
+import os
 import sys
 
 import numpy as np
@@ -401,7 +402,14 @@ def main(argv: list[str] | None = None) -> int:
         if args.command == "count" and args.k < 2:
             ap.error("--k must be >= 2")
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()  # a reader that left shows here, not at interpreter exit
+        return code
+    except BrokenPipeError:
+        # stdout's reader closed it early: write nothing more, and exit with the
+        # status of a writer that SIGPIPE stopped
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 141
     except (VerificationError,) as exc:
         print(f"verification failure: {exc}", file=sys.stderr)
         return 1

@@ -125,35 +125,64 @@ def _band_edges(outer: np.ndarray, inner: np.ndarray) -> list[int]:
     return edges + [last]
 
 
-def _bands(outer: np.ndarray, inner: np.ndarray):
-    """Yield each band's sums outer[i] + inner[j], unsorted, and how many come from each i.
+def _narrow(span: int) -> np.dtype:
+    """The narrowest exact dtype for the integers 0 <= v < span: uint32, uint64, else object."""
+    if span <= 2**32:
+        return np.dtype(np.uint32)
+    if span <= 2**64:
+        return np.dtype(np.uint64)
+    return np.dtype(object)
 
-    outer and inner are sorted.  For a band [a, b), two searchsorted calls give
-    every i its slice lo[i] <= j < lo[i] + n[i] of inner, and ``np.repeat``
-    gathers the slices, i by i, with no loop over i.  Every sum lies in exactly
-    one band, and equal sums in the same one.  The edges are Python ints: int64
-    sides give int64 sums, and if either side holds Python ints (object dtype),
-    both are made to.
+
+def _wrap(values: np.ndarray, dtype: np.dtype) -> np.ndarray:
+    """values modulo 2^bits of an unsigned ``dtype`` (the identity for object).
+
+    An int64 cast to uint32/uint64 truncates modulo 2^bits; Python ints
+    (object dtype) are reduced with ``%`` first.
+    """
+    if dtype == object:
+        return values.astype(object)
+    if values.dtype == object:
+        values = values % 2 ** (8 * dtype.itemsize)
+    return values.astype(dtype)
+
+
+def _bands(outer: np.ndarray, inner: np.ndarray):
+    """Yield (a, b, offsets, n) for each band [a, b) of the sums outer[i] + inner[j].
+
+    offsets holds the band's sums minus a, unsorted, in ``_narrow(b - a)``,
+    and n[i] how many come from each i.  outer and inner are sorted.  Two
+    searchsorted calls give every i its slice lo[i] <= j < lo[i] + n[i] of
+    inner, and ``np.repeat`` gathers the slices, i by i, with no loop over i.
+    An offset is (inner[j] - inner[0]) + (outer[i] + inner[0] - a), both
+    terms wrapped modulo 2^bits: the true offset lies in [0, b - a), so the
+    wrapped sum is exact, and equal sums get equal offsets.  Every sum lies in
+    exactly one band, and equal sums in the same one.  The edges are Python
+    ints: if either side holds Python ints (object dtype), both are made to.
     """
     if object in (outer.dtype, inner.dtype):
         outer, inner = outer.astype(object), inner.astype(object)
     edges = _band_edges(outer, inner)
+    rel, base = {}, inner - inner[0]  # rel: base wrapped, once per dtype
     for a, b in zip(edges[:-1], edges[1:]):
+        dtype = _narrow(b - a)
+        if dtype not in rel:
+            rel[dtype] = _wrap(base, dtype)
         lo = np.searchsorted(inner, a - outer)
         n = np.searchsorted(inner, b - outer) - lo
         j = np.repeat(lo - (np.cumsum(n) - n), n)
         j += np.arange(j.size)
-        vals = inner[j]
-        vals += np.repeat(outer, n)
-        yield vals, n
+        offsets = rel[dtype][j]
+        offsets += np.repeat(_wrap(outer + (inner[0] - a), dtype), n)
+        yield a, b, offsets, n
 
 
 def _square_sum(outer: np.ndarray, inner: np.ndarray) -> int:
     """Solutions of a = b over the multiset outer[i] + inner[j]: sum over values of c(v)^2."""
     total = 0
-    for vals, _ in _bands(outer, inner):
-        vals.sort()
-        _, c = _runs(vals)
+    for _, _, offsets, _ in _bands(outer, inner):
+        offsets.sort()
+        _, c = _runs(offsets)
         total += int(c @ c)
     return total
 
@@ -231,16 +260,26 @@ def count_mixed_S(k: int, P: float) -> MixedCount:
     pk = _powers(ys, k)
     pair_sums = np.sort((pk[:, None] + pk[None, :]).ravel())
     S_total = S1_direct = max_h = 0
-    for vals, n in _bands(_powers(xs, 3), pair_sums):
-        x_of = np.repeat(xs, n)
-        order = np.lexsort((x_of, vals))  # by value, then by x
-        vals, x_of = vals[order], x_of[order]
-        starts, c = _runs(vals)
+    n_x = xs.size
+    for a, b, offsets, n in _bands(_powers(xs, 3), pair_sums):
+        # sort by value, then by x index: one sort of the packed key
+        # offset * n_x + x index, or a lexsort where that key would not fit 64 bits
+        x_index = np.repeat(np.arange(n_x), n)
+        dtype = _narrow((b - a) * n_x)
+        if dtype == object:
+            order = np.lexsort((x_index, offsets))
+            values, x_key = offsets[order], x_index[order]
+        else:
+            x_key = offsets.astype(dtype) * n_x
+            x_key += x_index.astype(dtype)
+            x_key.sort()
+            values = x_key // n_x  # within a value run, the key steps as the x index does
+        starts, c = _runs(values)
         S_total += int(c @ c)
-        # x ascends within a value run, so its spread is the last x minus the first
-        max_h = max(max_h, int(np.max(x_of[starts + c - 1] - x_of[starts], initial=0)))
+        # the xs are consecutive: the x-index spread of a value run is its largest shift
+        max_h = max(max_h, int(np.max(x_key[starts + c - 1] - x_key[starts], initial=0)))
         # S1 directly: per (value, x) multiplicities c, S1 = sum c^2
-        _, c1 = _runs(vals, x_of)
+        _, c1 = _runs(values, x_key)
         S1_direct += int(c1 @ c1)
 
     h_limit = 2.0**k * math.sqrt(P)
@@ -400,22 +439,24 @@ def count_representations(
         k_ps = primes_in(bp.xk_star)
 
     count = 0
+    # x^2, p1^2 <= n <= 10^8, so the left sums fit int32 and those above n never match
+    root = math.isqrt(n)
+    xs, p1s = xs[xs <= root].astype(np.int32), p1s[p1s <= root].astype(np.int32)
     if min(xs.size, p1s.size, cube_a.size, cube_b.size, k_ps.size) > 0:
-        # left multiset x^2 + p1^2 as its distinct values and their multiplicities
+        # left multiset x^2 + p1^2 as a dense table of multiplicities over 0..n
         left = ((xs * xs)[:, None] + (p1s * p1s)[None, :]).ravel()
+        left = left[left <= n]
         left.sort()
         starts, a_counts = _runs(left)
-        a_vals = left[starts]
+        table = np.zeros(n + 1, np.min_scalar_type(a_counts.max(initial=0)))
+        table[left[starts]] = a_counts
         # cubes p2^3 + p3^3 + p4^3, sorted once, then stream over p5
         a3 = cube_a**3
         trip = (a3[:, None, None] + a3[None, :, None] + (cube_b**3)[None, None, :]).ravel()
         trip.sort()
         for p5 in k_ps.tolist():
-            rest = n - p5**k  # the targets rest - trip > 0, ascending
-            targets = rest - trip[: np.searchsorted(trip, rest)][::-1]
-            idx = np.searchsorted(a_vals, targets)
-            ok = (idx < a_vals.size) & (a_vals[np.minimum(idx, a_vals.size - 1)] == targets)
-            count += int(a_counts[idx[ok]].sum())
+            rest = n - p5**k  # the targets rest - trip > 0 lie in 1..n
+            count += int(table[rest - trip[: np.searchsorted(trip, rest)]].sum(dtype=np.int64))
     return CountReport(
         "representation count for the mixed form",
         {"n": n, "k": k, "r": r, "mode": mode},

@@ -88,6 +88,14 @@ def test_level_function_shares_the_cascade_levels():
     assert g9.top_value == 0.0 and g9(8.5) == 0.0 and g9(20.0) == 0.0
 
 
+def test_level_lattice_holds_at_any_step():
+    # at S = 221, (U_11 - 6) S rounds one way and (U_11 - 5) S the other: each level's
+    # lattice must still be the one below it, shifted by S, or g_6 reads g_5 at its top
+    g6 = level_function(6, 11, 221)
+    assert g6.xs[0] >= 6.0 and np.abs(g6.ys[:3]).max() < 1e-12  # g_6 vanishes to high order at 6
+    assert g6.top_value == pytest.approx(level_function(6, 11, 256).top_value, rel=1e-8)
+
+
 @settings(max_examples=100, deadline=None, derandomize=True)
 @given(
     n=st.one_of(st.integers(3, 300), st.sampled_from([128001, 128002])),

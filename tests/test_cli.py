@@ -254,6 +254,34 @@ def test_tol_must_be_positive(capsys):
     assert "tol must be positive" in capsys.readouterr().err
 
 
+def test_tol_must_be_finite(capsys):
+    # any lattice meets an infinite tolerance: the first refinement would pass as converged
+    for argv in (["constants", "--k", "3", "--tol", "inf"], ["margin", "--tol", "inf"]):
+        code = main(argv)
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert "tol must be positive and finite, got inf" in captured.err
+
+
+def test_closed_stdout_ends_quietly_with_sigpipe_status():
+    # the reader takes one line and leaves: no traceback, and the shell's status for SIGPIPE.
+    # `local` streams its 1.6 MB table 256 rows a write, so the writes outlast the reader
+    src = os.path.dirname(os.path.dirname(wgkit.__file__))
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "wgkit.cli", "local", "--pmax", "300", "--k", "4"],
+        env={**os.environ, "PYTHONPATH": path},
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+    )
+    assert proc.stdout.readline() == b"{\n"
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert (proc.wait(), err) == (141, b"")
+
+
 def test_singint_refuses_a_degenerate_grid(capfd):
     # a point below 2, or one point repeated, is refused before the fit
     for grid in ("0,1e8", "-5,1e8", "1e8,1e8"):

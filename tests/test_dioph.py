@@ -126,9 +126,9 @@ def _in_bands(entries, count, *args):
     bands = dioph._bands
 
     def recorded(outer, inner):
-        for vals, n in bands(outer, inner):
-            sizes.append(vals.size)
-            yield vals, n
+        for a, b, offsets, n in bands(outer, inner):
+            sizes.append(offsets.size)
+            yield a, b, offsets, n
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(dioph, "_BAND_ENTRIES", entries)
@@ -192,8 +192,60 @@ def test_band_edges_split_the_sums_evenly():
     sizes = np.diff(np.searchsorted(sums, edges))
     assert sizes.sum() == sums.size and sizes.max() <= 2 * dioph._BAND_ENTRIES
     bands = list(dioph._bands(outer, inner))
-    assert [v.size for v, _ in bands] == sizes.tolist()
-    assert np.array_equal(np.sort(np.concatenate([v for v, _ in bands])), sums)
+    assert [a for a, _, _, _ in bands] == edges[:-1] and [b for _, b, _, _ in bands] == edges[1:]
+    assert [v.size for _, _, v, _ in bands] == sizes.tolist()
+    # a band's offsets plus its start are its sums
+    assert np.array_equal(np.sort(np.concatenate([v + a for a, _, v, _ in bands])), sums)
+
+
+def _sorted_side(base, deltas, exact):
+    values = sorted(base + d for d in deltas)
+    return np.array(values, dtype=object if exact else np.int64)
+
+
+# offsets from a band start: small, or within a few units of the uint32/uint64 limits
+_DELTA = st.one_of(
+    st.integers(0, 50),
+    st.integers(2**32 - 4, 2**32 + 4),
+    st.integers(2**63 - 4, 2**63 + 4),
+    st.integers(2**64 - 4, 2**64 + 4),
+    st.integers(0, 2**66),
+)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(
+    st.booleans(),
+    st.integers(0, 2**70),
+    st.lists(_DELTA, min_size=1, max_size=6),
+    st.lists(_DELTA, min_size=1, max_size=6),
+    st.sampled_from([2, 5, 2**17]),
+)
+@example(False, 7, [0, 2**31, 2**32 - 1], [0, 1], 2**17)  # span 2^32 + 1: uint64
+@example(False, 7, [0, 2**31, 2**32 - 2], [0, 1], 2**17)  # span 2^32: uint32
+@example(True, 3**40, [0, 2**63], [0, 2**63 - 1], 2**17)  # span 2^64: uint64
+@example(True, 3**40, [0, 2**63], [0, 2**63], 2**17)  # span 2^64 + 1: object
+def test_band_offsets_are_exact_in_the_narrowest_dtype(exact, base, outer_d, inner_d, entries):
+    # int64 sides keep every sum below 2^63; Python-int sides may hold anything
+    if not exact:
+        base, outer_d, inner_d = base % 2**40, [d % 2**61 for d in outer_d], [d % 2**61 for d in inner_d]
+    outer = _sorted_side(base, outer_d, exact)
+    inner = _sorted_side(base // 3, inner_d, exact)
+    sums = [(o + x) for o in outer.tolist() for x in inner.tolist()]
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(dioph, "_BAND_ENTRIES", entries)
+        bands = list(dioph._bands(outer, inner))
+    edges = [a for a, _, _, _ in bands] + [bands[-1][1]]
+    assert edges[0] == min(sums) and edges[-1] == max(sums) + 1
+    assert all(a < b for a, b in zip(edges, edges[1:]))
+    assert [b for _, b, _, _ in bands] == edges[1:]
+    for a, b, offsets, n in bands:
+        span = b - a
+        narrowest = np.uint32 if span <= 2**32 else np.uint64 if span <= 2**64 else object
+        assert offsets.dtype == np.dtype(narrowest)
+        # the sums in [a, b), outer index by outer index, in inner order
+        assert [int(v) + a for v in offsets.tolist()] == [s for s in sums if a <= s < b]
+        assert n.tolist() == [sum(a <= o + x < b for x in inner.tolist()) for o in outer.tolist()]
 
 
 def test_triple_count_memory_is_bounded_by_the_band():
@@ -206,6 +258,18 @@ def test_triple_count_memory_is_bounded_by_the_band():
         tracemalloc.stop()
     assert rep.count == 26585100
     assert peak <= 32 * 8 * dioph._BAND_ENTRIES  # 32 int64 arrays of one band: 32 MB
+
+
+def test_representations_memory_is_bounded():
+    # the left multiset x^2 + p1^2 goes into a dense uint8 table over 0..n (10 MB)
+    tracemalloc.start()
+    try:
+        rep = count_representations(10**7, 3, 3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rep.count == 354188
+    assert peak <= 24 * 2**20
 
 
 def test_fit_scaling_synthetic():
