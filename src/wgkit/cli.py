@@ -53,13 +53,22 @@ def _emit(payload: dict, fmt: str, output: str | None, csv_text: str | None = No
     with open(output, "w") if output else contextlib.nullcontext(sys.stdout) as fh:
         if fmt == "csv":
             if csv_text is not None:
-                fh.write(csv_text)
+                _write_text(csv_text, fh)
             elif texts is not None:
                 fh.writelines(texts)
             else:
                 _write_csv(payload["rows"], fh)
         else:
             _write_json({"schema_version": SCHEMA_VERSION, **payload}, fh, texts)
+
+
+def _write_text(text: str, fh) -> None:
+    """``text`` in pieces of 8 KB, as tables are written a chunk at a time.
+
+    A write into a pipe whose reader left raises BrokenPipeError only if it
+    starts after the reader left; one large write may end short, silently.
+    """
+    fh.writelines(text[i : i + 8192] for i in range(0, len(text), 8192))
 
 
 def _chunks(rows):
@@ -91,7 +100,7 @@ def _write_json(payload: dict, fh, row_texts=None) -> None:
     text = json.dumps(_round12(head), indent=2)
     if row_texts is None:
         if "rows" not in payload:
-            fh.write(text + "\n")
+            _write_text(text + "\n", fh)
             return
         row_texts = (",".join(map(_json_row, _round12(chunk))) for chunk in _chunks(payload["rows"]))
     fh.write(text[:-2] + ',\n  "rows": [')

@@ -260,20 +260,10 @@ def count_mixed_S(k: int, P: float) -> MixedCount:
     pk = _powers(ys, k)
     pair_sums = np.sort((pk[:, None] + pk[None, :]).ravel())
     S_total = S1_direct = max_h = 0
-    n_x = xs.size
-    for a, b, offsets, n in _bands(_powers(xs, 3), pair_sums):
-        # sort by value, then by x index: one sort of the packed key
-        # offset * n_x + x index, or a lexsort where that key would not fit 64 bits
-        x_index = np.repeat(np.arange(n_x), n)
-        dtype = _narrow((b - a) * n_x)
-        if dtype == object:
-            order = np.lexsort((x_index, offsets))
-            values, x_key = offsets[order], x_index[order]
-        else:
-            x_key = offsets.astype(dtype) * n_x
-            x_key += x_index.astype(dtype)
-            x_key.sort()
-            values = x_key // n_x  # within a value run, the key steps as the x index does
+    for _, _, offsets, n in _bands(_powers(xs, 3), pair_sums):
+        x_index = np.repeat(np.arange(xs.size), n)
+        order = np.lexsort((x_index, offsets))  # by value, then by x
+        values, x_key = offsets[order], x_index[order]
         starts, c = _runs(values)
         S_total += int(c @ c)
         # the xs are consecutive: the x-index spread of a value run is its largest shift

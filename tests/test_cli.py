@@ -264,13 +264,21 @@ def test_tol_must_be_finite(capsys):
         assert "tol must be positive and finite, got inf" in captured.err
 
 
-def test_closed_stdout_ends_quietly_with_sigpipe_status():
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["constants", "--k", "all"],  # 186 KB of JSON with no rows, 8 KB a write; its own status is 1
+        ["local", "--pmax", "300", "--k", "4"],  # a 1.6 MB table, 256 rows a write
+    ],
+    ids=["constants", "local"],
+)
+def test_closed_stdout_ends_quietly_with_sigpipe_status(argv):
     # the reader takes one line and leaves: no traceback, and the shell's status for SIGPIPE.
-    # `local` streams its 1.6 MB table 256 rows a write, so the writes outlast the reader
+    # Both outputs outlast the pipe's buffer, so writes start after the reader left
     src = os.path.dirname(os.path.dirname(wgkit.__file__))
     path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
     proc = subprocess.Popen(
-        [sys.executable, "-m", "wgkit.cli", "local", "--pmax", "300", "--k", "4"],
+        [sys.executable, "-m", "wgkit.cli", *argv],
         env={**os.environ, "PYTHONPATH": path},
         stdout=subprocess.PIPE,
         stderr=subprocess.PIPE,
