@@ -18,8 +18,9 @@ refinement converges at fourth order, and doubling S is used as the
 convergence check.  Levels whose supremum falls below 1e-15 short-circuit to
 the zero function; the recursion depth reaches ~500 for k = 14.
 
-The converged values are cached per process and per (k, tol, r_cap), so
-``tail_sum`` and the margins reuse the tables ``constants_table`` built.
+The converged values are cached per process and per (k, tol), so
+``iterated_integral``, ``tail_sum`` and the margins reuse the tables
+``constants_table`` built.
 """
 
 from __future__ import annotations
@@ -152,17 +153,14 @@ def _levels(k: int, steps_per_unit: int, top: int):
         prev_ys = None if ys.max() < ZERO_LEVEL_SUP else ys
 
 
-def _cascade(k: int, steps_per_unit: int, r_cap: int | None = None) -> dict[int, float]:
-    """c_r for r = 4..max_r(k) at a fixed lattice resolution."""
-    top = max_r(k) - 1 if r_cap is None else min(max_r(k) - 1, r_cap - 1)
-    out = {m + 1: 0.0 if ys is None else float(ys[-1]) for m, _, ys in _levels(k, steps_per_unit, top)}
-    for r in range(4, max_r(k) + 1):
-        out.setdefault(r, 0.0)
-    return out
+def _cascade(k: int, steps_per_unit: int) -> dict[int, float]:
+    """c_r = g_{r-1}(U_k) for r = 3..max_r(k) at a fixed lattice resolution."""
+    levels = _levels(k, steps_per_unit, max_r(k) - 1)
+    return {m + 1: 0.0 if ys is None else float(ys[-1]) for m, _, ys in levels}
 
 
 @functools.lru_cache(maxsize=None)
-def _converged_values(k: int, tol: float, r_cap: int | None = None) -> tuple[Mapping[int, float], float]:
+def _converged_values(k: int, tol: float) -> tuple[Mapping[int, float], float]:
     """Refine the lattice until halving the step moves every c_r by < tol.
 
     Cached per process; the values come as a read-only mapping.  A tol that
@@ -172,9 +170,9 @@ def _converged_values(k: int, tol: float, r_cap: int | None = None) -> tuple[Map
     if not 0 < tol < math.inf:
         raise ValueError(f"tol must be positive and finite, got {tol}")
     steps = _BASE_STEPS_PER_UNIT
-    coarse = _cascade(k, steps, r_cap)
+    coarse = _cascade(k, steps)
     while True:
-        fine = _cascade(k, 2 * steps, r_cap)
+        fine = _cascade(k, 2 * steps)
         err = max(abs(fine[r] - coarse[r]) for r in fine)
         if err < tol:
             return MappingProxyType(fine), err
@@ -204,7 +202,7 @@ def iterated_integral(r: int, k: int, tol: float = DEFAULT_TOL) -> float:
         raise ValueError(f"the nested integral needs r >= 4, got {r}")
     if r - 1 >= upper_limit(k):
         return 0.0
-    values, _ = _converged_values(k, tol, r_cap=r)
+    values, _ = _converged_values(k, tol)
     return values[r]
 
 
@@ -243,11 +241,10 @@ def constants_table(k: int, tol: float = DEFAULT_TOL, compare_tol: float = 1e-3)
     """
     reference.check_k(k)
     values, err = _converged_values(k, tol)
-    lo, hi = reference.sum_range(k)
     bounds = reference.cr_bounds(k)
     entries = []
     c_total = 0.0
-    for r in range(lo, hi + 1):
+    for r in range(reference.ALMOST_PRIME_ORDER[k] + 1, max_r(k) + 1):
         v = values[r]
         c_total += v
         b = bounds.get(r)

@@ -16,13 +16,14 @@ import json
 import os
 import sys
 
-import numpy as np
-
 from . import buchstab, dioph, expsums, localdensity, reference, sieveconsts, singint, singular
-from .arith import _generator_powers, primes_up_to
+from .arith import primes_up_to
 from .errors import BudgetExceeded, VerificationError
 
 SCHEMA_VERSION = 1
+
+# the commands with a CSV form; `--format csv` on any other is refused before it runs
+CSV_COMMANDS = ("local", "constants", "margin")
 
 # rows of one `local` table, one per prime p and residue n: `local --pmax 2000` has 277,049
 LOCAL_ROW_BUDGET = 3 * 10**5
@@ -39,36 +40,27 @@ def _round12(obj):
     return obj
 
 
-def _emit(payload: dict, fmt: str, output: str | None, csv_text: str | None = None, texts=None) -> None:
-    """Write a report as JSON, or as CSV (``csv_text``, else one line per row).
+def _emit(payload: dict, fmt: str, output: str | None, csv=None, rows=None) -> None:
+    """Write a report as JSON, or as CSV: ``csv``, its text as an iterable of pieces.
 
-    A payload's "rows", its last key, may be any iterable of dicts.  They are
-    formatted and written a chunk at a time, so a table is never held whole,
-    as rows or as text.  A command that formats its own rows passes ``texts``
-    instead: the table's text in ``fmt``, a chunk at a time (``_write_json``
-    says how JSON rows are laid out; CSV text starts with its header line).
+    ``rows``, given only by a command that formats its own table, is the JSON
+    text of the payload's rows a chunk at a time (``_write_json`` says how it
+    is laid out).  Only the commands in ``CSV_COMMANDS`` are run with CSV.
     """
-    if fmt == "csv" and csv_text is None and texts is None and payload.get("rows") is None:
-        raise ValueError("this command has no CSV form")
     with open(output, "w") if output else contextlib.nullcontext(sys.stdout) as fh:
         if fmt == "csv":
-            if csv_text is not None:
-                _write_text(csv_text, fh)
-            elif texts is not None:
-                fh.writelines(texts)
-            else:
-                _write_csv(payload["rows"], fh)
+            fh.writelines(csv)
         else:
-            _write_json({"schema_version": SCHEMA_VERSION, **payload}, fh, texts)
+            _write_json({"schema_version": SCHEMA_VERSION, **payload}, fh, rows)
 
 
-def _write_text(text: str, fh) -> None:
+def _pieces(text: str):
     """``text`` in pieces of 8 KB, as tables are written a chunk at a time.
 
     A write into a pipe whose reader left raises BrokenPipeError only if it
     starts after the reader left; one large write may end short, silently.
     """
-    fh.writelines(text[i : i + 8192] for i in range(0, len(text), 8192))
+    return (text[i : i + 8192] for i in range(0, len(text), 8192))
 
 
 def _chunks(rows):
@@ -83,29 +75,21 @@ def _chunks(rows):
 _encode_row_members = json.JSONEncoder(separators=(",\n      ", ": ")).encode
 
 
-def _json_row(row: dict) -> str:
-    """One flat row as ``json.dumps(..., indent=2)`` lays it out inside a payload's rows."""
-    return "\n    {\n      " + _encode_row_members(row)[1:-1] + "\n    }" if row else "\n    {}"
+def _write_json(payload: dict, fh, rows=None) -> None:
+    """The text of ``json.dumps(_round12(payload), indent=2)`` and a newline, in pieces.
 
-
-def _write_json(payload: dict, fh, row_texts=None) -> None:
-    """The text of ``json.dumps(_round12(payload), indent=2)`` and a newline, rows in chunks.
-
-    Rows are flat dicts of scalars (numbers, strings, booleans, None).
-    ``row_texts``, when given, stands for the rows: it yields their text a
-    chunk at a time, each row as ``_json_row`` lays out its rounded dict and
-    the rows of a chunk joined by commas.
+    ``rows``, when given, is the payload's "rows", a last key absent from
+    ``payload``, as text a chunk at a time: each flat, rounded row laid out as
+    ``json.dumps(..., indent=2)`` lays it out inside the rows, and the rows of
+    a chunk joined by commas.
     """
-    head = {key: v for key, v in payload.items() if key != "rows"}
-    text = json.dumps(_round12(head), indent=2)
-    if row_texts is None:
-        if "rows" not in payload:
-            _write_text(text + "\n", fh)
-            return
-        row_texts = (",".join(map(_json_row, _round12(chunk))) for chunk in _chunks(payload["rows"]))
+    text = json.dumps(_round12(payload), indent=2)
+    if rows is None:
+        fh.writelines(_pieces(text + "\n"))
+        return
     fh.write(text[:-2] + ',\n  "rows": [')
     sep = ""
-    for chunk in row_texts:
+    for chunk in rows:
         fh.write(sep + chunk)
         sep = ","
     fh.write("\n  ]\n}\n" if sep else "]\n}\n")
@@ -114,18 +98,6 @@ def _write_json(payload: dict, fh, row_texts=None) -> None:
 def _csv_cells(values) -> str:
     """One CSV line's cells: floats to 12 significant digits, anything else as ``str``."""
     return ",".join(f"{v:.12g}" if isinstance(v, float) else str(v) for v in values)
-
-
-def _write_csv(rows, fh) -> None:
-    """A header line of the first row's keys, then one line per row."""
-    header = None
-    for chunk in _chunks(rows):
-        if header is None:
-            header = list(chunk[0])
-            fh.write(",".join(header) + "\n")
-        fh.write("".join(_csv_cells(map(row.get, header)) + "\n" for row in chunk))
-    if header is None:
-        raise ValueError("this command has no CSV form")
 
 
 def _parse_k_list(raw: str) -> list[int]:
@@ -186,9 +158,7 @@ def cmd_local(args) -> int:
         # each residue's row is "p", "n_class" spliced in front of its class's body
         nonlocal failed
         for p, (bodies, passes) in zip(primes, classes):
-            cols = np.zeros(p, dtype=np.intp)  # n = 0 is column 0, g^s column 1 + s mod G
-            cols[_generator_powers(p)] = 1 + np.arange(p - 1) % (len(bodies) - 1)
-            cols = cols[: n_res[p]].tolist()
+            cols = localdensity.class_counts(p, args.k).residue_columns()[: n_res[p]].tolist()
             failed = failed or not all(passes[c] for c in set(cols))
             if csv:
                 yield from (f"{p},{n},{bodies[c]}\n" for n, c in enumerate(cols))
@@ -197,22 +167,17 @@ def cmd_local(args) -> int:
                             for n, c in enumerate(cols))
 
     chunks = ("".join(c) if csv else ",".join(c) for c in _chunks(rows()))
-    header = "p,n_class,K,L,Lstar,E_p,bound,pass\n"
-    _emit(
-        {"command": "local", "k": args.k, "pmax": args.pmax},
-        args.format,
-        args.output,
-        texts=itertools.chain([header], chunks) if csv else chunks,
-    )
+    payload = {"command": "local", "k": args.k, "pmax": args.pmax}
+    if csv:
+        header = "p,n_class,K,L,Lstar,E_p,bound,pass\n"
+        _emit(payload, args.format, args.output, csv=itertools.chain([header], chunks))
+    else:
+        _emit(payload, args.format, args.output, rows=chunks)
     return 1 if failed else 0
 
 
 def cmd_singular(args) -> int:
-    try:
-        ev = singular.singular_series(args.n, args.d, args.k, p_max=args.pmax)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    ev = singular.singular_series(args.n, args.d, args.k, p_max=args.pmax)
     payload = {
         "command": "singular",
         "n": ev.n,
@@ -232,9 +197,8 @@ def cmd_singular(args) -> int:
 def cmd_constants(args) -> int:
     ks = args.k
     tables = [buchstab.constants_table(k, tol=args.tol, compare_tol=args.compare_tol) for k in ks]
-    csv_text = buchstab.tables_to_csv(tables)
     payload = {"command": "constants", **buchstab.tables_to_json(tables)}
-    _emit(payload, args.format, args.output, csv_text=csv_text)
+    _emit(payload, args.format, args.output, csv=_pieces(buchstab.tables_to_csv(tables)))
     ok = all(t.all_within_bounds and t.C_value <= reference.C_BOUNDS[t.k] for t in tables)
     return 0 if ok else 1
 
@@ -255,7 +219,8 @@ def cmd_margin(args) -> int:
                 "pass": margin > 0 and c_k <= reference.C_BOUNDS[k],
             }
         )
-    _emit({"command": "margin", "rows": rows}, args.format, args.output)
+    csv = [",".join(rows[0]) + "\n", *(_csv_cells(row.values()) + "\n" for row in rows)]
+    _emit({"command": "margin", "rows": rows}, args.format, args.output, csv=csv)
     return 0 if ok and all(r["pass"] for r in rows) else 1
 
 
@@ -269,41 +234,29 @@ def _report_dict(rep) -> dict:
 
 def cmd_count(args) -> int:
     if args.method != "meet_in_middle" and args.what in ("mixed", "reps"):
-        print(f"error: --method {args.method} applies to hua4 and triple only", file=sys.stderr)
-        return 2
-    if args.what == "hua4":
-        if args.Q is None:
-            print("error: --Q required for hua4", file=sys.stderr)
-            return 2
-        rep = dioph.count_hua4(args.k, args.Q, method=args.method)
-        payload = {"command": "count", "what": "hua4", "report": _report_dict(rep)}
-    elif args.what == "mixed":
-        if args.P is None:
-            print("error: --P required for mixed", file=sys.stderr)
-            return 2
-        mc = dioph.count_mixed_S(args.k, args.P)
-        payload = {
-            "command": "count",
-            "what": "mixed",
+        raise ValueError(f"--method {args.method} applies to hua4 and triple only")
+    flag = {"hua4": "Q", "mixed": "P", "triple": "N", "reps": "n"}[args.what]
+    size = getattr(args, flag)
+    if size is None:
+        raise ValueError(f"--{flag} required for {args.what}")
+    if args.what == "mixed":
+        mc = dioph.count_mixed_S(args.k, size)
+        body = {
             "S": _report_dict(mc.S),
             "S1": _report_dict(mc.S1),
             "S2": _report_dict(mc.S2),
             "max_h": mc.max_h,
             "h_limit": mc.h_limit,
         }
-    elif args.what == "triple":
-        if args.N is None:
-            print("error: --N required for triple", file=sys.stderr)
-            return 2
-        rep = dioph.count_admissible_triple(args.k, args.N, method=args.method)
-        payload = {"command": "count", "what": "triple", "report": _report_dict(rep)}
-    else:  # reps
-        if args.n is None:
-            print("error: --n required for reps", file=sys.stderr)
-            return 2
-        rep = dioph.count_representations(args.n, args.k, args.r)
-        payload = {"command": "count", "what": "reps", "report": _report_dict(rep)}
-    _emit(payload, args.format, args.output)
+    else:
+        if args.what == "hua4":
+            rep = dioph.count_hua4(args.k, size, method=args.method)
+        elif args.what == "triple":
+            rep = dioph.count_admissible_triple(args.k, size, method=args.method)
+        else:
+            rep = dioph.count_representations(size, args.k, args.r)
+        body = {"report": _report_dict(rep)}
+    _emit({"command": "count", "what": args.what, **body}, args.format, args.output)
     return 0
 
 
@@ -411,6 +364,8 @@ def main(argv: list[str] | None = None) -> int:
         if args.command == "count" and args.k < 2:
             ap.error("--k must be >= 2")
     try:
+        if args.format == "csv" and args.command not in CSV_COMMANDS:
+            raise ValueError("this command has no CSV form")
         code = args.func(args)
         sys.stdout.flush()  # a reader that left shows here, not at interpreter exit
         return code
@@ -419,10 +374,10 @@ def main(argv: list[str] | None = None) -> int:
         # status of a writer that SIGPIPE stopped
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 141
-    except (VerificationError,) as exc:
+    except VerificationError as exc:
         print(f"verification failure: {exc}", file=sys.stderr)
         return 1
-    except (BudgetExceeded, ValueError) as exc:
+    except ValueError as exc:  # BudgetExceeded included
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -91,6 +91,12 @@ class ClassCounts:
         c = self.columns[pow(n, self.exponent, self.p)]
         return self.K[c], self.L[c], self.Lstar[c]
 
+    def residue_columns(self) -> np.ndarray:
+        """The column of every residue n = 0..p-1: 0 for n = 0, 1 + (s mod G) for n = g^s."""
+        cols = np.zeros(self.p, dtype=np.intp)
+        cols[_generator_powers(self.p)] = 1 + np.arange(self.p - 1) % (len(self.K) - 1)
+        return cols
+
 
 def class_counts(p: int, k: int) -> ClassCounts:
     """(K, L, L*) per class of n, exact, for any prime p; cached per (p, k)."""
@@ -157,8 +163,7 @@ def _class_counts(p: int, k: int) -> ClassCounts:
 def _by_residue(p: int, k: int, dtype) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(K, L, L*) of ``class_counts`` spread over the residues n = 0..p-1."""
     cc = class_counts(p, k)
-    cols = np.zeros(p, dtype=np.intp)
-    cols[_generator_powers(p)] = 1 + np.arange(p - 1) % (len(cc.K) - 1)
+    cols = cc.residue_columns()
     return tuple(np.array(v, dtype=dtype)[cols] for v in (cc.K, cc.L, cc.Lstar))
 
 

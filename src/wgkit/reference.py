@@ -113,10 +113,3 @@ def cr_bounds(k: int) -> dict[int, float]:
         for r in range(lo, hi + 1):
             out[r] = bound
     return out
-
-
-def sum_range(k: int) -> tuple[int, int]:
-    """Inclusive r-range of the tail sum C(k) = sum c_r(k)."""
-    import math
-
-    return ALMOST_PRIME_ORDER[k] + 1, math.floor(36 * k / (15 - k))

@@ -115,7 +115,7 @@ def test_cumsimpson_is_scipys_cumulative_simpson(n, pool, h):
 
 
 def test_cascade_runs_once_per_k_and_tol(all_tables, monkeypatch, capsys):
-    # tail_sum and the margins reuse the converged values constants_table built
+    # tail_sum, the margins and iterated_integral reuse the converged values constants_table built
     calls = []
     cascade = buchstab._cascade
     monkeypatch.setattr(buchstab, "_cascade", lambda *args: calls.append(args) or cascade(*args))
@@ -123,6 +123,8 @@ def test_cascade_runs_once_per_k_and_tol(all_tables, monkeypatch, capsys):
         assert tail_sum(k) == all_tables[k].C_value
     assert cli.main(["margin"]) == 0
     capsys.readouterr()
+    # a single c_r reads the same table
+    assert iterated_integral(16, 13) == all_tables[13].entry(16).value
     assert calls == []
     values, _ = _converged_values(3, DEFAULT_TOL)
     with pytest.raises(TypeError):

@@ -1,3 +1,4 @@
+import hashlib
 import io
 import json
 import math
@@ -14,7 +15,8 @@ from hypothesis import strategies as st
 
 import wgkit
 from oracles import local_table_per_row
-from wgkit.cli import _round12, _write_json, main
+from wgkit import cli
+from wgkit.cli import _chunks, _encode_row_members, _round12, _write_json, main
 from wgkit.reference import K_RANGE
 
 GOLDEN = os.path.join(os.path.dirname(__file__), "..", "golden", "constants_table.csv")
@@ -69,14 +71,27 @@ def test_local_command(capsys):
     assert p2 and p2[0]["K"] == 0  # K(2, even) = 0
 
 
+def _row_text(row: dict) -> str:
+    """One flat, rounded row as ``cmd_local`` lays it out: its members in braces."""
+    return "\n    {\n      " + _encode_row_members(row)[1:-1] + "\n    }" if row else "\n    {}"
+
+
 def test_streamed_json_is_the_one_shot_dump():
-    # rows are written in chunks; the text is json.dumps of the whole payload
+    # rows are spliced in as text, a chunk of rows joined by commas at a time;
+    # the text is json.dumps of the whole payload
+    def written(head, rows):
+        fh = io.StringIO()
+        _write_json(head, fh, (",".join(map(_row_text, _round12(c))) for c in _chunks(rows)))
+        return fh.getvalue()
+
     for n in (0, 1, 255, 256, 257, 700):
         rows = [{"p": i, "E_p": i / 7, "pass": i % 3 == 0, "name": f"r,\n{i}"} for i in range(n)]
-        payload = {"schema_version": 1, "command": "t", "x": [1.5, {"y": None}], "rows": rows}
+        head = {"schema_version": 1, "command": "t", "x": [1.5, {"y": None}]}
+        assert written(head, rows) == json.dumps(_round12({**head, "rows": rows}), indent=2) + "\n"
+        # without row text the payload is dumped whole, rows and all, 8 KB a write
         fh = io.StringIO()
-        _write_json({**payload, "rows": iter(rows)}, fh)
-        assert fh.getvalue() == json.dumps(_round12(payload), indent=2) + "\n"
+        _write_json({**head, "rows": rows}, fh)
+        assert fh.getvalue() == json.dumps(_round12({**head, "rows": rows}), indent=2) + "\n"
     # every scalar a flat row may hold, and an empty row
     rows = [
         {"n": -3, "x": 1e-300, "nan": math.nan, "inf": -math.inf, "ok": False, "none": None},
@@ -84,10 +99,8 @@ def test_streamed_json_is_the_one_shot_dump():
         {"s": 'é ü \u2211 "q" \\ \t \x00 \U0001f600', "big": 2**70, "y": 0.1 + 0.2},
         {},
     ]
-    payload = {"schema_version": 1, "command": "t", "rows": rows}
-    fh = io.StringIO()
-    _write_json({**payload, "rows": iter(rows)}, fh)
-    assert fh.getvalue() == json.dumps(_round12(payload), indent=2) + "\n"
+    head = {"schema_version": 1, "command": "t"}
+    assert written(head, rows) == json.dumps(_round12({**head, "rows": rows}), indent=2) + "\n"
 
 
 def test_local_table_is_streamed(tmp_path):
@@ -205,8 +218,48 @@ def test_count_commands(capsys):
     assert code == 0
     assert json.loads(out)["report"]["count"] >= 1
 
-    code = main(["count", "--what", "hua4", "--k", "3"])  # missing --Q
-    assert code == 2
+    # each --what names its own size flag
+    for what, flag in (("hua4", "Q"), ("mixed", "P"), ("triple", "N"), ("reps", "n")):
+        assert main(["count", "--what", what, "--k", "3"]) == 2
+        assert capsys.readouterr() == ("", f"error: --{flag} required for {what}\n")
+
+
+def test_margin_csv_is_its_json_rows(capsys):
+    # a header of the row keys, then one line per row whose cells are that row's values
+    rows = json.loads(run_cli(capsys, ["margin"])[1])["rows"]
+    code, out = run_cli(capsys, ["--format", "csv", "margin"])
+    assert code == 0
+    header, *lines = out.splitlines()
+    assert header == ",".join(rows[0]) == "k,C_k,margin,reference_C_bound,pass"
+    assert len(lines) == len(rows) == 12
+    for line, row in zip(lines, rows):
+        cells = line.split(",")
+        assert len(cells) == len(row)
+        for cell, v in zip(cells, row.values()):
+            assert cell == str(v) if isinstance(v, bool) else type(v)(cell) == v
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["sums", "--jmax", "3", "--qmax", "20", "--ppmax", "32"],
+        ["singular", "--n", "40", "--k", "3", "--pmax", "50"],
+        ["count", "--what", "reps", "--k", "3", "--n", "100000000", "--r", "3"],
+        ["singint", "--k", "3", "--n-grid", "1e8,1e9"],
+    ],
+    ids=lambda argv: argv[0],
+)
+def test_csv_is_refused_before_a_command_without_it_runs(argv, tmp_path, monkeypatch, capsys):
+    # only local, constants and margin have a CSV form; any other command never starts
+    ran = []
+    monkeypatch.setattr(cli, f"cmd_{argv[0]}", lambda args: ran.append(args) or 0)
+    assert main(["--format", "csv", *argv]) == 2
+    assert capsys.readouterr() == ("", "error: this command has no CSV form\n")
+    target = tmp_path / "out.csv"
+    assert main(["--output", str(target), "--format", "csv", *argv]) == 2
+    assert capsys.readouterr() == ("", "error: this command has no CSV form\n")
+    assert not target.exists()
+    assert ran == []
 
 
 def test_count_refuses_an_ignored_method(capsys):
@@ -432,3 +485,29 @@ def test_cli_stdout_is_byte_deterministic(command, data):
     assert out1 == out2
     assert proc.stdout == out1.encode()
     assert code1 == code2 == proc.returncode
+
+
+# (exit code, sha256 of stdout): any change to these outputs is a change of the
+# program's reports, to be named in CHANGES.md with the new digest
+_STDOUT_DIGESTS = {
+    "margin": (0, "ecd5ab87829c40ea618fb4bcb0836c468555385fac936f14c671b7f59980a528"),
+    "--format csv margin": (0, "43f7568fc897a6f7510646b5ccfec404123b05685e938508308e433e47274b34"),
+    "constants --k 3,4": (0, "afc5dc58bb617aa417b8b5e4b0cb4f65665bbe9672527420a24b518772e38dc4"),
+    "--format csv constants --k 3,4": (0, "2df48bf584ba34526167261351937d828c3031e425260fff9ee6a6caafba9879"),
+    "local --pmax 60 --k 4": (0, "1c73a465535fc1f35aa4229064f15374fa378ebeb8638399e4c1a38977ff6964"),
+    "--format csv local --pmax 50 --k 3 --parity all": (
+        1, "e2195ea3d03f4cc1c604c17f52f3012353b5e48ecd42e9b1648c365a1edbc321"
+    ),
+    "count --what hua4 --k 3 --Q 200": (0, "9144375a133d0a80e111e2b644529fdf4907fb6194c603ad6a6525194aa31cd2"),
+    "count --what mixed --k 4 --P 64": (0, "5cf99110129a79c3c0142a2f13398b50d751ba1aac7ff71bc82085d943e357d3"),
+    "count --what triple --k 3 --N 1e5": (0, "2b6ccc055b4085f0226c09b286b385f4ab70840d17956680b354947eba5864d1"),
+    "count --what reps --k 3 --n 10000 --r 3": (
+        0, "b5411b3b640fc65ae9fe0c78ac2841b4a9c162a2013d256996c0bc76a9753b5f"
+    ),
+}
+
+
+@pytest.mark.parametrize("command", list(_STDOUT_DIGESTS))
+def test_stdout_digests_are_pinned(command):
+    code, out = _run_in_process(command.split())
+    assert (code, hashlib.sha256(out.encode()).hexdigest()) == _STDOUT_DIGESTS[command]
