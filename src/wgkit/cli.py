@@ -143,6 +143,8 @@ def _local_classes(p: int, k: int, fmt: str) -> tuple[list[str], list[bool]]:
 
 
 def cmd_local(args) -> int:
+    if args.pmax < 2:
+        raise ValueError(f"--pmax must be >= 2, got {args.pmax}")
     primes = primes_up_to(args.pmax)
     n_res = {p: 1 if p == 2 and args.parity == "even" else p for p in primes}
     n_rows = sum(n_res.values())
@@ -261,6 +263,8 @@ def cmd_count(args) -> int:
 
 
 def cmd_singint(args) -> int:
+    if args.samples < 1024:
+        raise ValueError(f"--samples must be >= 1024, got {args.samples}")
     n_grid = [int(float(tok)) for tok in args.n_grid.split(",")]
     n_grid = [n if n % 2 == 0 else n + 1 for n in n_grid]
     evals, slope, intercept, resid = singint.growth_fit(n_grid, args.k)
@@ -349,20 +353,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    ap = build_parser()
-    args = ap.parse_args(argv)
-    # validate shared numeric ranges up front: usage errors exit 2
-    for attr, lo in (("qmax", 2), ("pmax", 2), ("samples", 1024)):
-        if getattr(args, attr, None) is not None and getattr(args, attr) < lo:
-            ap.error(f"--{attr} must be >= {lo}")
-    if getattr(args, "k", None) is not None and isinstance(args.k, int):
-        if args.command != "count":
-            try:
-                reference.check_k(args.k)
-            except ValueError as exc:
-                ap.error(f"--{exc}")
-        if args.command == "count" and args.k < 2:
-            ap.error("--k must be >= 2")
+    args = build_parser().parse_args(argv)
     try:
         if args.format == "csv" and args.command not in CSV_COMMANDS:
             raise ValueError("this command has no CSV form")

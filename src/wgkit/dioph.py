@@ -362,6 +362,16 @@ def fit_scaling(counts: list[CountReport], size_key: str) -> ScalingFit:
     return ScalingFit(tuple(pts), float(slope), float(intercept), float(resid))
 
 
+def _iroot(n: int, j: int) -> int:
+    """The largest integer whose j-th power is <= n, for n >= 0."""
+    root = round(n ** (1.0 / j))
+    while root**j > n:
+        root -= 1
+    while (root + 1) ** j <= n:
+        root += 1
+    return root
+
+
 def _omega_table(limit: int) -> np.ndarray:
     """Omega(x) (prime factors with multiplicity) for 0..limit by sieve."""
     om = np.zeros(limit + 1, dtype=np.int64)
@@ -373,18 +383,13 @@ def _omega_table(limit: int) -> np.ndarray:
     return om
 
 
-def count_representations(
-    n: int,
-    k: int,
-    r: int,
-    mode: str = "free",
-    box_params: Parameters | None = None,
-) -> CountReport:
+def count_representations(n: int, k: int, r: int, box_params: Parameters | None = None) -> CountReport:
     """Representations n = x^2 + p1^2 + p2^3 + p3^3 + p4^3 + p5^k, Omega(x) <= r.
 
     The p_i are primes; x >= 1 is an almost-prime with at most r prime
-    factors counted with multiplicity (x = 1 qualifies, having none).  In
-    dyadic mode every variable is confined to its box from ``box_params``.
+    factors counted with multiplicity (x = 1 qualifies, having none).  Without
+    ``box_params`` every variable takes every size; with it, each is confined
+    to its dyadic box (X, 2X] from ``box_params``.
     """
     if n % 2 != 0:
         raise ValueError(f"the representation target must be even, got n={n}")
@@ -396,42 +401,25 @@ def count_representations(
         raise ValueError(f"k must be >= 3, got {k}")
     if n > 10**8:
         raise BudgetExceeded(f"representation counting capped at n = 10**8, got {n}")
-    if mode not in ("free", "dyadic"):
-        raise ValueError(f"mode must be 'free' or 'dyadic', got {mode!r}")
-    if mode == "dyadic" and box_params is None:
-        raise ValueError("dyadic mode needs box_params")
+    bp = box_params
+    if bp is not None and (bp.n, bp.k) != (n, k):
+        raise ValueError(f"box_params are for n={bp.n}, k={bp.k}, not n={n}, k={k}")
     t0 = time.perf_counter()
+    # the box (lo, hi] of x and p1, of p2 and p3, of p4 and of p5
+    boxes = [(0, n)] * 4 if bp is None else [(X, 2 * X) for X in (bp.x2, bp.x3, bp.x3_star, bp.xk_star)]
+    root = math.isqrt(n)
+    primes = np.array(primes_up_to(root), dtype=np.int64)  # n >= 6, so root >= 2
 
-    def primes_in(X: float) -> np.ndarray:  # the primes in (X, 2X]
-        ps = np.array(primes_up_to(max(1, math.floor(2 * X))), dtype=np.int64)
-        return ps[np.searchsorted(ps, X, side="right") :]
+    def candidates(box: tuple[float, float], j: int, values: np.ndarray = primes) -> np.ndarray:
+        """The ``values`` in the box (lo, hi] whose j-th power is <= n."""
+        top = min(math.floor(box[1]), _iroot(n, j))
+        return values[(values > box[0]) & (values <= top)]
 
-    if mode == "free":
-        x_hi = math.isqrt(n)
-        xs = np.arange(1, x_hi + 1, dtype=np.int64)
-        om = _omega_table(x_hi)
-        xs = xs[om[1 : x_hi + 1] <= r]
-        p1s = np.array(primes_up_to(max(2, math.isqrt(n))), dtype=np.int64)
-        cube_a = np.array(primes_up_to(max(2, int(round(n ** (1 / 3))) + 2)), dtype=np.int64)
-        cube_a = cube_a[cube_a**3 <= n]
-        cube_b = cube_a
-        k_ps = np.array(primes_up_to(max(2, int(round(n ** (1.0 / k))) + 2)), dtype=np.int64)
-        k_ps = k_ps[k_ps**k <= n]
-    else:
-        bp = box_params
-        xs = dyadic_range(bp.x2)
-        if xs.size:
-            om = _omega_table(int(xs.max()))
-            xs = xs[om[xs] <= r]
-        p1s = primes_in(bp.x2)
-        cube_a = primes_in(bp.x3)
-        cube_b = primes_in(bp.x3_star)
-        k_ps = primes_in(bp.xk_star)
-
+    xs = candidates(boxes[0], 2, np.flatnonzero(_omega_table(root) <= r))
+    p1s, cube_a, cube_b, k_ps = (candidates(b, j) for b, j in zip(boxes, (2, 3, 3, k)))
     count = 0
     # x^2, p1^2 <= n <= 10^8, so the left sums fit int32 and those above n never match
-    root = math.isqrt(n)
-    xs, p1s = xs[xs <= root].astype(np.int32), p1s[p1s <= root].astype(np.int32)
+    xs, p1s = xs.astype(np.int32), p1s.astype(np.int32)
     if min(xs.size, p1s.size, cube_a.size, cube_b.size, k_ps.size) > 0:
         # left multiset x^2 + p1^2 as a dense table of multiplicities over 0..n
         left = ((xs * xs)[:, None] + (p1s * p1s)[None, :]).ravel()
@@ -449,7 +437,7 @@ def count_representations(
             count += int(table[rest - trip[: np.searchsorted(trip, rest)]].sum(dtype=np.int64))
     return CountReport(
         "representation count for the mixed form",
-        {"n": n, "k": k, "r": r, "mode": mode},
+        {"n": n, "k": k, "r": r, "mode": "free" if bp is None else "dyadic"},
         count,
         time.perf_counter() - t0,
         "meet_in_middle",

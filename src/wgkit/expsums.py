@@ -43,6 +43,8 @@ J_MIN, J_MAX = 2, 14
 MAG_TOL = 1e-6  # relative to q
 # FFT points (rows times length) one verify_bounds sweep may transform
 SWEEP_POINT_BUDGET = 10**8
+# the odd primes p <= min(CHAR_P_MAX, q_max) carry verify_bounds' character sums
+CHAR_P_MAX = 199
 
 
 @dataclass(frozen=True)
@@ -330,9 +332,7 @@ class BoundReport:
         }
 
 
-def _sweep_points(
-    js: tuple[int, ...], q_max: int, pp_max: int, char_p_max: int, twisted_q_max: int
-):
+def _sweep_points(js: tuple[int, ...], q_max: int, pp_max: int, twisted_q_max: int):
     """Rows times length of each FFT batch ``verify_bounds`` runs, in sweep order.
 
     The vanishing levels are counted with every j, the twisted pairs with
@@ -348,7 +348,7 @@ def _sweep_points(
             while q <= pp_max:
                 yield n * q
                 q *= p
-    for p in primes_up_to(min(char_p_max, q_max))[1:]:
+    for p in primes_up_to(min(CHAR_P_MAX, q_max))[1:]:
         yield sum(math.gcd(j, p - 1) for j in js) * (p - 1)
     for q1 in range(2, twisted_q_max + 1):
         for q2 in range(q1 + 1, twisted_q_max + 1):
@@ -360,14 +360,13 @@ def verify_bounds(
     j_max: int = 14,
     q_max: int = 499,
     pp_max: int | None = None,
-    char_p_max: int = 199,
     twisted_q_max: int = 0,
 ) -> BoundReport:
     """Exhaustive verification of the classical exponential-sum bounds.
 
     Reported (no hard assert, the implied constants are unspecified):
       * |S(q,a)| / q^(1-1/j) over all moduli and unit numerators,
-      * |G(chi,a)| / sqrt(p) over prime moduli.
+      * |G(chi,a)| / sqrt(p) over odd prime moduli p <= min(CHAR_P_MAX, q_max).
 
     Hard checks (any failure is returned in ``violations``):
       * prime modulus:  |S(p,a)|  <= (gcd(j,p-1) - 1) sqrt(p),
@@ -386,11 +385,9 @@ def verify_bounds(
         pp_max = q_max
     if pp_max < 2:
         raise ValueError(f"pp_max must be >= 2, got {pp_max}")
-    if char_p_max < 3:
-        raise ValueError(f"char_p_max must be >= 3 (the least odd prime), got {char_p_max}")
     js = tuple(range(J_MIN, j_max + 1))
     points = 0
-    for batch in _sweep_points(js, q_max, pp_max, char_p_max, twisted_q_max):
+    for batch in _sweep_points(js, q_max, pp_max, twisted_q_max):
         points += batch
         if points > SWEEP_POINT_BUDGET:
             raise BudgetExceeded(
@@ -448,7 +445,7 @@ def verify_bounds(
     rep.violations.extend(sorted(found, key=lambda v: v[1]))
 
     # character-sum ratios and the Weil-type bound |G| <= (j+1) sqrt(p)
-    char_primes = primes_up_to(min(char_p_max, q_max))[1:]
+    char_primes = primes_up_to(min(CHAR_P_MAX, q_max))[1:]
     for j in js:
         worst_char = (0.0, 3, 1)
         for p in char_primes:

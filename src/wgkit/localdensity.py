@@ -196,14 +196,13 @@ def ep_bound(p: int, k: int = K_RANGE[-1]) -> float:
 
 @lru_cache(maxsize=64)
 def _unit_sum_product_ld(p: int, k: int) -> np.ndarray:
-    """S*2(p,a)^2 S*3(p,a)^3 S*k(p,a) for a = 0..p-1 in extended precision."""
-    ar = np.arange(p, dtype=np.int64)
-    ang = np.longdouble(2 * math.pi) / p
-    phase = ang * ((ar[:, None] * ar[None, :]) % p)
-    mat = np.cos(phase) + 1j * np.sin(phase)
+    """S*2(p,a)^2 S*3(p,a)^3 S*k(p,a) for a = 0..p-1 in extended precision.
+
+    Each unit sum is the conjugate DFT of its histogram, a long-double FFT.
+    """
     prod = np.ones(p, dtype=np.clongdouble)
     for j, power in ((2, 2), (3, 3), (k, 1)):
-        prod *= (mat @ power_hist(j, p, True).astype(np.clongdouble)) ** power
+        prod *= np.conjugate(np.fft.fft(power_hist(j, p, True).astype(np.longdouble))) ** power
     prod.setflags(write=False)
     return prod
 

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from .arith import factorize, mobius, primes_up_to
 from .reference import check_k
 from .singint import box_size
-from .singular import _omega_p
+from .singular import _omega_p, omega
 
 EULER_GAMMA = 0.57721566490153286
 EXP_GAMMA = math.exp(EULER_GAMMA)
@@ -124,9 +124,7 @@ def sieve_product(n: int, k: int, z: float) -> float:
     if z <= 3.0:
         raise ValueError(f"need z > 3 for a nonempty product, got {z}")
     log_sum = 0.0
-    for p in primes_up_to(math.ceil(z) - 1):  # primes strictly below z
-        if p == 2 or p >= z:
-            continue
+    for p in primes_up_to(math.ceil(z) - 1)[1:]:  # odd primes strictly below z
         frac = _omega_p(p, n % p, k) / p
         if frac >= 1.0:
             return 0.0
@@ -167,8 +165,6 @@ def weighted_density_sum(weights: dict[int, float], n: int, k: int, z: float, D:
     P(z) is the product of odd primes below z, so admissible d are odd,
     squarefree, with every prime factor in (2, z).
     """
-    from .singular import omega
-
     validate_sieve_weights(weights, D)
     total = 0.0
     for d in sorted(weights):

@@ -26,9 +26,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import BudgetExceeded
 from .reference import check_k
 
 METHOD = "arcsin_gauss_legendre"
+
+# nodes one Simpson pass of oscillatory_box_integral may evaluate (a few hundred MB)
+NODE_BUDGET = 10**7
 
 
 def expected_growth_exponent(k: int) -> float:
@@ -40,7 +44,10 @@ def expected_growth_exponent(k: int) -> float:
 def oscillatory_box_integral(j: int, X: float, lam: float, tol: float = 1e-9) -> complex:
     """w_j(lam) = int_X^{2X} e(lam u^j) du by refined composite Simpson.
 
-    The modulus never exceeds X (triangle inequality), which is asserted.
+    The panel count doubles until two passes agree to ``tol * max(X, 1)``; a
+    pass over ``NODE_BUDGET`` nodes is refused with ``BudgetExceeded`` before
+    it is built.  The modulus never exceeds X (triangle inequality), which is
+    asserted.
     """
     if X <= 0:
         raise ValueError(f"X must be positive, got {X}")
@@ -50,6 +57,10 @@ def oscillatory_box_integral(j: int, X: float, lam: float, tol: float = 1e-9) ->
     panels = max(64, int(16 * cycles))
 
     def simpson(npanels: int) -> complex:
+        if 2 * npanels + 1 > NODE_BUDGET:
+            raise BudgetExceeded(
+                f"w_{j}({lam}) over ({X}, {2 * X}] needs a Simpson pass over {NODE_BUDGET} nodes"
+            )
         u = np.linspace(X, 2 * X, 2 * npanels + 1)
         f = np.exp(2j * np.pi * lam * u**j)
         w = np.ones(u.size)
@@ -57,17 +68,12 @@ def oscillatory_box_integral(j: int, X: float, lam: float, tol: float = 1e-9) ->
         w[2:-1:2] = 2.0
         return complex((f * w).sum() * (X / (2 * npanels)) / 3.0)
 
-    est = simpson(panels)
-    for _ in range(24):
-        panels *= 2
-        nxt = simpson(panels)
-        if abs(nxt - est) <= tol * max(X, 1.0):
-            est = nxt
-            break
-        est = nxt
-    if abs(est) > X * (1 + 1e-9):
-        raise AssertionError(f"|w| = {abs(est)} exceeds the box length {X}")
-    return est
+    est, panels = simpson(panels), 2 * panels
+    while abs((nxt := simpson(panels)) - est) > tol * max(X, 1.0):
+        est, panels = nxt, 2 * panels
+    if abs(nxt) > X * (1 + 1e-9):
+        raise AssertionError(f"|w| = {abs(nxt)} exceeds the box length {X}")
+    return nxt
 
 
 @dataclass(frozen=True)

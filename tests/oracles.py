@@ -8,6 +8,7 @@ counts from literal comparisons.
 
 from __future__ import annotations
 
+import itertools
 import math
 
 import numpy as np
@@ -207,30 +208,30 @@ def mixed_literal(k: int, P: float) -> tuple[int, int]:
     return S, max_h
 
 
+def _omega_count(m: int) -> int:
+    """Omega(m), prime factors with multiplicity, by trial division (0 for m = 1)."""
+    c, d, t = 0, 2, m
+    while d * d <= t:
+        while t % d == 0:
+            t //= d
+            c += 1
+        d += 1
+    return c + (1 if t > 1 else 0)
+
+
+def _is_prime(m: int) -> bool:
+    return m >= 2 and all(m % d for d in range(2, math.isqrt(m) + 1))
+
+
 def representations_literal(n: int, k: int, r_max_omega) -> int:
     """Literal loop count of n = x^2 + p1^2 + p2^3 + p3^3 + p4^3 + p5^k.
 
     ``r_max_omega(x)`` decides admissibility of the almost-prime variable.
     """
-
-    def omega_count(m):
-        c, d, t = 0, 2, m
-        while d * d <= t:
-            while t % d == 0:
-                t //= d
-                c += 1
-            d += 1
-        return c + (1 if t > 1 else 0)
-
-    def is_p(m):
-        if m < 2:
-            return False
-        return all(m % d for d in range(2, math.isqrt(m) + 1))
-
-    primes = [q for q in range(2, n) if is_p(q)]
+    primes = [q for q in range(2, n) if _is_prime(q)]
     count = 0
     for x in range(1, math.isqrt(n) + 1):
-        if not r_max_omega(omega_count(x) if x > 1 else 0):
+        if not r_max_omega(_omega_count(x)):
             continue
         for p1 in primes:
             a = x * x + p1 * p1
@@ -252,6 +253,31 @@ def representations_literal(n: int, k: int, r_max_omega) -> int:
                                 count += 1
                             if s >= n:
                                 break
+    return count
+
+
+def representations_in_boxes_literal(n: int, k: int, r: int, boxes) -> int:
+    """Literal count of the same form with each variable in its dyadic box (X, 2X].
+
+    ``boxes`` gives X for x and p1, for p2 and p3, for p4 and for p5.  Every
+    tuple (p2, p3, p4, p5) of primes in its box is tried in turn against every
+    p1, and the rest must be x^2 with x in its box and Omega(x) <= r.
+    """
+
+    def box(X):
+        return range(math.floor(X) + 1, math.floor(2 * X) + 1)
+
+    X2, X3, X3s, Xks = boxes
+    squares = np.zeros(n + 1, dtype=bool)  # squares[m]: m = x^2 with x admissible
+    squares[[x * x for x in box(X2) if _omega_count(x) <= r and x * x <= n]] = True
+    p1_squares = np.array([p * p for p in box(X2) if _is_prime(p)], dtype=np.int64)
+    cubes = [p**3 for p in box(X3) if _is_prime(p)]
+    count = 0
+    for a, b, c, d in itertools.product(
+        cubes, cubes, [p**3 for p in box(X3s) if _is_prime(p)], [p**k for p in box(Xks) if _is_prime(p)]
+    ):
+        rest = n - a - b - c - d - p1_squares
+        count += int(squares[rest[rest >= 0]].sum())
     return count
 
 

@@ -37,15 +37,14 @@ def test_sums_command_json(capsys):
 
 
 def test_sums_usage_error(capsys):
-    for qmax in ("0", "1"):
-        with pytest.raises(SystemExit) as exc:
-            main(["sums", "--qmax", qmax])
-        assert exc.value.code == 2
-        assert "--qmax must be >= 2" in capsys.readouterr().err
-    # the sweep's own argument checks name the argument and exit 2
-    code = main(["sums", "--qmax", "10", "--ppmax", "0"])
-    assert code == 2
-    assert "pp_max must be >= 2" in capsys.readouterr().err
+    # the sweep's own argument checks name the argument and exit 2, with no usage line
+    for argv, message in ((["sums", "--qmax", "0"], "q_max must be >= 2, got 0"),
+                          (["sums", "--qmax", "1"], "q_max must be >= 2, got 1"),
+                          (["sums", "--qmax", "10", "--ppmax", "0"], "pp_max must be >= 2, got 0")):
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {message}\n"
 
 
 def test_sums_refuses_sweeps_over_budget(capsys):
@@ -150,11 +149,36 @@ def test_local_parity_all_fails_at_two(capsys):
 
 def test_local_k_range_usage_error(capsys):
     # the range in the message comes from K_RANGE, for --k and for a k list
-    for argv in (["local", "--pmax", "50", "--k", "15"], ["constants", "--k", "15"]):
-        with pytest.raises(SystemExit) as exc:
-            main(argv)
-        assert exc.value.code == 2
-        assert f"k must be in [{K_RANGE[0]}, {K_RANGE[-1]}], got 15" in capsys.readouterr().err
+    message = f"k must be in [{K_RANGE[0]}, {K_RANGE[-1]}], got 15"
+    for argv in (["local", "--pmax", "50", "--k", "15"], ["singular", "--n", "40", "--k", "15"],
+                 ["singint", "--k", "15"]):
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {message}\n"
+    # a k list is parsed by argparse, which prints its usage line and exits 2
+    with pytest.raises(SystemExit) as exc:
+        main(["constants", "--k", "15"])
+    assert exc.value.code == 2
+    assert message in capsys.readouterr().err
+
+
+def test_range_errors_come_from_the_command(capsys, tmp_path):
+    # each value is checked once, by the code that uses it: exit 2, the message
+    # and no usage line, before any output or --output file
+    out = tmp_path / "report"
+    for argv, message in (
+        (["local", "--pmax", "1", "--k", "3"], "--pmax must be >= 2, got 1"),
+        (["local", "--pmax", "0", "--k", "3"], "--pmax must be >= 2, got 0"),
+        (["singular", "--n", "40", "--k", "3", "--pmax", "1"], "truncation bound needs p_max >= 29, got 1"),
+        (["singint", "--k", "3", "--samples", "10"], "--samples must be >= 1024, got 10"),
+        (["count", "--what", "hua4", "--k", "1", "--Q", "10"], "k must be >= 2, got 1"),
+        (["count", "--what", "reps", "--k", "2", "--n", "40"], "k must be >= 3, got 2"),
+    ):
+        assert main(["--output", str(out), *argv]) == 2
+        captured = capsys.readouterr()
+        assert (captured.out, captured.err) == ("", f"error: {message}\n")
+        assert not out.exists()
 
 
 def test_local_csv_format(capsys):

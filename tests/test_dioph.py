@@ -6,7 +6,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from oracles import hua4_literal, mixed_literal, representations_literal
+from oracles import hua4_literal, mixed_literal, representations_in_boxes_literal, representations_literal
 from wgkit import dioph
 from wgkit.dioph import (
     CountReport,
@@ -317,12 +317,19 @@ def test_representations_rejections():
 
 
 def test_representations_dyadic_mode():
-    bp = params(10**6, 3)
-    rep = count_representations(10**6, 3, 3, mode="dyadic", box_params=bp)
-    assert rep.count == 14
-    assert rep.parameters["mode"] == "dyadic"
-    with pytest.raises(ValueError):
-        count_representations(10**6, 3, 3, mode="dyadic")
+    # box_params confines every variable to its dyadic box: the join against a
+    # literal loop over the same boxes
+    for n, want in ((10**6, 14), (10**7, 370)):
+        bp = params(n, 3)
+        rep = count_representations(n, 3, 3, box_params=bp)
+        boxes = (bp.x2, bp.x3, bp.x3_star, bp.xk_star)
+        assert rep.count == representations_in_boxes_literal(n, 3, 3, boxes) == want
+        assert rep.parameters["mode"] == "dyadic"
+    assert count_representations(10**6, 3, 3).parameters["mode"] == "free"
+    # boxes sized for another target or power would count nothing, silently
+    for n, k in ((10**7, 3), (10**6, 5)):
+        with pytest.raises(ValueError, match="box_params are for n=1000000, k=3"):
+            count_representations(n, k, 3, box_params=params(10**6, 3))
 
 
 def test_almost_prime_set_membership():

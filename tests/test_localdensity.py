@@ -109,7 +109,7 @@ def test_ep_two_paths_agree():
             d = local_densities(p, n, 3)
             assert ep_via_sums(p, n, 3) == pytest.approx(d.E_p, abs=1e-3)
     # spot checks across the top of the range, where roundoff is tightest
-    for p, k in ((211, 3), (307, 14), (401, 7), (499, 5)):
+    for p, k in ((211, 3), (307, 14), (401, 7), (499, 5), (499, 12)):
         for n in (0, 1, p // 2, p - 1):
             d = local_densities(p, n, k)
             assert ep_via_sums(p, n, k) == pytest.approx(d.E_p, abs=1e-3)

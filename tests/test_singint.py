@@ -2,6 +2,8 @@
 import numpy as np
 import pytest
 
+from wgkit import singint
+from wgkit.errors import BudgetExceeded
 from wgkit.singint import (
     _quadrature,
     _u2_integral,
@@ -46,6 +48,18 @@ def test_oscillatory_integral_triangle_bound_and_decay():
     u = np.linspace(X, 2 * X, 200001)
     ref = np.trapezoid(np.exp(2j * np.pi * lam * u**2), u)
     assert oscillatory_box_integral(2, X, lam) == pytest.approx(complex(ref), abs=1e-6 * X)
+
+
+def test_oscillatory_integral_refuses_a_pass_over_budget(monkeypatch):
+    # ~3e6 cycles would need ~1e8 nodes (several GB): refused before any is built
+    with pytest.raises(BudgetExceeded, match="Simpson pass over 10000000 nodes"):
+        oscillatory_box_integral(2, 1000.0, 1.0)
+    # 7.5 cycles start at 241 nodes and converge at 3841: under a 1000-node
+    # budget the doubling stops at 961 with a refusal, not an unconverged value
+    assert oscillatory_box_integral(2, 50.0, 1e-3) == pytest.approx(-0.0562606026 - 2.3824925450j, abs=1e-9)
+    monkeypatch.setattr(singint, "NODE_BUDGET", 1000)
+    with pytest.raises(BudgetExceeded, match="Simpson pass over 1000 nodes"):
+        oscillatory_box_integral(2, 50.0, 1e-3)
 
 
 def test_singular_integral_empty_region():
