@@ -14,13 +14,15 @@ recursion.  The cumulative integral per level is composite Simpson by
 three-point parabola, but only the half of the cell formulas that scipy keeps
 is evaluated, so every level is bit-identical to scipy's.  The integrand is
 smooth everywhere (log(t-1) vanishes at t = 2; no singularity), so
-refinement converges at fourth order, and doubling S is used as the
-convergence check.  Levels whose supremum falls below 1e-15 short-circuit to
-the zero function; the recursion depth reaches ~500 for k = 14.
+refinement converges at fourth order.  Levels whose supremum falls below
+1e-15 short-circuit to the zero function; the recursion depth reaches ~500
+for k = 14.
 
-The converged values are cached per process and per (k, tol), so
-``iterated_integral``, ``tail_sum`` and the margins reuse the tables
-``constants_table`` built.
+Every k is evaluated on the fixed pair of lattices ``STEPS_PER_UNIT``: the
+finer one gives the values, and the largest change between the two is their
+error estimate, which must stay below ``ACCURACY``.  The values are cached
+per process and per k, so ``iterated_integral``, ``tail_sum`` and the margins
+reuse the tables ``constants_table`` built.
 """
 
 from __future__ import annotations
@@ -36,9 +38,10 @@ import numpy as np
 from . import reference
 from .errors import VerificationError
 
-DEFAULT_TOL = 1e-8
 ZERO_LEVEL_SUP = 1e-15
-_BASE_STEPS_PER_UNIT = 128
+STEPS_PER_UNIT = (128, 256)  # the coarse and the fine lattice
+ACCURACY = 1e-8  # the largest change between the two lattices that is accepted
+COMPARE_TOL = 1e-3  # relative slack of an entry against its published bound
 
 
 def upper_limit(k: int) -> float:
@@ -160,29 +163,22 @@ def _cascade(k: int, steps_per_unit: int) -> dict[int, float]:
 
 
 @functools.lru_cache(maxsize=None)
-def _converged_values(k: int, tol: float) -> tuple[Mapping[int, float], float]:
-    """Refine the lattice until halving the step moves every c_r by < tol.
+def _converged_values(k: int) -> tuple[Mapping[int, float], float]:
+    """The fine lattice's c_r and the largest change from the coarse one's.
 
-    Cached per process; the values come as a read-only mapping.  A tol that
-    is not positive and finite (NaN and inf included) is refused: no lattice
-    could meet the first, and any would pass the second.
+    Cached per process; the values come as a read-only mapping.  A change of
+    ``ACCURACY`` or more is a verification failure.
     """
-    if not 0 < tol < math.inf:
-        raise ValueError(f"tol must be positive and finite, got {tol}")
-    steps = _BASE_STEPS_PER_UNIT
-    coarse = _cascade(k, steps)
-    while True:
-        fine = _cascade(k, 2 * steps)
-        err = max(abs(fine[r] - coarse[r]) for r in fine)
-        if err < tol:
-            return MappingProxyType(fine), err
-        steps *= 2
-        coarse = fine
-        if steps > 4096:
-            raise VerificationError(f"level recursion failed to converge for k={k}")
+    coarse, fine = (_cascade(k, steps) for steps in STEPS_PER_UNIT)
+    err = max(abs(fine[r] - coarse[r]) for r in fine)
+    if not err < ACCURACY:
+        raise VerificationError(
+            f"c_r changes by {err:.3g} at k={k} between {STEPS_PER_UNIT} steps per unit, not below {ACCURACY:g}"
+        )
+    return MappingProxyType(fine), err
 
 
-def level_function(m: int, k: int, steps_per_unit: int = 2 * _BASE_STEPS_PER_UNIT) -> LevelFunction:
+def level_function(m: int, k: int, steps_per_unit: int = STEPS_PER_UNIT[-1]) -> LevelFunction:
     """The sampled level g_m on [m, U_k], for inspection and spot checks."""
     reference.check_k(k)
     if m < 2:
@@ -195,14 +191,14 @@ def level_function(m: int, k: int, steps_per_unit: int = 2 * _BASE_STEPS_PER_UNI
     return LevelFunction(m, U, xs, ys)
 
 
-def iterated_integral(r: int, k: int, tol: float = DEFAULT_TOL) -> float:
-    """c_r(k) = g_{r-1}(U_k) to absolute accuracy tol; 0 when r - 1 >= U_k."""
+def iterated_integral(r: int, k: int) -> float:
+    """c_r(k) = g_{r-1}(U_k) to within ``ACCURACY``; 0 when r - 1 >= U_k."""
     reference.check_k(k)
     if r < 4:
         raise ValueError(f"the nested integral needs r >= 4, got {r}")
     if r - 1 >= upper_limit(k):
         return 0.0
-    values, _ = _converged_values(k, tol)
+    values, _ = _converged_values(k)
     return values[r]
 
 
@@ -211,7 +207,7 @@ class CrEntry:
     r: int
     value: float
     bound: float | None  # published reference bound, when listed
-    within_bound: bool | None  # value <= bound * (1 + compare_tol)
+    within_bound: bool | None  # value <= bound * (1 + COMPARE_TOL)
 
 
 @dataclass(frozen=True)
@@ -219,8 +215,7 @@ class CrTable:
     k: int
     entries: tuple[CrEntry, ...]
     C_value: float
-    quad_error: float  # refinement residual accumulated over the table
-    compare_tol: float
+    quad_error: float  # the two lattices' largest change, times the number of entries
 
     @property
     def all_within_bounds(self) -> bool:
@@ -233,14 +228,14 @@ class CrTable:
         raise KeyError(f"r={r} not in table for k={self.k}")
 
 
-def constants_table(k: int, tol: float = DEFAULT_TOL, compare_tol: float = 1e-3) -> CrTable:
+def constants_table(k: int) -> CrTable:
     """All c_r(k) over the tail range, their sum C(k), and reference comparison.
 
     Monotone decay is asserted across the computed range: the entries must
     strictly decrease until they hit zero, and stay zero afterwards.
     """
     reference.check_k(k)
-    values, err = _converged_values(k, tol)
+    values, err = _converged_values(k)
     bounds = reference.cr_bounds(k)
     entries = []
     c_total = 0.0
@@ -248,7 +243,7 @@ def constants_table(k: int, tol: float = DEFAULT_TOL, compare_tol: float = 1e-3)
         v = values[r]
         c_total += v
         b = bounds.get(r)
-        ok = None if b is None else (v <= b * (1.0 + compare_tol))
+        ok = None if b is None else (v <= b * (1.0 + COMPARE_TOL))
         entries.append(CrEntry(r, v, b, ok))
     for prev, nxt in zip(entries, entries[1:]):
         if nxt.value > 0 and not nxt.value < prev.value:
@@ -257,12 +252,12 @@ def constants_table(k: int, tol: float = DEFAULT_TOL, compare_tol: float = 1e-3)
             )
         if prev.value == 0.0 and nxt.value != 0.0:
             raise VerificationError(f"zero tail violated at k={k}, r={nxt.r}")
-    return CrTable(k, tuple(entries), c_total, err * len(entries), compare_tol)
+    return CrTable(k, tuple(entries), c_total, err * len(entries))
 
 
-def tail_sum(k: int, tol: float = DEFAULT_TOL) -> float:
+def tail_sum(k: int) -> float:
     """C(k) = sum of c_r(k) over r = r(k)+1 .. floor(36k/(15-k))."""
-    return constants_table(k, tol).C_value
+    return constants_table(k).C_value
 
 
 def tables_to_csv(tables: list[CrTable]) -> str:

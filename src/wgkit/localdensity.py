@@ -54,7 +54,7 @@ class LocalDensities:
     K: int
     L: int
     Lstar: int
-    E_p: float
+    E_p: int
 
     def __post_init__(self):
         if self.L != self.Lstar + self.K:
@@ -180,7 +180,7 @@ def densities_float_all(p: int, k: int) -> tuple[np.ndarray, np.ndarray, np.ndar
 def local_densities(p: int, n: int, k: int) -> LocalDensities:
     """The triple (K, L, L*) plus E_p for one prime and target residue."""
     K, L, Lstar = class_counts(p, k).at(n)
-    return LocalDensities(p, n % p, K, L, Lstar, float(p * Lstar - (p - 1) ** 6))
+    return LocalDensities(p, n % p, K, L, Lstar, p * Lstar - (p - 1) ** 6)
 
 
 def ep_bound(p: int, k: int = K_RANGE[-1]) -> float:
@@ -211,8 +211,9 @@ def ep_via_sums(p: int, n: int, k: int) -> float:
     """E_p recomputed as sum_{a=1..p-1} S*2^2 S*3^3 S*k e(-an/p), extended precision.
 
     Independent floating cross-check of the count-based (exact) value; the
-    extended-precision accumulation keeps the absolute error below 1e-3 for
-    all p <= 499.
+    extended-precision accumulation keeps the absolute error below 1e-4 on
+    the tested p <= 499 (worst 1.9e-5, against 2.44e-4 at (p, n, k) =
+    (499, 0, 12) with float64 FFTs).
     """
     if not is_prime(p):
         raise ValueError(f"p must be prime, got {p}")

@@ -45,7 +45,6 @@ class EulerFactor:
     p: int
     d: int
     value: float  # 1 + A_d(p, n)
-    A_value: float
 
 
 @dataclass(frozen=True)
@@ -105,7 +104,7 @@ def _euler_factor(p: int, d: int, n: int, k: int) -> EulerFactor:
     K, L, _ = _class_counts(p, k).at(n)
     num = p * K if d % p == 0 else L
     value = float(num) / (p - 1) ** 5
-    return EulerFactor(p, d, value, value - 1.0)
+    return EulerFactor(p, d, value)
 
 
 def euler_factor_via_sums(p: int, d: int, n: int, k: int) -> EulerFactor:
@@ -114,7 +113,7 @@ def euler_factor_via_sums(p: int, d: int, n: int, k: int) -> EulerFactor:
         raise ValueError(f"p must be prime, got {p}")
     _check_nk(n, k)
     a_val = correlation_sum(p, d, n, k) / (p * float(p - 1) ** 5)
-    return EulerFactor(p, d, 1.0 + a_val, a_val)
+    return EulerFactor(p, d, 1.0 + a_val)
 
 
 def tail_envelope(p_max: int) -> float:

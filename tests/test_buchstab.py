@@ -9,7 +9,7 @@ from hypothesis.extra import numpy as hnp
 from oracles import gauss_legendre, independent_level_cascade, nested_c4
 from wgkit import buchstab, cli, reference
 from wgkit.buchstab import (
-    DEFAULT_TOL,
+    _cascade,
     _converged_values,
     _cumsimpson,
     constants_table,
@@ -77,8 +77,6 @@ def test_level_function_matches_cr():
 
 def test_level_function_shares_the_cascade_levels():
     # the sampled level is the one the c_r cascade integrates, bit for bit
-    from wgkit.buchstab import _cascade
-
     for k, steps in ((3, 256), (8, 128), (14, 128)):
         values = _cascade(k, steps)
         for m in {2, 3, 5, max_r(k) - 1}:
@@ -115,7 +113,7 @@ def test_cumsimpson_is_scipys_cumulative_simpson(n, pool, h):
 
 
 def test_cascade_runs_once_per_k_and_tol(all_tables, monkeypatch, capsys):
-    # tail_sum, the margins and iterated_integral reuse the converged values constants_table built
+    # tail_sum, the margins and iterated_integral reuse the values constants_table built
     calls = []
     cascade = buchstab._cascade
     monkeypatch.setattr(buchstab, "_cascade", lambda *args: calls.append(args) or cascade(*args))
@@ -126,7 +124,11 @@ def test_cascade_runs_once_per_k_and_tol(all_tables, monkeypatch, capsys):
     # a single c_r reads the same table
     assert iterated_integral(16, 13) == all_tables[13].entry(16).value
     assert calls == []
-    values, _ = _converged_values(3, DEFAULT_TOL)
+    # each k runs the coarse lattice, then the fine one, once
+    _converged_values.cache_clear()
+    for k in (3, 14, 3, 14):
+        values, _ = _converged_values(k)
+    assert calls == [(3, 128), (3, 256), (14, 128), (14, 256)]
     with pytest.raises(TypeError):
         values[4] = 0.0
 
@@ -143,11 +145,13 @@ def test_table_k3():
     assert vals[-1] == 0.0
 
 
-def test_table_convergence_wrt_tolerance():
-    tight = constants_table(3, tol=1e-10)
-    loose = constants_table(3, tol=1e-6)
-    for a, b in zip(tight.entries, loose.entries):
-        assert b.value == pytest.approx(a.value, abs=1e-6)
+def test_two_lattice_error_is_honest():
+    # the fine lattice's values lie within the reported change of a lattice 4x finer still
+    for k in (3, 8, 14):
+        values, err = _converged_values(k)
+        assert 0 < err < buchstab.ACCURACY
+        reference_values = _cascade(k, 1024)
+        assert max(abs(values[r] - reference_values[r]) for r in values) <= err, k
 
 
 def test_tail_sum_positivity_margin_inputs():

@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 
 import wgkit
 from oracles import local_table_per_row
-from wgkit import cli
+from wgkit import buchstab, cli
 from wgkit.cli import _chunks, _encode_row_members, _round12, _write_json, main
 from wgkit.reference import K_RANGE
 
@@ -210,6 +210,18 @@ def test_constants_k3_passes(capsys):
     assert all(e["pass"] for e in table["entries"])
 
 
+def test_constants_fail_when_the_two_lattices_disagree(monkeypatch, capsys):
+    # an accuracy below k = 14's change between the lattices is a verification failure that names it
+    _, change = buchstab._converged_values(14)
+    # the uncached function, so the check runs again and other tests keep the cached tables
+    monkeypatch.setattr(buchstab, "_converged_values", buchstab._converged_values.__wrapped__)
+    monkeypatch.setattr(buchstab, "ACCURACY", change / 2)
+    assert main(["constants", "--k", "14"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"verification failure: c_r changes by {change:.3g} at k=14 ")
+
+
 def test_constants_deterministic_output(capsys):
     _, out1 = run_cli(capsys, ["constants", "--k", "3,4"])
     _, out2 = run_cli(capsys, ["constants", "--k", "3,4"])
@@ -286,20 +298,10 @@ def test_csv_is_refused_before_a_command_without_it_runs(argv, tmp_path, monkeyp
     assert ran == []
 
 
-def test_count_refuses_an_ignored_method(capsys):
-    for what, size in (("mixed", ["--P", "16"]), ("reps", ["--n", "40"])):
-        code = main(["count", "--what", what, "--k", "4", *size, "--method", "exhaustive"])
-        captured = capsys.readouterr()
-        assert code == 2
-        assert captured.out == ""
-        assert "--method" in captured.err
-
-
 def test_count_refuses_oversize_boxes_before_building_them(capsys):
     # each box holds 10^12 integers or more; the budget is checked on its size alone
     for argv in (
         ["count", "--what", "hua4", "--k", "3", "--Q", "1e12"],
-        ["count", "--what", "hua4", "--k", "3", "--Q", "1e12", "--method", "exhaustive"],
         ["count", "--what", "mixed", "--k", "4", "--P", "1e12"],
         ["count", "--what", "triple", "--k", "3", "--N", "1e30"],
     ):
@@ -314,31 +316,6 @@ def test_count_refuses_oversize_boxes_before_building_them(capsys):
         assert captured.out == ""
         assert captured.err.startswith("error: ") and "budget" in captured.err
         assert peak < 2**20, (argv, peak)
-
-
-def test_tol_must_be_positive(capsys):
-    # a tolerance no lattice can meet is a usage error, refused before any cascade
-    for argv in (["constants", "--k", "14", "--tol", tol] for tol in ("0", "-1", "nan")):
-        start = time.perf_counter()
-        code = main(argv)
-        elapsed = time.perf_counter() - start
-        captured = capsys.readouterr()
-        assert code == 2
-        assert captured.out == ""
-        assert "tol must be positive" in captured.err
-        assert elapsed < 0.5
-    assert main(["margin", "--tol", "0"]) == 2
-    assert "tol must be positive" in capsys.readouterr().err
-
-
-def test_tol_must_be_finite(capsys):
-    # any lattice meets an infinite tolerance: the first refinement would pass as converged
-    for argv in (["constants", "--k", "3", "--tol", "inf"], ["margin", "--tol", "inf"]):
-        code = main(argv)
-        captured = capsys.readouterr()
-        assert code == 2
-        assert captured.out == ""
-        assert "tol must be positive and finite, got inf" in captured.err
 
 
 @pytest.mark.parametrize(

@@ -55,6 +55,15 @@ def test_hua4_against_literal_oracle():
 def test_hua4_budget_guard():
     with pytest.raises(BudgetExceeded):
         count_hua4(3, 10**6)
+    # the exhaustive oracle is refused from its box size too, before it builds the box
+    tracemalloc.start()
+    try:
+        with pytest.raises(BudgetExceeded):
+            count_hua4(3, 1e12, method="exhaustive")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
 
 
 def test_mixed_count_structure():

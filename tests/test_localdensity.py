@@ -63,6 +63,13 @@ def test_local_densities_identity_enforced():
         LocalDensities(3, 0, K=1, L=5, Lstar=3, E_p=0.0)
 
 
+def test_local_densities_exact_past_a_double():
+    # from p = 8839 (k = 3), E_p = p L* - (p-1)^6 needs more than a double's 53 bits
+    d = local_densities(8839, 0, 3)
+    assert isinstance(d.E_p, int) and abs(d.E_p) > 2**53
+    assert d.E_p == 8839 * d.Lstar - 8838**6
+
+
 def test_p19_error_term_bound():
     for n in range(19):
         d = local_densities(19, n, 3)
@@ -107,12 +114,12 @@ def test_ep_two_paths_agree():
     for p in (2, 3, 7, 19, 97, 199):
         for n in range(p):
             d = local_densities(p, n, 3)
-            assert ep_via_sums(p, n, 3) == pytest.approx(d.E_p, abs=1e-3)
+            assert ep_via_sums(p, n, 3) == pytest.approx(d.E_p, abs=1e-4)
     # spot checks across the top of the range, where roundoff is tightest
     for p, k in ((211, 3), (307, 14), (401, 7), (499, 5), (499, 12)):
         for n in (0, 1, p // 2, p - 1):
             d = local_densities(p, n, k)
-            assert ep_via_sums(p, n, k) == pytest.approx(d.E_p, abs=1e-3)
+            assert ep_via_sums(p, n, k) == pytest.approx(d.E_p, abs=1e-4)
 
 
 def test_density_normalization():
