@@ -123,14 +123,14 @@ def cmd_sums(args) -> int:
     return 0 if rep.passed else 1
 
 
-def _local_classes(p: int, k: int, fmt: str) -> tuple[list[str], list[bool]]:
-    """The row body after "p" and "n_class", and the row check, per class of n at p.
+def _local_classes(cc: localdensity.ClassCounts, k: int, fmt: str) -> tuple[list[str], list[bool]]:
+    """The row body after "p" and "n_class", and the row check, per class of n at cc.p.
 
-    Column c of ``class_counts`` is class c: the body holds K, L, L*, E_p, its
-    bound and the check, as JSON members or CSV cells, formatted once for all
-    the residues of the class.
+    Column c of ``cc`` is class c: the body holds K, L, L*, E_p, its bound and
+    the check, as JSON members or CSV cells, formatted once for all the
+    residues of the class.
     """
-    cc = localdensity.class_counts(p, k)
+    p = cc.p
     bound = localdensity.ep_bound(p, k)
     bodies, passes = [], []
     for K, L, Lstar in zip(cc.K, cc.L, cc.Lstar):
@@ -154,13 +154,14 @@ def cmd_local(args) -> int:
     failed = False
     # every class body before the first row is written: made while the text
     # grows, the engine's cache entries kept the freed text's pages resident
-    classes = [_local_classes(p, args.k, args.format) for p in primes]
+    counts = localdensity.class_counts_many(primes, args.k)
+    classes = [_local_classes(cc, args.k, args.format) for cc in counts]
 
     def rows():
         # each residue's row is "p", "n_class" spliced in front of its class's body
         nonlocal failed
-        for p, (bodies, passes) in zip(primes, classes):
-            cols = localdensity.class_counts(p, args.k).residue_columns()[: n_res[p]].tolist()
+        for p, cc, (bodies, passes) in zip(primes, counts, classes):
+            cols = cc.residue_columns()[: n_res[p]].tolist()
             failed = failed or not all(passes[c] for c in set(cols))
             if csv:
                 yield from (f"{p},{n},{bodies[c]}\n" for n, c in enumerate(cols))

@@ -25,6 +25,11 @@ Every term is a non-negative count, and L(p,n) <= 2 p (p-1)^4 (the other five
 variables fix x2 up to sign), so int64 arithmetic is exact for p <= 5399;
 larger primes count in Python integers.
 
+``class_counts_many`` computes many primes at once and holds the results per
+k.  Each prime's cyclotomic numbers take O(p) work of their own; the class
+algebra then runs once for all the primes that share G and an integer width,
+as stacked (G + 1)-square integer products indexed by each prime's f and nu.
+
 The error term E_p = p L*(p,n) - (p-1)^6 satisfies the closed form bound
 (p-1)(sqrt p + 1)^2 (2 sqrt p + 1)^3 (13 sqrt p + 1), uniform over powers
 k <= 14, and is cross-checked against an exponential-sum evaluation in
@@ -34,7 +39,7 @@ extended precision.
 from __future__ import annotations
 
 import math
-from collections.abc import Mapping
+from collections.abc import Mapping, Sequence
 from dataclasses import dataclass
 from types import MappingProxyType
 from functools import lru_cache
@@ -61,12 +66,6 @@ class LocalDensities:
             raise VerificationError(f"L = L* + K violated at p={self.p}, n={self.n_mod_p}")
         if self.p * self.Lstar - (self.p - 1) ** 6 != self.E_p:
             raise VerificationError(f"p L* = (p-1)^6 + E_p violated at p={self.p}")
-
-
-def _check_pk(p: int, k: int) -> None:
-    if not is_prime(p):
-        raise ValueError(f"p must be prime, got {p}")
-    check_k(k)
 
 
 @dataclass(frozen=True)
@@ -98,66 +97,102 @@ class ClassCounts:
         return cols
 
 
+# class_counts_many's store: k -> {p: ClassCounts}; entries are never evicted
+_STORE: dict[int, dict[int, ClassCounts]] = {}
+
+
 def class_counts(p: int, k: int) -> ClassCounts:
-    """(K, L, L*) per class of n, exact, for any prime p; cached per (p, k)."""
-    _check_pk(p, k)
-    return _class_counts(p, k)
+    """(K, L, L*) per class of n, exact, for any prime p."""
+    return class_counts_many((p,), k)[0]
 
 
-@lru_cache(maxsize=None)
-def _class_counts(p: int, k: int) -> ClassCounts:
-    """``class_counts`` for a p known to be prime and a checked k.
+def class_counts_many(primes: Sequence[int], k: int) -> list[ClassCounts]:
+    """``class_counts`` at each prime of the sequence ``primes``, in its order.
 
-    A class function v holds v[0] at n = 0 and v[1 + i] on C_i.  With
-    f = (p - 1)/G and -1 in C_nu, convolution with h, v -> sum_x v(x) h(n - x),
-    is the matrix with rows n and columns x
+    The results are held per k, and a call computes only the primes not yet
+    held.  Each of those takes O(p) work of its own, ``_cyclotomic``; then
+    the primes of one coset count G, and of one integer width, share a
+    single pass of stacked (G + 1)-square products, ``_class_algebra``.
+    """
+    check_k(k)
+    store = _STORE.setdefault(k, {})
+    groups: dict[tuple[int, bool], list] = {}
+    for p in sorted({p for p in primes if p not in store}):
+        if not is_prime(p):
+            raise ValueError(f"p must be prime, got {p}")
+        G = math.gcd(math.lcm(2, 3, k), p - 1)
+        groups.setdefault((G, 2 * p * (p - 1) ** 4 < 2**63), []).append((p, *_cyclotomic(p, G)))
+    for (G, narrow), members in groups.items():
+        ps, fs, nus, As, columns = zip(*members)
+        dtype = np.int64 if narrow else object
+        K, L, Lstar = _class_algebra(k, G, dtype, np.array(fs), np.array(nus), np.stack(As))
+        bad = (L != Lstar + K).any(axis=1)
+        if bad.any():
+            raise VerificationError(f"L = L* + K fails at p={ps[bad.argmax()]}, k={k}")
+        for p, f, cols, *v in zip(ps, fs, columns, K.tolist(), L.tolist(), Lstar.tolist()):
+            store[p] = ClassCounts(p, f, cols, *map(tuple, v))
+    return [store[p] for p in primes]
+
+
+def _cyclotomic(p: int, G: int) -> tuple[int, int, np.ndarray, Mapping[int, int]]:
+    """f = (p - 1)/G, the class nu of -1, the cyclotomic numbers A and the column map at p.
+
+    A[a][b] = #{x in C_a : 1 + x in C_b} is one O(p) bincount.
+    """
+    f = (p - 1) // G
+    pw = _generator_powers(p)
+    cls = np.arange(p - 1) % G  # g^s lies in C_(s mod G)
+    coset = np.empty(p + 1, dtype=np.int64)
+    coset[pw] = cls
+    coset[p] = G  # 1 + x = p = 0 is in no coset: counted in a column that is dropped
+    A = np.bincount(cls * (G + 1) + coset[pw + 1], minlength=G * (G + 1)).reshape(G, G + 1)[:, :G]
+    nu = (p - 1) // 2 % G  # -1 = g^((p-1)/2)
+    # n^f = g^(i f) exactly when n lies in C_i
+    columns = MappingProxyType({0: 0} | dict(zip(pw[::f].tolist(), range(1, G + 1))))
+    return f, nu, A, columns
+
+
+def _class_algebra(k: int, G: int, dtype, f: np.ndarray, nu: np.ndarray, A: np.ndarray):
+    """(K, L, L*), each of shape (m, G + 1), for m primes of coset count G.
+
+    ``f``, ``nu`` and ``A`` (m x G x G) are the primes' ``_cyclotomic``
+    values.  A class function v holds v[0] at n = 0 and v[1 + i] on C_i.
+    Convolution with h, v -> sum_x v(x) h(n - x), is the matrix with rows n
+    and columns x
 
         n in C_l, x in C_i:   h(0) [i = l] + sum_j h_j A[i - l + nu][j - l],
         n in C_l, x = 0:      h_l,
         n = 0,    x in C_i:   f h_{i + nu},
         n = 0,    x = 0:      h(0),
 
-    whose entries are at most 14 p.  One O(p) bincount gives A, then each
-    count takes a few (G + 1)-square matrix-vector products.
+    whose entries are at most 14 p, so every matrix is built in int64 and
+    the products run in ``dtype``.
     """
-    G = math.gcd(math.lcm(2, 3, k), p - 1)
-    f = (p - 1) // G
-    pw = _generator_powers(p)
-    cls = np.arange(p - 1) % G  # g^s lies in C_(s mod G)
-    coset = np.empty(p, dtype=np.int64)
-    coset[pw] = cls
-    succ = (pw + 1) % p
-    unit = succ != 0
-    A = np.bincount(cls[unit] * G + coset[succ[unit]], minlength=G * G).reshape(G, G)
-    nu = (p - 1) // 2 % G  # -1 = g^((p-1)/2)
-    r = np.arange(G)
-    dtype = np.int64 if 2 * p * (p - 1) ** 4 < 2**63 else object
+    m, r = len(f), np.arange(G)
+    twist = (r - r[:, None] + nu[:, None, None]) % G  # [., l, i] = i - l + nu
 
     def conv_matrix(h: np.ndarray) -> np.ndarray:
-        M = np.empty((G + 1, G + 1), dtype=np.int64)
-        M[0, 0] = h[0]
-        M[0, 1:] = f * h[1 + (r + nu) % G]
-        M[1:, 0] = h[1:]
-        shifted = h[1:][(r[:, None] + r) % G] @ A.T  # [l, a] = sum_j h_{j+l} A[a][j]
-        M[1:, 1:] = shifted[r[:, None], (r - r[:, None] + nu) % G] + h[0] * np.eye(G, dtype=np.int64)
+        M = np.empty((m, G + 1, G + 1), dtype=np.int64)
+        M[:, 0, 0] = h[0]
+        M[:, 0, 1:] = f[:, None] * h[1 + (r + nu[:, None]) % G]
+        M[:, 1:, 0] = h[1:]
+        shifted = h[1:][(r[:, None] + r) % G] @ A.transpose(0, 2, 1)  # [., l, a] = sum_j h_{j+l} A[a][j]
+        M[:, 1:, 1:] = np.take_along_axis(shifted, twist, axis=2) + h[0] * np.eye(G, dtype=np.int64)
         return M.astype(dtype)
 
     def unit_powers(j: int) -> np.ndarray:
-        d = math.gcd(j, p - 1)
+        d = math.gcd(j, G)  # = gcd(j, p - 1), as j divides lcm(2, 3, k)
         return np.concatenate(([0], np.where(r % d == 0, d, 0)))
+
+    def apply(M: np.ndarray, v: np.ndarray) -> np.ndarray:
+        return (M @ v[..., None])[..., 0]
 
     h2 = unit_powers(2)
     h2[0] = 1  # x1 = 0
     a2, a3 = conv_matrix(unit_powers(2)), conv_matrix(unit_powers(3))
-    T = a3 @ (a3 @ (a3 @ unit_powers(k).astype(dtype)))
-    K = a2 @ T
-    Lstar = a2 @ K
-    L = conv_matrix(h2) @ K
-    if (L != Lstar + K).any():
-        raise VerificationError(f"L = L* + K fails at p={p}, k={k}")
-    # n^f = g^(i f) exactly when n lies in C_i
-    columns = MappingProxyType({0: 0} | {int(pw[i * f]): 1 + i for i in range(G)})
-    return ClassCounts(p, f, columns, *(tuple(v.tolist()) for v in (K, L, Lstar)))
+    T = apply(a3, apply(a3, apply(a3, unit_powers(k).astype(dtype))))
+    K = apply(a2, T)
+    return K, apply(conv_matrix(h2), K), apply(a2, K)
 
 
 def _by_residue(p: int, k: int, dtype) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

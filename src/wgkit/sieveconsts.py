@@ -17,16 +17,13 @@ import math
 from dataclasses import dataclass
 
 from .arith import factorize, mobius, primes_up_to
+from .localdensity import class_counts_many
 from .reference import check_k
 from .singint import box_size
 from .singular import _omega_p, omega
 
 EULER_GAMMA = 0.57721566490153286
 EXP_GAMMA = math.exp(EULER_GAMMA)
-
-# Bookkeeping constant from the asymptotic argument; Q0 = (log n)^(50 A) is
-# stored as an exponent only and never materialized.
-BIG_A = 1e200
 
 
 @dataclass(frozen=True)
@@ -44,7 +41,6 @@ class Parameters:
     xk_star: float
     D: float
     z: float
-    q0_log_power: float  # Q0 = (log n) ** q0_log_power, kept symbolic
     Q1: float
     Q2: float
 
@@ -83,7 +79,6 @@ def params(n: int, k: int, eps: float = 1e-4) -> Parameters:
         xk_star=box_size(n, k, star=True),
         D=D,
         z=z,
-        q0_log_power=50 * BIG_A,
         Q1=float(n) ** (5.0 / 9 - 5.0 / (6 * k) + 50 * eps),
         Q2=float(n) ** (4.0 / 9 + 5.0 / (6 * k) - 50 * eps),
     )
@@ -124,7 +119,9 @@ def sieve_product(n: int, k: int, z: float) -> float:
     if z <= 3.0:
         raise ValueError(f"need z > 3 for a nonempty product, got {z}")
     log_sum = 0.0
-    for p in primes_up_to(math.ceil(z) - 1)[1:]:  # odd primes strictly below z
+    primes = primes_up_to(math.ceil(z) - 1)[1:]  # odd primes strictly below z
+    class_counts_many(primes, k)
+    for p in primes:
         frac = _omega_p(p, n % p, k) / p
         if frac >= 1.0:
             return 0.0

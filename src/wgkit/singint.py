@@ -1,9 +1,7 @@
-"""The archimedean density factor J(n) and the oscillatory box integrals.
+"""The archimedean density factor J(n).
 
-J(n) is defined through oscillatory integrals w_j(lam) = int_X^2X e(lam u^j) du,
-but is evaluated here in its exactly equivalent real-density form: solving the
-constraint u1^2 + u2^2 + u3^3 + u4^3 + u5^3 + u6^k = n for u1 = sqrt(t) turns
-the Fourier integral into
+J(n) is evaluated in its real-density form: solving the constraint
+u1^2 + u2^2 + u3^3 + u4^3 + u5^3 + u6^k = n for u1 = sqrt(t) gives
 
     J(n) = int over the box of  (2 sqrt(t))^(-1)  du2..du6,
     t = n - u2^2 - u3^3 - u4^3 - u5^3 - u6^k  constrained to (X2^2, 4 X2^2],
@@ -26,54 +24,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import BudgetExceeded
 from .reference import check_k
 
 METHOD = "arcsin_gauss_legendre"
-
-# nodes one Simpson pass of oscillatory_box_integral may evaluate (a few hundred MB)
-NODE_BUDGET = 10**7
 
 
 def expected_growth_exponent(k: int) -> float:
     """Exponent of the growth order of J(n): 17/18 + 5/(6k)."""
     check_k(k)
     return 17.0 / 18.0 + 5.0 / (6.0 * k)
-
-
-def oscillatory_box_integral(j: int, X: float, lam: float, tol: float = 1e-9) -> complex:
-    """w_j(lam) = int_X^{2X} e(lam u^j) du by refined composite Simpson.
-
-    The panel count doubles until two passes agree to ``tol * max(X, 1)``; a
-    pass over ``NODE_BUDGET`` nodes is refused with ``BudgetExceeded`` before
-    it is built.  The modulus never exceeds X (triangle inequality), which is
-    asserted.
-    """
-    if X <= 0:
-        raise ValueError(f"X must be positive, got {X}")
-    if j < 1:
-        raise ValueError(f"j must be >= 1, got {j}")
-    cycles = abs(lam) * ((2 * X) ** j - X**j)
-    panels = max(64, int(16 * cycles))
-
-    def simpson(npanels: int) -> complex:
-        if 2 * npanels + 1 > NODE_BUDGET:
-            raise BudgetExceeded(
-                f"w_{j}({lam}) over ({X}, {2 * X}] needs a Simpson pass over {NODE_BUDGET} nodes"
-            )
-        u = np.linspace(X, 2 * X, 2 * npanels + 1)
-        f = np.exp(2j * np.pi * lam * u**j)
-        w = np.ones(u.size)
-        w[1:-1:2] = 4.0
-        w[2:-1:2] = 2.0
-        return complex((f * w).sum() * (X / (2 * npanels)) / 3.0)
-
-    est, panels = simpson(panels), 2 * panels
-    while abs((nxt := simpson(panels)) - est) > tol * max(X, 1.0):
-        est, panels = nxt, 2 * panels
-    if abs(nxt) > X * (1 + 1e-9):
-        raise AssertionError(f"|w| = {abs(nxt)} exceeds the box length {X}")
-    return nxt
 
 
 @dataclass(frozen=True)

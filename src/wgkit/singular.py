@@ -13,7 +13,8 @@ the Euler product over first powers,
     S_d(n) = prod_p (1 + A_d(p, n)),
 
 whose factors are exact rationals of local solution counts, read from the
-exact per-class engine ``localdensity.class_counts``:
+exact per-class engine ``localdensity.class_counts_many``, asked once for the
+whole prime range of a product:
 
     p not dividing d:  1 + A_d(p,n) = L(p,n) / (p-1)^5,
     p dividing d:      1 + A_d(p,n) = p K(p,n) / (p-1)^5.
@@ -33,7 +34,7 @@ import numpy as np
 from .arith import FactoredInt, factorize, is_prime, primes_up_to
 from .errors import VerificationError
 from .expsums import _unit_mask, complete_sums_all, unit_sums_all
-from .localdensity import _class_counts
+from .localdensity import class_counts_many
 from .reference import check_k
 
 TAIL_PRIME_CONSTANT = 200.0  # |A(p,n)| <= 200/p^2 for p >= 29
@@ -101,7 +102,7 @@ def euler_factor(p: int, d: int, n: int, k: int) -> EulerFactor:
 
 def _euler_factor(p: int, d: int, n: int, k: int) -> EulerFactor:
     """``euler_factor`` for a p known to be prime and checked n, k."""
-    K, L, _ = _class_counts(p, k).at(n)
+    K, L, _ = class_counts_many((p,), k)[0].at(n)
     num = p * K if d % p == 0 else L
     value = float(num) / (p - 1) ** 5
     return EulerFactor(p, d, value)
@@ -149,7 +150,9 @@ def singular_series(n: int, d, k: int, p_max: int = 10**4) -> SingularSeriesEval
     factors = []
     log_sum = 0.0
     zero = False
-    for p in primes_up_to(p_max):
+    primes = primes_up_to(p_max)
+    class_counts_many(primes, k)
+    for p in primes:
         f = _euler_factor(p, fd.value, n, k)
         factors.append(f)
         if f.value <= 0.0:
@@ -168,7 +171,7 @@ def singular_series(n: int, d, k: int, p_max: int = 10**4) -> SingularSeriesEval
 
 @lru_cache(maxsize=None)
 def _omega_p(p: int, n_mod: int, k: int) -> float:
-    kv, lv, _ = _class_counts(p, k).at(n_mod)
+    kv, lv, _ = class_counts_many((p,), k)[0].at(n_mod)
     if lv <= 0:
         raise VerificationError(f"L(p,n) vanished at p={p}, n={n_mod}")
     return p * float(kv) / float(lv)

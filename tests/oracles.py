@@ -70,25 +70,32 @@ def brute_density_vectorized(p: int, k: int) -> tuple[np.ndarray, np.ndarray, np
 
 
 def convolution_counts(p: int, k: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(K, L, L*) for all residues by int64 cyclic convolution of the power
+    """(K, L, L*) for all residues by cyclic convolution of the power
     histograms: T = h3u * h3u * h3u * hku, K = h2u * T, L* = h2u * K, L = h2 * K.
 
-    O(p^2); exact while the mass p (p-1)^5 of L stays below 2^62, i.e. p <= 1289.
+    O(p^2) and exact for every p: the counts are Python integers, convolved in
+    float64 one limb of ``52 - p.bit_length()`` bits at a time, so every
+    partial sum is an integer below (mass of a histogram, at most p) * 2^bits
+    <= 2^52 and is held exactly.
     """
-    assert p * (p - 1) ** 5 < 2**62
+    bits = 52 - p.bit_length()
 
     def hist(j: int, units: bool) -> np.ndarray:
         xs = range(1, p) if units else range(p)
         return np.bincount([pow(x, j, p) for x in xs], minlength=p).astype(np.int64)
 
-    def cyclic(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        full = np.convolve(a, b)
-        out = full[:p].copy()
-        out[: p - 1] += full[p:]
+    def cyclic(a: np.ndarray, b: np.ndarray) -> np.ndarray:  # a histogram, b counts
+        out, b, shift = np.zeros(p, dtype=object), b.astype(object), 0
+        while b.any():
+            full = np.convolve(a, (b & (2**bits - 1)).astype(np.float64))
+            limb = full[:p].copy()
+            limb[: p - 1] += full[p:]
+            out += limb.astype(np.int64).astype(object) << shift
+            b, shift = b >> bits, shift + bits
         return out
 
     h2u, h3u = hist(2, True), hist(3, True)
-    K = cyclic(h2u, cyclic(cyclic(cyclic(h3u, h3u), h3u), hist(k, True)))
+    K = cyclic(h2u, cyclic(hist(k, True), cyclic(h3u, cyclic(h3u, h3u))))
     return K, cyclic(hist(2, False), K), cyclic(h2u, K)
 
 

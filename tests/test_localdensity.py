@@ -9,11 +9,12 @@ from oracles import brute_density_loops, brute_density_vectorized, convolution_c
 from wgkit.arith import primes_up_to
 from wgkit.cli import main
 from wgkit.errors import VerificationError
+from wgkit import localdensity
 from wgkit.expsums import power_hist
 from wgkit.localdensity import (
     LocalDensities,
-    _class_counts,
     class_counts,
+    class_counts_many,
     densities_float_all,
     ep_bound,
     ep_via_sums,
@@ -238,20 +239,40 @@ def test_class_count_masses_beyond_exact_range(k):
         assert all(l == ls + c for l, ls, c in zip(L, Ls, K))
 
 
-def test_class_counts_cached_per_prime_and_power():
+def test_class_counts_cached_per_prime_and_power(monkeypatch):
     from wgkit.sieveconsts import sieve_product
     from wgkit.singular import _omega_p
 
     z, k = 1000, 3
     odd = [p for p in primes_up_to(z - 1) if p > 2]
-    _omega_p.cache_clear()  # so every prime below z asks the engine, whatever ran before
+    computed = []
+    cyclotomic = localdensity._cyclotomic
+    monkeypatch.setattr(localdensity, "_cyclotomic", lambda p, G: computed.append(p) or cyclotomic(p, G))
+    monkeypatch.setitem(localdensity._STORE, k, {})  # an empty store for k, whatever ran before
+    _omega_p.cache_clear()  # so every prime below z asks the engine
     sieve_product(2 * 10**6 + 2, k, z)
-    before = _class_counts.cache_info()
+    assert computed == odd
     sieve_product(2 * 10**6 + 4, k, z)  # a new target: new residues, same (p, k)
-    after = _class_counts.cache_info()
-    assert after.misses == before.misses
-    assert after.hits - before.hits == len(odd)
+    assert computed == odd  # no prime computed again
+    held = localdensity._STORE[k]
     for p in odd:
-        cc = class_counts(p, k)
+        cc = held[p]
         size = _coset_count(p, k) + 1
         assert len(cc.K) == len(cc.L) == len(cc.Lstar) == len(cc.columns) == size
+
+
+@pytest.mark.parametrize("k", [3, 4, 14])
+def test_one_batch_matches_the_oracle_at_every_prime(monkeypatch, k):
+    # one call, unsorted and with a repeat (3), over p = 2, 3, every prime to
+    # 700 and both sides of the int64/object edge: its G-groups hold primes of
+    # different f and nu, each of which must reach its own prime's algebra
+    primes = [5407, *primes_up_to(700)[::-1], 5399, 3]
+    monkeypatch.setitem(localdensity._STORE, k, {})
+    counts = class_counts_many(primes, k)
+    assert [cc.p for cc in counts] == primes
+    assert counts[-1] is counts[primes.index(3)]
+    for cc in counts:
+        exact = list(zip(*(v.tolist() for v in convolution_counts(cc.p, k))))
+        assert [cc.at(n) for n in range(cc.p)] == exact, cc.p
+    with pytest.raises(ValueError, match="p must be prime, got 9"):
+        class_counts_many([5, 9], k)

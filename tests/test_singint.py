@@ -2,14 +2,11 @@
 import numpy as np
 import pytest
 
-from wgkit import singint
-from wgkit.errors import BudgetExceeded
 from wgkit.singint import (
     _quadrature,
     _u2_integral,
     box_size,
     expected_growth_exponent,
-    oscillatory_box_integral,
     singular_integral,
 )
 
@@ -19,47 +16,6 @@ def test_expected_exponents():
     assert expected_growth_exponent(14) == pytest.approx(17 / 18 + 5 / 84)
     with pytest.raises(ValueError):
         expected_growth_exponent(2)
-
-
-def test_oscillatory_integral_at_zero():
-    for j, X in ((2, 10.0), (3, 100.0), (14, 5.0)):
-        w = oscillatory_box_integral(j, X, 0.0)
-        assert w == pytest.approx(X, rel=1e-12)
-
-
-def test_oscillatory_integral_triangle_bound_and_decay():
-    X = 50.0
-    mags = []
-    for lam in (0.0, 1e-5, 1e-4, 1e-3):
-        w = oscillatory_box_integral(2, X, lam)
-        assert abs(w) <= X * (1 + 1e-9)
-        mags.append(abs(w))
-    # decays once the phase turns over many cycles
-    assert mags[-1] < 0.2 * X
-    # report-style profile: |w| * (1 + lam * X^2) / X stays bounded (decay
-    # at the 1/(lam n)-scale with n ~ X^2)
-    profile = [
-        abs(oscillatory_box_integral(2, X, lam)) * (1 + lam * X * X) / X
-        for lam in (1e-5, 1e-4, 1e-3, 1e-2)
-    ]
-    assert max(profile) < 10.0
-    # agreement with a straightforward Riemann check at moderate oscillation
-    lam = 2e-4
-    u = np.linspace(X, 2 * X, 200001)
-    ref = np.trapezoid(np.exp(2j * np.pi * lam * u**2), u)
-    assert oscillatory_box_integral(2, X, lam) == pytest.approx(complex(ref), abs=1e-6 * X)
-
-
-def test_oscillatory_integral_refuses_a_pass_over_budget(monkeypatch):
-    # ~3e6 cycles would need ~1e8 nodes (several GB): refused before any is built
-    with pytest.raises(BudgetExceeded, match="Simpson pass over 10000000 nodes"):
-        oscillatory_box_integral(2, 1000.0, 1.0)
-    # 7.5 cycles start at 241 nodes and converge at 3841: under a 1000-node
-    # budget the doubling stops at 961 with a refusal, not an unconverged value
-    assert oscillatory_box_integral(2, 50.0, 1e-3) == pytest.approx(-0.0562606026 - 2.3824925450j, abs=1e-9)
-    monkeypatch.setattr(singint, "NODE_BUDGET", 1000)
-    with pytest.raises(BudgetExceeded, match="Simpson pass over 1000 nodes"):
-        oscillatory_box_integral(2, 50.0, 1e-3)
 
 
 def test_singular_integral_empty_region():
