@@ -77,10 +77,17 @@ def primes_up_to(limit: int) -> list[int]:
 
 
 def is_prime(n: int) -> bool:
-    """Deterministic primality test for the supported (64-bit) range."""
+    """Deterministic primality test: the prime table up to 10**6, Miller-Rabin above."""
+    if n <= TRIAL_TABLE_LIMIT:
+        return n >= 2 and bool(_sieve(TRIAL_TABLE_LIMIT)[n])
+    return _miller_rabin(n)
+
+
+def _miller_rabin(n: int) -> bool:
+    """Miller-Rabin with the witnesses of ``_MR_WITNESSES``, deterministic below 3.3 * 10**24."""
     if n < 2:
         return False
-    for p in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
+    for p in _MR_WITNESSES:
         if n % p == 0:
             return n == p
     d = n - 1

@@ -133,8 +133,7 @@ def _local_classes(cc: localdensity.ClassCounts, k: int, fmt: str) -> tuple[list
     p = cc.p
     bound = localdensity.ep_bound(p, k)
     bodies, passes = [], []
-    for K, L, Lstar in zip(cc.K, cc.L, cc.Lstar):
-        ep = p * Lstar - (p - 1) ** 6
+    for K, L, Lstar, ep in zip(cc.K, cc.L, cc.Lstar, cc.E_p):
         ok = abs(ep) <= bound and L > K and Lstar > 0 and (abs(ep) < (p - 1) ** 6 if p >= 19 else True)
         body = {"K": K, "L": L, "Lstar": Lstar, "E_p": float(ep), "bound": float(bound), "pass": ok}
         bodies.append(_csv_cells(body.values()) if fmt == "csv" else _encode_row_members(_round12(body))[1:-1])
@@ -161,7 +160,7 @@ def cmd_local(args) -> int:
         # each residue's row is "p", "n_class" spliced in front of its class's body
         nonlocal failed
         for p, cc, (bodies, passes) in zip(primes, counts, classes):
-            cols = cc.residue_columns()[: n_res[p]].tolist()
+            cols = cc.classes[: n_res[p]].tolist()
             failed = failed or not all(passes[c] for c in set(cols))
             if csv:
                 yield from (f"{p},{n},{bodies[c]}\n" for n, c in enumerate(cols))

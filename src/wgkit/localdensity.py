@@ -26,9 +26,12 @@ variables fix x2 up to sign), so int64 arithmetic is exact for p <= 5399;
 larger primes count in Python integers.
 
 ``class_counts_many`` computes many primes at once and holds the results per
-k.  Each prime's cyclotomic numbers take O(p) work of their own; the class
-algebra then runs once for all the primes that share G and an integer width,
-as stacked (G + 1)-square integer products indexed by each prime's f and nu.
+k, one ``ClassCounts`` per prime: the three counts and E_p per class, and the
+class of every residue mod p (p bytes), the one residue -> class map that
+every caller reads.  Each prime's class map and cyclotomic numbers take O(p)
+work of their own; the class algebra then runs once for all the primes that
+share G and an integer width, as stacked (G + 1)-square integer products
+indexed by each prime's f and nu.
 
 The error term E_p = p L*(p,n) - (p-1)^6 satisfies the closed form bound
 (p-1)(sqrt p + 1)^2 (2 sqrt p + 1)^3 (13 sqrt p + 1), uniform over powers
@@ -39,9 +42,8 @@ extended precision.
 from __future__ import annotations
 
 import math
-from collections.abc import Mapping, Sequence
-from dataclasses import dataclass
-from types import MappingProxyType
+from collections.abc import Sequence
+from dataclasses import dataclass, field
 from functools import lru_cache
 
 import numpy as np
@@ -53,48 +55,30 @@ from .reference import K_RANGE, check_k
 
 
 @dataclass(frozen=True)
-class LocalDensities:
-    p: int
-    n_mod_p: int
-    K: int
-    L: int
-    Lstar: int
-    E_p: int
-
-    def __post_init__(self):
-        if self.L != self.Lstar + self.K:
-            raise VerificationError(f"L = L* + K violated at p={self.p}, n={self.n_mod_p}")
-        if self.p * self.Lstar - (self.p - 1) ** 6 != self.E_p:
-            raise VerificationError(f"p L* = (p-1)^6 + E_p violated at p={self.p}")
-
-
-@dataclass(frozen=True)
 class ClassCounts:
     """K, L and L* at one (p, k) as exact values per class of the target residue.
 
     Column 0 holds n = 0 mod p and column 1 + i holds the n in the coset
-    C_i = g^i H_G (g the least primitive root).  ``columns`` maps the G-th
-    root of unity n^exponent mod p, and 0 for n = 0, to the column; it has
-    G + 1 entries, like each count.
+    C_i = g^i H_G (g the least primitive root), so each count has G + 1
+    entries.  ``classes`` is the column of every residue n = 0..p-1, a
+    read-only uint8 array (G + 1 <= 79).
     """
 
     p: int
-    exponent: int  # (p - 1) / G
-    columns: Mapping[int, int]
+    classes: np.ndarray = field(compare=False, repr=False)
     K: tuple[int, ...]
     L: tuple[int, ...]
     Lstar: tuple[int, ...]
 
     def at(self, n: int) -> tuple[int, int, int]:
         """(K, L, L*) at the target n."""
-        c = self.columns[pow(n, self.exponent, self.p)]
+        c = self.classes[n % self.p]
         return self.K[c], self.L[c], self.Lstar[c]
 
-    def residue_columns(self) -> np.ndarray:
-        """The column of every residue n = 0..p-1: 0 for n = 0, 1 + (s mod G) for n = g^s."""
-        cols = np.zeros(self.p, dtype=np.intp)
-        cols[_generator_powers(self.p)] = 1 + np.arange(self.p - 1) % (len(self.K) - 1)
-        return cols
+    @property
+    def E_p(self) -> tuple[int, ...]:
+        """The error term E_p = p L* - (p-1)^6 per class, exact."""
+        return tuple(self.p * Lstar - (self.p - 1) ** 6 for Lstar in self.Lstar)
 
 
 # class_counts_many's store: k -> {p: ClassCounts}; entries are never evicted
@@ -123,33 +107,33 @@ def class_counts_many(primes: Sequence[int], k: int) -> list[ClassCounts]:
         G = math.gcd(math.lcm(2, 3, k), p - 1)
         groups.setdefault((G, 2 * p * (p - 1) ** 4 < 2**63), []).append((p, *_cyclotomic(p, G)))
     for (G, narrow), members in groups.items():
-        ps, fs, nus, As, columns = zip(*members)
+        ps, fs, nus, As, classes = zip(*members)
         dtype = np.int64 if narrow else object
         K, L, Lstar = _class_algebra(k, G, dtype, np.array(fs), np.array(nus), np.stack(As))
         bad = (L != Lstar + K).any(axis=1)
         if bad.any():
             raise VerificationError(f"L = L* + K fails at p={ps[bad.argmax()]}, k={k}")
-        for p, f, cols, *v in zip(ps, fs, columns, K.tolist(), L.tolist(), Lstar.tolist()):
-            store[p] = ClassCounts(p, f, cols, *map(tuple, v))
+        for p, cls, *v in zip(ps, classes, K.tolist(), L.tolist(), Lstar.tolist()):
+            store[p] = ClassCounts(p, cls, *map(tuple, v))
     return [store[p] for p in primes]
 
 
-def _cyclotomic(p: int, G: int) -> tuple[int, int, np.ndarray, Mapping[int, int]]:
-    """f = (p - 1)/G, the class nu of -1, the cyclotomic numbers A and the column map at p.
+def _cyclotomic(p: int, G: int) -> tuple[int, int, np.ndarray, np.ndarray]:
+    """f = (p - 1)/G, the class nu of -1, the cyclotomic numbers A and the class map at p.
 
-    A[a][b] = #{x in C_a : 1 + x in C_b} is one O(p) bincount.
+    A[a][b] = #{x in C_a : 1 + x in C_b} is one O(p) bincount over the
+    columns: x = g^s lies in C_(s mod G), column 1 + (s mod G).
     """
     f = (p - 1) // G
     pw = _generator_powers(p)
-    cls = np.arange(p - 1) % G  # g^s lies in C_(s mod G)
-    coset = np.empty(p + 1, dtype=np.int64)
-    coset[pw] = cls
-    coset[p] = G  # 1 + x = p = 0 is in no coset: counted in a column that is dropped
-    A = np.bincount(cls * (G + 1) + coset[pw + 1], minlength=G * (G + 1)).reshape(G, G + 1)[:, :G]
+    cls = np.arange(p - 1) % G
+    classes = np.zeros(p + 1, dtype=np.uint8)  # index p stands for 0 mod p: column 0
+    classes[pw] = 1 + cls
+    classes.setflags(write=False)
+    # 1 + x = 0 falls in column 0, which is dropped
+    A = np.bincount(cls * (G + 1) + classes[pw + 1], minlength=G * (G + 1)).reshape(G, G + 1)[:, 1:]
     nu = (p - 1) // 2 % G  # -1 = g^((p-1)/2)
-    # n^f = g^(i f) exactly when n lies in C_i
-    columns = MappingProxyType({0: 0} | dict(zip(pw[::f].tolist(), range(1, G + 1))))
-    return f, nu, A, columns
+    return f, nu, A, classes[:p]
 
 
 def _class_algebra(k: int, G: int, dtype, f: np.ndarray, nu: np.ndarray, A: np.ndarray):
@@ -195,27 +179,17 @@ def _class_algebra(k: int, G: int, dtype, f: np.ndarray, nu: np.ndarray, A: np.n
     return K, apply(conv_matrix(h2), K), apply(a2, K)
 
 
-def _by_residue(p: int, k: int, dtype) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(K, L, L*) of ``class_counts`` spread over the residues n = 0..p-1."""
-    cc = class_counts(p, k)
-    cols = cc.residue_columns()
-    return tuple(np.array(v, dtype=dtype)[cols] for v in (cc.K, cc.L, cc.Lstar))
-
-
 def local_densities_all(p: int, k: int) -> tuple[tuple[int, ...], tuple[int, ...], tuple[int, ...]]:
     """(K, L, L*) for every residue n mod p, exact."""
-    return tuple(tuple(v.tolist()) for v in _by_residue(p, k, object))
+    cc = class_counts(p, k)
+    cols = cc.classes.tolist()
+    return tuple(tuple(v[c] for c in cols) for v in (cc.K, cc.L, cc.Lstar))
 
 
 def densities_float_all(p: int, k: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(K, L, L*) for every residue as floats, each the exact count correctly rounded."""
-    return _by_residue(p, k, float)
-
-
-def local_densities(p: int, n: int, k: int) -> LocalDensities:
-    """The triple (K, L, L*) plus E_p for one prime and target residue."""
-    K, L, Lstar = class_counts(p, k).at(n)
-    return LocalDensities(p, n % p, K, L, Lstar, p * Lstar - (p - 1) ** 6)
+    cc = class_counts(p, k)
+    return tuple(np.array(v, dtype=float)[cc.classes] for v in (cc.K, cc.L, cc.Lstar))
 
 
 def ep_bound(p: int, k: int = K_RANGE[-1]) -> float:

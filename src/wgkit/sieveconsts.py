@@ -119,10 +119,8 @@ def sieve_product(n: int, k: int, z: float) -> float:
     if z <= 3.0:
         raise ValueError(f"need z > 3 for a nonempty product, got {z}")
     log_sum = 0.0
-    primes = primes_up_to(math.ceil(z) - 1)[1:]  # odd primes strictly below z
-    class_counts_many(primes, k)
-    for p in primes:
-        frac = _omega_p(p, n % p, k) / p
+    for cc in class_counts_many(primes_up_to(math.ceil(z) - 1)[1:], k):  # odd primes strictly below z
+        frac = _omega_p(cc, n) / cc.p
         if frac >= 1.0:
             return 0.0
         log_sum += math.log1p(-frac)

@@ -13,28 +13,28 @@ the Euler product over first powers,
     S_d(n) = prod_p (1 + A_d(p, n)),
 
 whose factors are exact rationals of local solution counts, read from the
-exact per-class engine ``localdensity.class_counts_many``, asked once for the
-whole prime range of a product:
+``ClassCounts`` of the exact per-class engine ``localdensity.class_counts_many``,
+asked once for the whole prime range of a product:
 
     p not dividing d:  1 + A_d(p,n) = L(p,n) / (p-1)^5,
     p dividing d:      1 + A_d(p,n) = p K(p,n) / (p-1)^5.
 
 Truncating at p_max >= 29 leaves a tail controlled by |A(p,n)| <= 200 / p^2.
 The sieve density is omega(p) = p K(p,n) / L(p,n), multiplicative in d.
+Both read the engine's store directly; nothing here holds a cache of its own.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
 from .arith import FactoredInt, factorize, is_prime, primes_up_to
 from .errors import VerificationError
 from .expsums import _unit_mask, complete_sums_all, unit_sums_all
-from .localdensity import class_counts_many
+from .localdensity import ClassCounts, class_counts_many
 from .reference import check_k
 
 TAIL_PRIME_CONSTANT = 200.0  # |A(p,n)| <= 200/p^2 for p >= 29
@@ -97,15 +97,15 @@ def euler_factor(p: int, d: int, n: int, k: int) -> EulerFactor:
     if not is_prime(p):
         raise ValueError(f"p must be prime, got {p}")
     _check_nk(n, k)
-    return _euler_factor(p, d, n, k)
+    return _euler_factor(class_counts_many((p,), k)[0], d, n)
 
 
-def _euler_factor(p: int, d: int, n: int, k: int) -> EulerFactor:
-    """``euler_factor`` for a p known to be prime and checked n, k."""
-    K, L, _ = class_counts_many((p,), k)[0].at(n)
+def _euler_factor(cc: ClassCounts, d: int, n: int) -> EulerFactor:
+    """``euler_factor`` at the prime of ``cc``, for a checked n."""
+    p = cc.p
+    K, L, _ = cc.at(n)
     num = p * K if d % p == 0 else L
-    value = float(num) / (p - 1) ** 5
-    return EulerFactor(p, d, value)
+    return EulerFactor(p, d, float(num) / (p - 1) ** 5)
 
 
 def euler_factor_via_sums(p: int, d: int, n: int, k: int) -> EulerFactor:
@@ -150,15 +150,13 @@ def singular_series(n: int, d, k: int, p_max: int = 10**4) -> SingularSeriesEval
     factors = []
     log_sum = 0.0
     zero = False
-    primes = primes_up_to(p_max)
-    class_counts_many(primes, k)
-    for p in primes:
-        f = _euler_factor(p, fd.value, n, k)
+    for cc in class_counts_many(primes_up_to(p_max), k):
+        f = _euler_factor(cc, fd.value, n)
         factors.append(f)
         if f.value <= 0.0:
             if f.value < 0.0:
                 raise VerificationError(
-                    f"Euler factor negative at p={p}: {f.value} (impossible for even n)"
+                    f"Euler factor negative at p={f.p}: {f.value} (impossible for even n)"
                 )
             zero = True
         else:
@@ -169,11 +167,12 @@ def singular_series(n: int, d, k: int, p_max: int = 10**4) -> SingularSeriesEval
     return SingularSeriesEval(n, fd, k, p_max, value, tail, tuple(factors))
 
 
-@lru_cache(maxsize=None)
-def _omega_p(p: int, n_mod: int, k: int) -> float:
-    kv, lv, _ = class_counts_many((p,), k)[0].at(n_mod)
+def _omega_p(cc: ClassCounts, n: int) -> float:
+    """omega(p) = p K(p,n) / L(p,n) at the prime of ``cc``."""
+    p = cc.p
+    kv, lv, _ = cc.at(n)
     if lv <= 0:
-        raise VerificationError(f"L(p,n) vanished at p={p}, n={n_mod}")
+        raise VerificationError(f"L(p,n) vanished at p={p}, n={n % p}")
     return p * float(kv) / float(lv)
 
 
@@ -184,6 +183,6 @@ def omega(d, n: int, k: int) -> float:
     if not fd.is_squarefree():
         raise ValueError(f"omega is defined on squarefree d, got {fd.value}")
     out = 1.0
-    for p in fd.primes:
-        out *= _omega_p(p, n % p, k)
+    for cc in class_counts_many(fd.primes, k):
+        out *= _omega_p(cc, n)
     return out

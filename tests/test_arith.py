@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 from wgkit.arith import (
     FactoredInt,
     _generator_powers,
+    _miller_rabin,
     big_omega,
     crt,
     divisors,
@@ -144,6 +145,17 @@ def test_primes_up_to_matches_trial_division():
     members = set(primes_up_to(10**4))
     for n in range(1, 10**4 + 1):
         assert (n in members) == trial(n)
+
+
+def test_is_prime_table_matches_miller_rabin():
+    # is_prime reads the prime table up to TRIAL_TABLE_LIMIT = 10**6 and runs
+    # Miller-Rabin above it; the two agree across the switch and on Carmichael numbers
+    ns = [*range(-5, 10**4), *range(10**6 - 50, 10**6 + 51), 561, 41041, 825265]
+    assert [is_prime(n) for n in ns] == [_miller_rabin(n) for n in ns]
+    assert not any(is_prime(n) for n in (561, 41041, 825265))
+    assert [n for n in range(10**6 - 50, 10**6 + 51) if is_prime(n)] == [
+        999953, 999959, 999961, 999979, 999983, 1000003, 1000033, 1000037, 1000039
+    ]
 
 
 def test_primitive_root_examples():

@@ -496,6 +496,8 @@ _STDOUT_DIGESTS = {
     "constants --k 3,4": (0, "afc5dc58bb617aa417b8b5e4b0cb4f65665bbe9672527420a24b518772e38dc4"),
     "--format csv constants --k 3,4": (0, "2df48bf584ba34526167261351937d828c3031e425260fff9ee6a6caafba9879"),
     "local --pmax 60 --k 4": (0, "1c73a465535fc1f35aa4229064f15374fa378ebeb8638399e4c1a38977ff6964"),
+    # k = 7 has G = 42 at p = 43, 127, 211, 337, 379, 421 and 463: the widest class maps
+    "local --pmax 500 --k 7": (0, "1092491da9586af90cfb38ee1ba701074d2d6760449c2b83e4c22c0c576bb079"),
     # its primes span both integer widths of the class-count engine (int64 to 5399)
     "singular --n 2328004 --k 14 --pmax 6000": (
         0, "ac4ea07116d14c87267be4a21a1477a1f4815af11b7a1aad174d58f12c6d6308"

@@ -6,21 +6,25 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import brute_density_loops, brute_density_vectorized, convolution_counts
-from wgkit.arith import primes_up_to
+from wgkit.arith import primes_up_to, primitive_root
 from wgkit.cli import main
 from wgkit.errors import VerificationError
 from wgkit import localdensity
 from wgkit.expsums import power_hist
 from wgkit.localdensity import (
-    LocalDensities,
     class_counts,
     class_counts_many,
     densities_float_all,
     ep_bound,
     ep_via_sums,
-    local_densities,
     local_densities_all,
 )
+
+
+def _ep_at(p: int, n: int, k: int) -> int:
+    """E_p at the target n, read from its class."""
+    cc = class_counts(p, k)
+    return cc.E_p[cc.classes[n % p]]
 
 
 def test_power_histogram_examples():
@@ -53,28 +57,39 @@ def test_count_congruence_mod2_examples():
 
 
 def test_local_densities_p2():
-    d = local_densities(2, 40, 3)
-    assert (d.K, d.L, d.Lstar, d.E_p) == (0, 1, 1, 1.0)
-    d_odd = local_densities(2, 41, 3)
-    assert d_odd.K == 1 and d_odd.Lstar == 0
+    cc = class_counts(2, 3)
+    assert cc.at(40) == (0, 1, 1) and _ep_at(2, 40, 3) == 1
+    assert cc.at(41) == (1, 1, 0) and _ep_at(2, 41, 3) == -1
 
 
-def test_local_densities_identity_enforced():
-    with pytest.raises(VerificationError):
-        LocalDensities(3, 0, K=1, L=5, Lstar=3, E_p=0.0)
+def test_local_densities_identity_enforced(monkeypatch):
+    # L is convolved on its own, so the engine's L = L* + K check can fail; it
+    # names the failing prime of a batch (k = 3: 7, 13 and 19 share G = 6)
+    algebra = localdensity._class_algebra
+
+    def off_by_one(*args):
+        K, L, Lstar = algebra(*args)
+        L = L.copy()
+        L[-1, 0] += 1
+        return K, L, Lstar
+
+    monkeypatch.setattr(localdensity, "_class_algebra", off_by_one)
+    monkeypatch.setitem(localdensity._STORE, 3, {})
+    with pytest.raises(VerificationError, match=r"L = L\* \+ K fails at p=19, k=3"):
+        class_counts_many([7, 13, 19], 3)
+    assert localdensity._STORE[3] == {}  # nothing of the failed batch is held
 
 
 def test_local_densities_exact_past_a_double():
     # from p = 8839 (k = 3), E_p = p L* - (p-1)^6 needs more than a double's 53 bits
-    d = local_densities(8839, 0, 3)
-    assert isinstance(d.E_p, int) and abs(d.E_p) > 2**53
-    assert d.E_p == 8839 * d.Lstar - 8838**6
+    ep = _ep_at(8839, 0, 3)
+    assert isinstance(ep, int) and abs(ep) > 2**53
+    assert ep == 8839 * class_counts(8839, 3).at(0)[2] - 8838**6
 
 
 def test_p19_error_term_bound():
     for n in range(19):
-        d = local_densities(19, n, 3)
-        assert abs(d.E_p) < 18**6
+        assert abs(_ep_at(19, n, 3)) < 18**6
 
 
 def test_convolution_matches_literal_loops():
@@ -114,13 +129,11 @@ def test_ep_bound_examples():
 def test_ep_two_paths_agree():
     for p in (2, 3, 7, 19, 97, 199):
         for n in range(p):
-            d = local_densities(p, n, 3)
-            assert ep_via_sums(p, n, 3) == pytest.approx(d.E_p, abs=1e-4)
+            assert ep_via_sums(p, n, 3) == pytest.approx(_ep_at(p, n, 3), abs=1e-4)
     # spot checks across the top of the range, where roundoff is tightest
     for p, k in ((211, 3), (307, 14), (401, 7), (499, 5), (499, 12)):
         for n in (0, 1, p // 2, p - 1):
-            d = local_densities(p, n, k)
-            assert ep_via_sums(p, n, k) == pytest.approx(d.E_p, abs=1e-4)
+            assert ep_via_sums(p, n, k) == pytest.approx(_ep_at(p, n, k), abs=1e-4)
 
 
 def test_density_normalization():
@@ -160,15 +173,10 @@ def test_wide_counts_beyond_int64(capsys, monkeypatch):
         assert np.allclose(fL, np.array(L, dtype=float), rtol=1e-9)
         assert np.allclose(fLs, np.array(Ls, dtype=float), rtol=1e-9)
     # a table over the CLI's row budget is refused before any prime is computed
-    import wgkit.localdensity as ld
-
     computed = []
-
-    def recording(q, k):
-        computed.append(q)
-        return local_densities_all(q, k)
-
-    monkeypatch.setattr(ld, "local_densities_all", recording)
+    cyclotomic = localdensity._cyclotomic
+    monkeypatch.setattr(localdensity, "_cyclotomic", lambda p, G: computed.append(p) or cyclotomic(p, G))
+    monkeypatch.setitem(localdensity._STORE, 3, {})
     assert main(["local", "--pmax", "5000", "--k", "3"]) == 2
     assert capsys.readouterr().out == ""
     assert computed == []
@@ -176,9 +184,9 @@ def test_wide_counts_beyond_int64(capsys, monkeypatch):
 
 def test_bad_inputs():
     with pytest.raises(ValueError):
-        local_densities(10, 0, 3)
+        class_counts(10, 3)
     with pytest.raises(ValueError):
-        local_densities(7, 0, 2)
+        class_counts(7, 2)
     with pytest.raises(ValueError):
         local_densities_all(7, 15)
     with pytest.raises(ValueError):
@@ -241,7 +249,7 @@ def test_class_count_masses_beyond_exact_range(k):
 
 def test_class_counts_cached_per_prime_and_power(monkeypatch):
     from wgkit.sieveconsts import sieve_product
-    from wgkit.singular import _omega_p
+    from wgkit.singular import omega
 
     z, k = 1000, 3
     odd = [p for p in primes_up_to(z - 1) if p > 2]
@@ -249,16 +257,18 @@ def test_class_counts_cached_per_prime_and_power(monkeypatch):
     cyclotomic = localdensity._cyclotomic
     monkeypatch.setattr(localdensity, "_cyclotomic", lambda p, G: computed.append(p) or cyclotomic(p, G))
     monkeypatch.setitem(localdensity._STORE, k, {})  # an empty store for k, whatever ran before
-    _omega_p.cache_clear()  # so every prime below z asks the engine
     sieve_product(2 * 10**6 + 2, k, z)
     assert computed == odd
     sieve_product(2 * 10**6 + 4, k, z)  # a new target: new residues, same (p, k)
+    omega(3 * 5 * 997, 2 * 10**6 + 6, k)
     assert computed == odd  # no prime computed again
     held = localdensity._STORE[k]
+    assert sorted(held) == odd
     for p in odd:
         cc = held[p]
         size = _coset_count(p, k) + 1
-        assert len(cc.K) == len(cc.L) == len(cc.Lstar) == len(cc.columns) == size
+        assert len(cc.K) == len(cc.L) == len(cc.Lstar) == len(cc.E_p) == size
+        assert len(cc.classes) == p and set(cc.classes.tolist()) == set(range(size))
 
 
 @pytest.mark.parametrize("k", [3, 4, 14])
@@ -276,3 +286,31 @@ def test_one_batch_matches_the_oracle_at_every_prime(monkeypatch, k):
         assert [cc.at(n) for n in range(cc.p)] == exact, cc.p
     with pytest.raises(ValueError, match="p must be prime, got 9"):
         class_counts_many([5, 9], k)
+
+
+@pytest.mark.parametrize("p, k", [(2, 3), (3, 3), (43, 7), (43, 14), (5399, 14), (5407, 3)])
+def test_classes_are_the_cosets(p, k):
+    # from the definition, not the engine: n = 0 is in column 0, and n != 0 in
+    # column 1 + i iff n^f = g^(i f) mod p, with f = (p - 1)/G and g the least
+    # primitive root (g = 1 at p = 2); at p = 43, k = 7 or 14, G = 42 = p - 1
+    G = _coset_count(p, k)
+    f = (p - 1) // G
+    g = 1 if p == 2 else primitive_root(p)
+    column = {pow(g, i * f, p): 1 + i for i in range(G)}
+    assert len(column) == G
+    classes = class_counts(p, k).classes
+    assert classes.tolist() == [0] + [column[pow(n, f, p)] for n in range(1, p)]
+    assert classes.dtype == np.uint8 and classes.shape == (p,)
+    with pytest.raises(ValueError, match="read-only"):
+        classes[0] = 1
+
+
+def test_local_walks_the_generator_once_per_prime(monkeypatch, capsys):
+    # the class of every residue comes from the engine's one walk of g^s mod p
+    calls = []
+    walk = localdensity._generator_powers
+    monkeypatch.setattr(localdensity, "_generator_powers", lambda p: calls.append(p) or walk(p))
+    monkeypatch.setitem(localdensity._STORE, 7, {})
+    assert main(["local", "--pmax", "200", "--k", "7"]) == 0
+    assert capsys.readouterr().out.count('"n_class"') == 1 + sum(primes_up_to(200)[1:])  # n = 0 only at p = 2
+    assert calls == primes_up_to(200)
