@@ -12,15 +12,13 @@ their published reference table, the singular integral and its growth order,
 and exact Diophantine counts behind the mean-value estimates.
 """
 
-from .arith import FactoredInt, big_omega, euler_phi, factorize, mobius, primes_up_to
+from .arith import FactoredInt, euler_phi, factorize, primes_up_to
 from .errors import BudgetExceeded, VerificationError
 
 __all__ = [
     "FactoredInt",
     "factorize",
     "euler_phi",
-    "mobius",
-    "big_omega",
     "primes_up_to",
     "VerificationError",
     "BudgetExceeded",

@@ -144,27 +144,6 @@ def euler_phi(f: FactoredInt) -> int:
     return out
 
 
-def mobius(f: FactoredInt) -> int:
-    """Moebius function: 0 on non-squarefree, else (-1)^(number of primes)."""
-    for _, e in f.factors:
-        if e >= 2:
-            return 0
-    return -1 if len(f.factors) % 2 else 1
-
-
-def big_omega(f: FactoredInt) -> int:
-    """Number of prime factors counted with multiplicity; 0 for n = 1."""
-    return sum(e for _, e in f.factors)
-
-
-def divisors(f: FactoredInt) -> list[int]:
-    """All positive divisors, ascending."""
-    out = [1]
-    for p, e in f.factors:
-        out = [d * p**i for d in out for i in range(e + 1)]
-    return sorted(out)
-
-
 def primitive_root(p: int) -> int:
     """Smallest generator of the multiplicative group mod an odd prime p."""
     if p == 2 or not is_prime(p):
@@ -199,16 +178,3 @@ def _generator_powers(p: int) -> np.ndarray:
     while len(giant) * step < p - 1:
         giant.append(giant[-1] * big % p)
     return (np.multiply.outer(np.array(giant, dtype=np.int64), baby) % p).ravel()[: p - 1]
-
-
-def crt(residues: list[int], moduli: list[int]) -> int:
-    """Solve x = r_i (mod m_i) for pairwise coprime moduli; result mod prod(m_i)."""
-    if len(residues) != len(moduli) or not moduli:
-        raise ValueError("residues and moduli must be nonempty and equal length")
-    x, m = 0, 1
-    for r, q in zip(residues, moduli):
-        if math.gcd(m, q) != 1:
-            raise ValueError("moduli must be pairwise coprime")
-        x = (x + m * ((r - x) * pow(m, -1, q) % q)) % (m * q)
-        m *= q
-    return x

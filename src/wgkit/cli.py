@@ -144,6 +144,11 @@ def _local_classes(cc: localdensity.ClassCounts, k: int, fmt: str) -> tuple[list
 def cmd_local(args) -> int:
     if args.pmax < 2:
         raise ValueError(f"--pmax must be >= 2, got {args.pmax}")
+    if args.pmax > 2 * LOCAL_ROW_BUDGET:
+        # a prime in (pmax/2, pmax] (Bertrand) alone has over pmax/2 rows: refused before any sieve
+        raise BudgetExceeded(
+            f"local table would hold over {args.pmax // 2} rows, over the {LOCAL_ROW_BUDGET}-row budget"
+        )
     primes = primes_up_to(args.pmax)
     n_res = {p: 1 if p == 2 and args.parity == "even" else p for p in primes}
     n_rows = sum(n_res.values())

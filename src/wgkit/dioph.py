@@ -30,7 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .arith import big_omega, factorize, primes_up_to
+from .arith import primes_up_to
 from .errors import BudgetExceeded, VerificationError
 from .sieveconsts import Parameters
 
@@ -442,35 +442,3 @@ def count_representations(n: int, k: int, r: int, box_params: Parameters | None 
         time.perf_counter() - t0,
         "meet_in_middle",
     )
-
-
-def is_in_Br(m: int, r: int, z: float, X2: float) -> bool:
-    """Membership in the bad set: X2 < m <= 2X2, exactly r prime factors, all >= z."""
-    if m < 1:
-        raise ValueError(f"m must be >= 1, got {m}")
-    if not (X2 < m <= 2 * X2):
-        return False
-    f = factorize(m)
-    if big_omega(f) != r:
-        return False
-    return all(p >= z for p in f.primes)
-
-
-def is_in_Nr(ell: int, r: int, z: float, X2: float) -> bool:
-    """Membership in the near-set: r-1 factors all >= z, and ell * (largest) <= 2X2."""
-    if ell < 1:
-        raise ValueError(f"ell must be >= 1, got {ell}")
-    f = factorize(ell)
-    if big_omega(f) != r - 1:
-        return False
-    if not all(p >= z for p in f.primes):
-        return False
-    largest = f.primes[-1] if f.primes else 1
-    return ell * largest <= 2 * X2
-
-
-def nr_weight(ell: int, p: int, X2: float) -> float:
-    """The smoothing weight log p / log(X2 / ell) attached to a near-set element."""
-    if not (0 < ell < X2):
-        raise ValueError(f"need 0 < ell < X2, got ell={ell}, X2={X2}")
-    return math.log(p) / math.log(X2 / ell)

@@ -146,17 +146,13 @@ def _power_hists(js: tuple[int, ...], q: int, units_only: bool) -> np.ndarray:
     return np.bincount(table.ravel(), minlength=len(js) * q).reshape(len(js), q)
 
 
-def power_hist(j: int, q: int, units_only: bool) -> np.ndarray:
-    """Histogram h[v] = #{m in 1..q : m^j = v mod q (and gcd(m,q)=1 if units_only)}."""
-    return _power_hists((j,), q, units_only)[0]
-
-
-def _power_spectra(js: tuple[int, ...], q: int, units_only: bool) -> np.ndarray:
+def _power_spectra(js: tuple[int, ...], q: int, units_only: bool, dtype=np.float64) -> np.ndarray:
     """Row i: the complete (or unit) sums of exponent js[i] for every a = 0..q-1.
 
-    S(a) = sum_v h[v] e(a v / q), the conjugate DFT of each histogram row.
+    S(a) = sum_v h[v] e(a v / q), the conjugate DFT of each histogram row,
+    transformed in ``dtype`` (``np.longdouble`` for extended precision).
     """
-    out = np.fft.fft(_power_hists(js, q, units_only).astype(np.float64))
+    out = np.fft.fft(_power_hists(js, q, units_only).astype(dtype))
     return np.conjugate(out, out=out)
 
 

@@ -50,7 +50,7 @@ import numpy as np
 
 from .arith import _generator_powers, is_prime
 from .errors import VerificationError
-from .expsums import power_hist
+from .expsums import _power_spectra
 from .reference import K_RANGE, check_k
 
 
@@ -209,9 +209,8 @@ def _unit_sum_product_ld(p: int, k: int) -> np.ndarray:
 
     Each unit sum is the conjugate DFT of its histogram, a long-double FFT.
     """
-    prod = np.ones(p, dtype=np.clongdouble)
-    for j, power in ((2, 2), (3, 3), (k, 1)):
-        prod *= np.conjugate(np.fft.fft(power_hist(j, p, True).astype(np.longdouble))) ** power
+    s2, s3, sk = _power_spectra((2, 3, k), p, True, np.longdouble)
+    prod = s2**2 * s3**3 * sk
     prod.setflags(write=False)
     return prod
 

@@ -5,10 +5,6 @@ f(s) = 2 e^gamma log(s-1) / s on 2 <= s <= 4; outside those windows the
 closed forms are not valid and the functions reject the input.  The sieve is
 applied at s = log D / log z = 3, where the positivity of the main term
 reduces to f(3) - F(3) C(k) = (2 e^gamma / 3)(log 2 - C(k)) > 0.
-
-Sieve weights of level D are validated against the contract |lambda(d)| <= 1
-with lambda(d) = 0 for d > D or d not squarefree; they are never constructed
-here.
 """
 
 from __future__ import annotations
@@ -16,11 +12,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .arith import factorize, mobius, primes_up_to
+from .arith import primes_up_to
 from .localdensity import class_counts_many
 from .reference import check_k
 from .singint import box_size
-from .singular import _omega_p, omega
+from .singular import _omega_p
 
 EULER_GAMMA = 0.57721566490153286
 EXP_GAMMA = math.exp(EULER_GAMMA)
@@ -43,12 +39,6 @@ class Parameters:
     z: float
     Q1: float
     Q2: float
-
-    def x(self, j: int) -> float:
-        return {2: self.x2, 3: self.x3, self.k: self.xk}[j]
-
-    def x_star(self, j: int) -> float:
-        return {2: self.x2_star, 3: self.x3_star, self.k: self.xk_star}[j]
 
 
 def params(n: int, k: int, eps: float = 1e-4) -> Parameters:
@@ -131,46 +121,6 @@ def main_term_margin(k: int, c_k: float) -> float:
     """f(3) - F(3) C(k) = (2 e^gamma / 3)(log 2 - C(k)); positive iff the sieve wins."""
     check_k(k)
     return (2.0 * EXP_GAMMA / 3.0) * (math.log(2.0) - c_k)
-
-
-def validate_sieve_weights(weights: dict[int, float], D: float) -> None:
-    """Contract for externally supplied upper/lower sieve weights of level D.
-
-    Requires |lambda(d)| <= 1 for all d, and lambda(d) = 0 whenever d > D or
-    d is not squarefree.  Raises ValueError listing every violation.
-    """
-    bad = []
-    for d, lam in weights.items():
-        if d < 1:
-            bad.append((d, lam, "d must be positive"))
-            continue
-        if abs(lam) > 1.0:
-            bad.append((d, lam, "|lambda| > 1"))
-        if lam != 0.0 and d > D:
-            bad.append((d, lam, f"nonzero above level D={D}"))
-        if lam != 0.0 and mobius(factorize(d)) == 0:
-            bad.append((d, lam, "nonzero on non-squarefree d"))
-    if bad:
-        raise ValueError(f"sieve weight contract violated: {bad}")
-
-
-def weighted_density_sum(weights: dict[int, float], n: int, k: int, z: float, D: float) -> float:
-    """sum over d | P(z) of lambda(d) omega(d) / d for validated weights.
-
-    P(z) is the product of odd primes below z, so admissible d are odd,
-    squarefree, with every prime factor in (2, z).
-    """
-    validate_sieve_weights(weights, D)
-    total = 0.0
-    for d in sorted(weights):
-        lam = weights[d]
-        if lam == 0.0:
-            continue
-        fd = factorize(d)
-        if any(p == 2 or p >= z for p in fd.primes):
-            raise ValueError(f"d={d} does not divide P(z) for z={z}")
-        total += lam * omega(fd, n, k) / d
-    return total
 
 
 def sieve_window_value(n: int, k: int, z: float, D: float, side: str) -> float:

@@ -32,13 +32,15 @@ from dataclasses import dataclass
 import numpy as np
 
 from .arith import FactoredInt, factorize, is_prime, primes_up_to
-from .errors import VerificationError
+from .errors import BudgetExceeded, VerificationError
 from .expsums import _unit_mask, complete_sums_all, unit_sums_all
 from .localdensity import ClassCounts, class_counts_many
 from .reference import check_k
 
 TAIL_PRIME_CONSTANT = 200.0  # |A(p,n)| <= 200/p^2 for p >= 29
 TAIL_VALID_FROM = 29
+# largest truncation bound: the envelope sieves to 10 p_max, and the engine holds every prime's counts
+P_MAX_BUDGET = 10**5
 
 
 @dataclass(frozen=True)
@@ -126,6 +128,8 @@ def tail_envelope(p_max: int) -> float:
     """
     if p_max < TAIL_VALID_FROM:
         raise ValueError(f"truncation bound needs p_max >= {TAIL_VALID_FROM}, got {p_max}")
+    if p_max > P_MAX_BUDGET:
+        raise BudgetExceeded(f"truncation bound p_max = {p_max} is over the {P_MAX_BUDGET} budget")
     horizon = 10 * p_max
     explicit = sum(
         TAIL_PRIME_CONSTANT / (p * p) for p in primes_up_to(horizon) if p > p_max

@@ -8,13 +8,9 @@ from wgkit.arith import (
     FactoredInt,
     _generator_powers,
     _miller_rabin,
-    big_omega,
-    crt,
-    divisors,
     euler_phi,
     factorize,
     is_prime,
-    mobius,
     primes_up_to,
     primitive_root,
 )
@@ -79,48 +75,27 @@ def test_euler_phi_examples():
     assert euler_phi(factorize(12)) == 4
 
 
-def test_mobius_examples():
-    assert mobius(factorize(1)) == 1
-    assert mobius(factorize(4)) == 0
-    assert mobius(factorize(30)) == -1
-
-
-def test_big_omega_examples():
-    assert big_omega(factorize(1)) == 0
-    assert big_omega(factorize(8)) == 3
-    assert big_omega(factorize(12)) == 3
-
-
-def _phi_mu_tables(limit):
+def _phi_table(limit):
     phi = list(range(limit + 1))
-    mu = [1] * (limit + 1)
     for p in primes_up_to(limit):
         for m in range(p, limit + 1, p):
             phi[m] -= phi[m] // p
-            mu[m] = -mu[m]
-        pp = p * p
-        for m in range(pp, limit + 1, pp):
-            mu[m] = 0
-    return phi, mu
+    return phi
 
 
 def test_divisor_sum_identities_up_to_1e5():
-    # sum_{d|n} phi(d) = n and sum_{d|n} mu(d) = [n == 1], exhaustively
+    # sum_{d|n} phi(d) = n, exhaustively
     limit = 10**5
-    phi, mu = _phi_mu_tables(limit)
+    phi = _phi_table(limit)
     phi_sum = [0] * (limit + 1)
-    mu_sum = [0] * (limit + 1)
     for d in range(1, limit + 1):
         for m in range(d, limit + 1, d):
             phi_sum[m] += phi[d]
-            mu_sum[m] += mu[d]
     for n in range(1, limit + 1):
         assert phi_sum[n] == n
-        assert mu_sum[n] == (1 if n == 1 else 0)
-    # the sieve tables agree with the factorization path on a sample
+    # the sieve table agrees with the factorization path on a sample
     for n in range(1, 500):
         assert euler_phi(factorize(n)) == phi[n]
-        assert mobius(factorize(n)) == mu[n]
 
 
 def test_phi_multiplicative_on_coprime_pairs():
@@ -185,35 +160,3 @@ def test_primitive_root_rejections():
         primitive_root(2)
     with pytest.raises(ValueError):
         primitive_root(15)
-
-
-def test_divisors():
-    assert divisors(factorize(12)) == [1, 2, 3, 4, 6, 12]
-    assert divisors(factorize(1)) == [1]
-
-
-def test_crt():
-    assert crt([2, 3], [3, 5]) == 8
-    x = crt([1, 2, 3], [5, 7, 9])
-    assert x % 5 == 1 and x % 7 == 2 and x % 9 == 3
-    with pytest.raises(ValueError):
-        crt([0, 0], [4, 6])
-
-
-@st.composite
-def _congruences(draw):
-    moduli = []
-    for m in draw(st.lists(st.integers(1, 10**4), min_size=1, max_size=5)):
-        if all(math.gcd(m, q) == 1 for q in moduli):
-            moduli.append(m)
-    residues = draw(st.lists(st.integers(-(10**6), 10**6), min_size=len(moduli), max_size=len(moduli)))
-    return residues, moduli
-
-
-@settings(max_examples=200, deadline=None, derandomize=True)
-@given(system=_congruences())
-def test_crt_roundtrip_property(system):
-    residues, moduli = system
-    x = crt(residues, moduli)
-    assert 0 <= x < math.prod(moduli)
-    assert all(x % m == r % m for r, m in zip(residues, moduli))

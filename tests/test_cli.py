@@ -318,6 +318,43 @@ def test_count_refuses_oversize_boxes_before_building_them(capsys):
         assert peak < 2**20, (argv, peak)
 
 
+def test_local_row_budget(capsys, tmp_path):
+    # --pmax 10^12 is refused on its size alone, before any prime table is built
+    tracemalloc.start()
+    try:
+        start = time.perf_counter()
+        code = main(["local", "--pmax", str(10**12), "--k", "3"])
+        elapsed = time.perf_counter() - start
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and "budget" in captured.err
+    assert elapsed < 1.0 and peak < 2**20, (elapsed, peak)
+    # 301,611 rows are one too many; 299,524 rows are a table
+    assert main(["local", "--pmax", "2087", "--k", "3"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "301611 rows" in captured.err
+    out = tmp_path / "local.csv"
+    assert main(["--format", "csv", "--output", str(out), "local", "--pmax", "2086", "--k", "3"]) == 0
+    with open(out) as fh:
+        assert sum(1 for _ in fh) == 1 + 299_524
+
+
+def test_singular_pmax_budget(capsys):
+    # the tail envelope would sieve to 10 p_max: the budget refuses it first
+    start = time.perf_counter()
+    code = main(["singular", "--n", "40", "--k", "3", "--pmax", "100001"])
+    elapsed = time.perf_counter() - start
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert "budget" in captured.err
+    assert elapsed < 1.0
+
+
 @pytest.mark.parametrize(
     "argv",
     [

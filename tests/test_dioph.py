@@ -1,4 +1,3 @@
-import math
 import tracemalloc
 
 import numpy as np
@@ -18,9 +17,6 @@ from wgkit.dioph import (
     dyadic_range,
     dyadic_size,
     fit_scaling,
-    is_in_Br,
-    is_in_Nr,
-    nr_weight,
 )
 from wgkit.errors import BudgetExceeded
 from wgkit.sieveconsts import params
@@ -340,22 +336,3 @@ def test_representations_dyadic_mode():
         with pytest.raises(ValueError, match="box_params are for n=1000000, k=3"):
             count_representations(n, k, 3, box_params=params(10**6, 3))
 
-
-def test_almost_prime_set_membership():
-    # m = 3 * 5 * 7 = 105 with z = 3, X2 = 60: in B_3
-    assert is_in_Br(105, 3, z=3.0, X2=60.0)
-    assert not is_in_Br(105, 2, z=3.0, X2=60.0)  # wrong factor count
-    assert not is_in_Br(105, 3, z=4.0, X2=60.0)  # small factor 3 < z
-    assert not is_in_Br(105, 3, z=3.0, X2=40.0)  # outside the box
-    # near-set: ell = 3 * 5, largest factor 5, 15 * 5 = 75 <= 2 X2
-    assert is_in_Nr(15, 3, z=3.0, X2=40.0)
-    assert not is_in_Nr(15, 3, z=3.0, X2=35.0)
-    assert not is_in_Nr(15, 4, z=3.0, X2=40.0)
-    # prime cubes qualify too: Omega(8) = 3 = r - 1 and 8 * 2 <= 2 X2
-    assert is_in_Nr(8, 4, 2.0, 40.0)
-
-
-def test_nr_weight():
-    assert nr_weight(15, 5, 60.0) == pytest.approx(math.log(5) / math.log(4.0))
-    with pytest.raises(ValueError):
-        nr_weight(100, 5, 60.0)

@@ -10,8 +10,6 @@ from wgkit.sieveconsts import (
     params,
     sieve_product,
     sieve_window_value,
-    validate_sieve_weights,
-    weighted_density_sum,
 )
 from wgkit.singular import omega
 
@@ -22,7 +20,6 @@ def test_params_box_sizes():
     assert p.x2 == pytest.approx(1.29e4, rel=0.01)
     assert p.x3 == pytest.approx(0.5 * (2e9 / 3) ** (1 / 3), rel=1e-12)
     assert p.x3_star == pytest.approx(0.5 * (2e9 / 3) ** (5 / 18), rel=1e-12)
-    assert p.x(3) == p.x3 and p.x_star(2) == p.x2_star
 
 
 def test_params_d_exponent_limits():
@@ -94,31 +91,6 @@ def test_main_term_margin_examples():
     assert main_term_margin(6, 0.657181) == pytest.approx(0.0427, abs=2e-4)
     assert main_term_margin(6, math.log(2.0)) == pytest.approx(0.0, abs=1e-15)
     assert main_term_margin(3, 0.513241) == pytest.approx(0.2136, abs=2e-4)
-
-
-def test_weight_contract():
-    validate_sieve_weights({1: 1.0, 3: -1.0, 15: 0.5, 30: 0.0}, D=20.0)
-    with pytest.raises(ValueError):
-        validate_sieve_weights({3: 1.5}, D=20.0)  # |lambda| > 1
-    with pytest.raises(ValueError):
-        validate_sieve_weights({9: 0.5}, D=20.0)  # not squarefree
-    with pytest.raises(ValueError):
-        validate_sieve_weights({23: 1.0}, D=20.0)  # above level
-
-
-def test_weighted_density_sum():
-    n, k = 40, 3
-    weights = {1: 1.0, 3: -1.0, 5: -1.0, 15: 1.0}
-    total = weighted_density_sum(weights, n, k, z=7.0, D=20.0)
-    expected = (
-        1.0
-        - omega(3, n, k) / 3
-        - omega(5, n, k) / 5
-        + omega(15, n, k) / 15
-    )
-    assert total == pytest.approx(expected, rel=1e-12)
-    with pytest.raises(ValueError):
-        weighted_density_sum({7: 1.0}, n, k, z=7.0, D=20.0)  # 7 not below z
 
 
 def test_sieve_window_value():
