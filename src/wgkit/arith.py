@@ -148,33 +148,90 @@ def primitive_root(p: int) -> int:
     """Smallest generator of the multiplicative group mod an odd prime p."""
     if p == 2 or not is_prime(p):
         raise ValueError(f"need an odd prime, got {p}")
-    return _least_generator(p)
+    return int(_least_generators(np.array([p]))[0])
 
 
-def _least_generator(p: int) -> int:
-    """``primitive_root`` for an odd p already known to be prime."""
-    phi_factors = factorize(p - 1).primes
-    for g in range(2, p):
-        if all(pow(g, (p - 1) // q, p) != 1 for q in phi_factors):
-            return g
-    raise RuntimeError(f"no primitive root found mod {p}")  # unreachable for prime p
+def _least_generators(ps: np.ndarray) -> np.ndarray:
+    """The least primitive root of each prime of ``ps`` (1 at p = 2), in stacked passes.
+
+    For each prime q <= sqrt(max p) dividing p - 1, the q-part of p - 1 is its
+    gcd with a power of q past p; what the q-parts leave is 1 or a prime.  g
+    generates iff g^((p-1)/q) != 1 mod p at every prime q | p - 1, and each
+    pass tests the candidates [c, 4c) at every (p, q) pair at once, from c = 2.
+    """
+    top = int(np.max(ps))
+    ps = np.asarray(ps, dtype=np.int64 if top < 2**27 else object)
+    small = primes_up_to(max(2, math.isqrt(top)))
+    high = []  # q^e >= max p
+    for q in small:
+        high.append(q)
+        while high[-1] < top:
+            high[-1] *= q
+    small, high = np.array(small), np.array(high)
+    row, col = np.nonzero((ps[:, None] - 1) % small == 0)
+    smooth = np.ones_like(ps)
+    np.multiply.at(smooth, row, np.gcd(ps[row] - 1, high[col]))
+    rest = (ps - 1) // smooth
+    big = np.flatnonzero(rest > 1)
+    # the (p, q) pairs: prime index at[t] and exponent (p - 1)/q
+    at = np.concatenate((row, big))
+    exponent = (ps[at] - 1) // np.concatenate((small[col], rest[big]))
+    g = np.ones_like(ps)
+    pending = ps > 2
+    first = 2
+    while pending.any():
+        pairs = pending[at]
+        cand = np.arange(first, 4 * first)
+        power = _pow_mod(cand, exponent[pairs, None], ps[at[pairs], None])
+        # a candidate fails at a prime if it has power 1 at any of its pairs
+        i, c = np.nonzero(power == 1)
+        fails = np.bincount(at[pairs][i] * len(cand) + c, minlength=len(ps) * len(cand))
+        ok = (fails.reshape(-1, len(cand)) == 0) & pending[:, None]
+        found = ok.any(axis=1)
+        g[found] = cand[ok[found].argmax(axis=1)]
+        pending &= ~found
+        first *= 4
+    return g
+
+
+def _pow_mod(base: np.ndarray, exponent: np.ndarray, mod: np.ndarray) -> np.ndarray:
+    """base^exponent mod mod, an (n, C) grid: ``base`` is a row (C,), the others (n, 1) columns.
+
+    Left-to-right square-and-multiply; each step's product is below
+    mod^2 * max(base), int64-exact for mod < 2^27 and base < 2^9.
+    """
+    out = np.ones((len(exponent), len(base)), dtype=exponent.dtype)
+    for b in range(int(exponent.max()).bit_length() - 1, -1, -1):
+        out *= out
+        out *= np.where((exponent >> b) & 1, base, 1)
+        out %= mod
+    return out
+
+
+def _generator_walks(ps: np.ndarray, gs: np.ndarray, width: int) -> np.ndarray:
+    """W[i, s] = gs[i]^s mod ps[i] for s = 0..width-1, one row per prime.
+
+    Doubling: the first L powers of a row times g^L are the next L, so the
+    walk is log2(width) stacked multiply-reduce passes, each product below
+    p^2: in uint32 for p < 2^16, else in int64 (exact for p < 3e9).  Past
+    s = p - 2 a row repeats with period p - 1.
+    """
+    mod = np.asarray(ps, dtype=np.uint32 if np.max(ps) < 2**16 else np.int64)[:, None]
+    step = (np.asarray(gs)[:, None] % mod).astype(mod.dtype)
+    W = np.empty((len(mod), width), dtype=mod.dtype)
+    W[:, 0] = 1
+    done = 1
+    while done < width:
+        n = min(done, width - done)
+        block = W[:, done : done + n]
+        np.multiply(W[:, :n], step, out=block)
+        np.remainder(block, mod, out=block)
+        step = step * step % mod
+        done += n
+    return W
 
 
 def _generator_powers(p: int) -> np.ndarray:
-    """g^s mod p for s = 0..p-2, g the least primitive root (g = 1 at p = 2).
-
-    Baby steps g^i and giant steps g^(B t), B ~ sqrt(p), combined by one
-    vectorised multiply-reduce (int64-exact for p < 3e9).
-    """
-    if p == 2:
-        return np.ones(1, dtype=np.int64)
-    g = _least_generator(p)
-    step = math.isqrt(p - 1) + 1
-    baby = [1]
-    for _ in range(step):
-        baby.append(baby[-1] * g % p)
-    big = baby.pop()  # g^B
-    giant = [1]
-    while len(giant) * step < p - 1:
-        giant.append(giant[-1] * big % p)
-    return (np.multiply.outer(np.array(giant, dtype=np.int64), baby) % p).ravel()[: p - 1]
+    """g^s mod p for s = 0..p-2, g the least primitive root (g = 1 at p = 2)."""
+    ps = np.array([p])
+    return _generator_walks(ps, _least_generators(ps), p - 1)[0]

@@ -196,12 +196,17 @@ class DirichletCharacter:
 
 
 @lru_cache(maxsize=256)
-def _dlog_table(p: int) -> np.ndarray:
-    """dlog[g^s mod p] = s for the least primitive root g (p an odd prime)."""
+def _generator_tables(p: int) -> tuple[np.ndarray, np.ndarray]:
+    """(pw, dlog): pw[s] = g^s mod p and dlog[g^s mod p] = s, g the least primitive root.
+
+    One walk per odd prime p, both tables read-only.
+    """
+    pw = _generator_powers(p)
     dlog = np.zeros(p, dtype=np.int64)
-    dlog[_generator_powers(p)] = np.arange(p - 1)
+    dlog[pw] = np.arange(p - 1)
+    pw.setflags(write=False)
     dlog.setflags(write=False)
-    return dlog
+    return pw, dlog
 
 
 def character(p: int, index: int) -> DirichletCharacter:
@@ -216,7 +221,7 @@ def character(p: int, index: int) -> DirichletCharacter:
         if not (0 <= index < p - 1):
             raise ValueError(f"index must be in [0, {p - 2}], got {index}")
         vals = np.zeros(p, dtype=complex)
-        vals[1:] = np.exp(2j * np.pi * index * _dlog_table(p)[1:] / (p - 1))
+        vals[1:] = np.exp(2j * np.pi * index * _generator_tables(p)[1][1:] / (p - 1))
     vals.setflags(write=False)
     return DirichletCharacter(p, index, vals)
 
@@ -247,9 +252,10 @@ def char_class_sums(p: int, j: int) -> tuple[np.ndarray, np.ndarray]:
     if not is_prime(p) or p == 2:
         raise ValueError(f"need an odd prime, got {p}")
     d = math.gcd(j, p - 1)
-    reps = 1 + np.argmax(_dlog_table(p)[1:] % d == np.arange(d)[:, None], axis=1)
+    pw, dlog = _generator_tables(p)
+    reps = 1 + np.argmax(dlog[1:] % d == np.arange(d)[:, None], axis=1)
     # row c: v[s] = e(a_c g^(j s) / p); G(chi_t, a_c) = sum_s e(t s/(p-1)) v[s] = fft(v)[-t]
-    pw = _generator_powers(p)[j * np.arange(p - 1) % (p - 1)]
+    pw = pw[j * np.arange(p - 1) % (p - 1)]
     v = _roots(p)[np.multiply.outer(reps, pw) % p]
     return reps, np.fft.fft(v, axis=1)[:, -np.arange(p - 1) % (p - 1)]
 

@@ -28,10 +28,12 @@ larger primes count in Python integers.
 ``class_counts_many`` computes many primes at once and holds the results per
 k, one ``ClassCounts`` per prime: the three counts and E_p per class, and the
 class of every residue mod p (p bytes), the one residue -> class map that
-every caller reads.  Each prime's class map and cyclotomic numbers take O(p)
-work of their own; the class algebra then runs once for all the primes that
-share G and an integer width, as stacked (G + 1)-square integer products
-indexed by each prime's f and nu.
+every caller reads.  The primes that share G and an integer width go through
+two stacked stages.  The O(p) stage runs in chunks of at most
+``_CHUNK_SLOTS`` residue slots: per chunk, one walk of g^s mod p for all its
+primes, one scatter into their class maps and one bincount of the cyclotomic
+numbers.  The class algebra then runs once for the whole group, as stacked
+(G + 1)-square integer products indexed by each prime's f and nu.
 
 The error term E_p = p L*(p,n) - (p-1)^6 satisfies the closed form bound
 (p-1)(sqrt p + 1)^2 (2 sqrt p + 1)^3 (13 sqrt p + 1), uniform over powers
@@ -48,7 +50,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .arith import _generator_powers, is_prime
+from .arith import _generator_walks, _least_generators, is_prime
 from .errors import VerificationError
 from .expsums import _power_spectra
 from .reference import K_RANGE, check_k
@@ -81,6 +83,11 @@ class ClassCounts:
         return tuple(self.p * Lstar - (self.p - 1) ** 6 for Lstar in self.Lstar)
 
 
+# residue slots per chunk of ``_cyclotomic_many``: bounds its temporaries (the
+# walk, its slot indices and the slot pairs, 4 or 8 bytes a slot) at 128 KB
+# each, whatever the number of primes
+_CHUNK_SLOTS = 2**14
+
 # class_counts_many's store: k -> {p: ClassCounts}; entries are never evicted
 _STORE: dict[int, dict[int, ClassCounts]] = {}
 
@@ -94,22 +101,22 @@ def class_counts_many(primes: Sequence[int], k: int) -> list[ClassCounts]:
     """``class_counts`` at each prime of the sequence ``primes``, in its order.
 
     The results are held per k, and a call computes only the primes not yet
-    held.  Each of those takes O(p) work of its own, ``_cyclotomic``; then
-    the primes of one coset count G, and of one integer width, share a
-    single pass of stacked (G + 1)-square products, ``_class_algebra``.
+    held.  The primes of one coset count G, and of one integer width, share
+    the chunked O(p) kernel ``_cyclotomic_many`` and then a single pass of
+    stacked (G + 1)-square products, ``_class_algebra``.
     """
     check_k(k)
     store = _STORE.setdefault(k, {})
-    groups: dict[tuple[int, bool], list] = {}
+    groups: dict[tuple[int, bool], list[int]] = {}
     for p in sorted({p for p in primes if p not in store}):
         if not is_prime(p):
             raise ValueError(f"p must be prime, got {p}")
         G = math.gcd(math.lcm(2, 3, k), p - 1)
-        groups.setdefault((G, 2 * p * (p - 1) ** 4 < 2**63), []).append((p, *_cyclotomic(p, G)))
-    for (G, narrow), members in groups.items():
-        ps, fs, nus, As, classes = zip(*members)
+        groups.setdefault((G, 2 * p * (p - 1) ** 4 < 2**63), []).append(p)
+    for (G, narrow), ps in groups.items():
+        f, nu, A, classes = _cyclotomic_many(ps, G)
         dtype = np.int64 if narrow else object
-        K, L, Lstar = _class_algebra(k, G, dtype, np.array(fs), np.array(nus), np.stack(As))
+        K, L, Lstar = _class_algebra(k, G, dtype, f, nu, A)
         bad = (L != Lstar + K).any(axis=1)
         if bad.any():
             raise VerificationError(f"L = L* + K fails at p={ps[bad.argmax()]}, k={k}")
@@ -118,28 +125,48 @@ def class_counts_many(primes: Sequence[int], k: int) -> list[ClassCounts]:
     return [store[p] for p in primes]
 
 
-def _cyclotomic(p: int, G: int) -> tuple[int, int, np.ndarray, np.ndarray]:
-    """f = (p - 1)/G, the class nu of -1, the cyclotomic numbers A and the class map at p.
+def _cyclotomic_many(primes: Sequence[int], G: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, list]:
+    """f = (p - 1)/G, the class nu of -1, the cyclotomic numbers A and the class map at each prime.
 
-    A[a][b] = #{x in C_a : 1 + x in C_b} is one O(p) bincount over the
-    columns: x = g^s lies in C_(s mod G), column 1 + (s mod G).
+    All the primes have coset count G, and their least primitive roots are
+    found in one stacked pass.  Consecutive primes form a chunk of m rows of
+    p_max + 1 slots, at most ``_CHUNK_SLOTS`` slots in all (or one prime), so
+    sorted primes waste few slots.  A chunk walks x = g^s mod p for all its
+    rows at once; x lies in C_(s mod G), column 1 + (s mod G), which the
+    row's uint8 class map records in slot x.  Slot 0 (n = 0) and slot p
+    (1 + x = 0 mod p) keep column 0.  A[a][b] = #{x in C_a : 1 + x in C_b}
+    counts the pairs of neighbouring slots, by one bincount per chunk offset
+    by row; the pairs that start or end in column 0 are dropped.
     """
-    f = (p - 1) // G
-    pw = _generator_powers(p)
-    cls = np.arange(p - 1) % G
-    classes = np.zeros(p + 1, dtype=np.uint8)  # index p stands for 0 mod p: column 0
-    classes[pw] = 1 + cls
-    classes.setflags(write=False)
-    # 1 + x = 0 falls in column 0, which is dropped
-    A = np.bincount(cls * (G + 1) + classes[pw + 1], minlength=G * (G + 1)).reshape(G, G + 1)[:, 1:]
-    nu = (p - 1) // 2 % G  # -1 = g^((p-1)/2)
-    return f, nu, A, classes[:p]
+    ps = np.array(primes, dtype=np.int64)
+    gs = _least_generators(ps)
+    columns = (1 + np.arange(ps.max()) % G).astype(np.uint8)
+    As, classes = [], []
+    start = 0
+    while start < len(primes):
+        stop, top = start + 1, primes[start]
+        while stop < len(primes) and (stop - start + 1) * (max(top, primes[stop]) + 1) <= _CHUNK_SLOTS:
+            top = max(top, primes[stop])
+            stop += 1
+        m = stop - start
+        # a shorter row's walk runs past p - 2 and repeats its cosets
+        walk = _generator_walks(ps[start:stop], gs[start:stop], top - 1)
+        slots = np.zeros((m, top + 1), dtype=np.uint8)
+        slots.reshape(-1)[walk + np.arange(0, m * (top + 1), top + 1)[:, None]] = columns[: top - 1]
+        pair = slots[:, :-1] * np.uint32(G + 1)
+        pair += slots[:, 1:]
+        pair += np.arange(0, m * (G + 1) ** 2, (G + 1) ** 2, dtype=np.uint32)[:, None]
+        As.append(np.bincount(pair.reshape(-1), minlength=m * (G + 1) ** 2).reshape(m, G + 1, G + 1)[:, 1:, 1:])
+        slots.setflags(write=False)
+        classes += [row[:p] for row, p in zip(slots, primes[start:stop])]
+        start = stop
+    return (ps - 1) // G, (ps - 1) // 2 % G, np.concatenate(As), classes
 
 
 def _class_algebra(k: int, G: int, dtype, f: np.ndarray, nu: np.ndarray, A: np.ndarray):
     """(K, L, L*), each of shape (m, G + 1), for m primes of coset count G.
 
-    ``f``, ``nu`` and ``A`` (m x G x G) are the primes' ``_cyclotomic``
+    ``f``, ``nu`` and ``A`` (m x G x G) are the primes' ``_cyclotomic_many``
     values.  A class function v holds v[0] at n = 0 and v[1 + i] on C_i.
     Convolution with h, v -> sum_x v(x) h(n - x), is the matrix with rows n
     and columns x

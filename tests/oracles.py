@@ -99,6 +99,28 @@ def convolution_counts(p: int, k: int) -> tuple[np.ndarray, np.ndarray, np.ndarr
     return K, cyclic(hist(2, False), K), cyclic(h2u, K)
 
 
+def cyclotomic_per_prime(p: int, G: int) -> tuple[int, int, np.ndarray, np.ndarray]:
+    """f = (p - 1)/G, the class nu of -1, the cyclotomic numbers A and the class map at p.
+
+    The engine's former per-prime step, with its own search for the least
+    primitive root g and a walk of g^s mod p by literal multiplication:
+    x = g^s lies in C_(s mod G), column 1 + (s mod G), and
+    A[a][b] = #{x in C_a : 1 + x in C_b} is one bincount over the columns.
+    """
+    from wgkit.arith import factorize
+
+    qs = factorize(p - 1).primes
+    g = next(c for c in itertools.count(1 if p == 2 else 2) if all(pow(c, (p - 1) // q, p) != 1 for q in qs))
+    pw = np.array(list(itertools.accumulate(range(p - 2), lambda x, _: x * g % p, initial=1)), dtype=np.int64)
+    cls = np.arange(p - 1) % G
+    classes = np.zeros(p + 1, dtype=np.uint8)  # index p stands for 0 mod p: column 0
+    classes[pw] = 1 + cls
+    # 1 + x = 0 falls in column 0, which is dropped
+    A = np.bincount(cls * (G + 1) + classes[pw + 1], minlength=G * (G + 1)).reshape(G, G + 1)[:, 1:]
+    nu = (p - 1) // 2 % G  # -1 = g^((p-1)/2)
+    return (p - 1) // G, nu, A, classes[:p]
+
+
 def gauss_legendre(f, a: float, b: float, order: int = 60) -> float:
     """High-order Gauss-Legendre quadrature on one panel."""
     x, w = leggauss(order)

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 from wgkit.arith import (
     FactoredInt,
     _generator_powers,
+    _least_generators,
     _miller_rabin,
     euler_phi,
     factorize,
@@ -145,9 +146,25 @@ def test_primitive_root_examples():
     assert len(seen) == 22  # order exactly p - 1
 
 
+def test_least_generators_match_the_definition():
+    # one stacked call over every prime below 40000 (least roots up to 37, at
+    # p = 36721, so three candidate passes) against a per-prime search on the
+    # definition; p = 2 maps to 1
+    def least_root(p: int) -> int:
+        qs = factorize(p - 1).primes
+        return next(g for g in range(2, p) if all(pow(g, (p - 1) // q, p) != 1 for q in qs))
+
+    primes = primes_up_to(40000)
+    assert _least_generators(primes).tolist() == [1] + [least_root(p) for p in primes[1:]]
+    # past 2^27 the search runs in Python integers
+    for p, g in ((10**9 + 7, 5), (2**31 - 1, 7), (10**12 + 39, 3)):
+        assert primitive_root(p) == g == least_root(p)
+
+
 def test_generator_powers_walk_the_unit_group():
     assert _generator_powers(2).tolist() == [1]
-    for p in primes_up_to(3000)[1:]:
+    # 65521 < 2^16: the largest walk in uint32; 65537 and 131071 walk in int64
+    for p in [*primes_up_to(3000)[1:], 65521, 65537, 131071]:
         pw = _generator_powers(p)
         g = primitive_root(p)
         assert pw[1] == g

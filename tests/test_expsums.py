@@ -12,7 +12,7 @@ from wgkit.expsums import (
     MAG_TOL,
     SWEEP_POINT_BUDGET,
     BoundReport,
-    _dlog_table,
+    _generator_tables,
     _power_hists,
     _power_spectra,
     _sweep_points,
@@ -97,7 +97,7 @@ def test_char_class_sums_cover_every_character_sum():
     # |G(chi_t, j, a)| depends on ind a only mod gcd(j, p - 1): one row per class
     for p in primes_up_to(61)[1:]:
         chars = all_characters(p)
-        dlog = _dlog_table(p)
+        dlog = _generator_tables(p)[1]
         for j in range(2, 15):
             d = math.gcd(j, p - 1)
             reps, sums = char_class_sums(p, j)
@@ -111,6 +111,21 @@ def test_char_class_sums_cover_every_character_sum():
                     assert a != reps[c] or abs(sums[c, t] - direct) <= 1e-9, (p, j, t, a)
             full = np.abs(char_sums_matrix(p, j)).max()
             assert np.abs(sums).max() == pytest.approx(full, abs=1e-9), (p, j)
+
+
+def test_char_class_sums_walk_the_generator_once_per_prime(monkeypatch):
+    # the sweep's thirteen exponents share one walk of g^s mod p per prime
+    from wgkit import expsums
+
+    calls = []
+    walk = expsums._generator_powers
+    monkeypatch.setattr(expsums, "_generator_powers", lambda p: calls.append(p) or walk(p))
+    expsums._generator_tables.cache_clear()
+    for p in (3, 61, 199):
+        for j in range(2, 15):
+            char_class_sums(p, j)
+        character(p, 1)
+    assert calls == [3, 61, 199]
 
 
 def test_reported_witnesses_attain_their_ratios():

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import brute_density_loops, brute_density_vectorized, convolution_counts
+from oracles import brute_density_loops, brute_density_vectorized, convolution_counts, cyclotomic_per_prime
 from wgkit.arith import primes_up_to, primitive_root
 from wgkit.cli import main
 from wgkit.errors import VerificationError
@@ -173,13 +173,24 @@ def test_wide_counts_beyond_int64(capsys, monkeypatch):
         assert np.allclose(fL, np.array(L, dtype=float), rtol=1e-9)
         assert np.allclose(fLs, np.array(Ls, dtype=float), rtol=1e-9)
     # a table over the CLI's row budget is refused before any prime is computed
-    computed = []
-    cyclotomic = localdensity._cyclotomic
-    monkeypatch.setattr(localdensity, "_cyclotomic", lambda p, G: computed.append(p) or cyclotomic(p, G))
+    computed = _record_kernel(monkeypatch)
     monkeypatch.setitem(localdensity._STORE, 3, {})
     assert main(["local", "--pmax", "5000", "--k", "3"]) == 2
     assert capsys.readouterr().out == ""
     assert computed == []
+
+
+def _record_kernel(monkeypatch) -> list[int]:
+    """Every prime that the class-count kernel computes, appended in call order."""
+    computed = []
+    kernel = localdensity._cyclotomic_many
+
+    def record(primes, G):
+        computed.extend(primes)
+        return kernel(primes, G)
+
+    monkeypatch.setattr(localdensity, "_cyclotomic_many", record)
+    return computed
 
 
 def test_bad_inputs():
@@ -253,15 +264,13 @@ def test_class_counts_cached_per_prime_and_power(monkeypatch):
 
     z, k = 1000, 3
     odd = [p for p in primes_up_to(z - 1) if p > 2]
-    computed = []
-    cyclotomic = localdensity._cyclotomic
-    monkeypatch.setattr(localdensity, "_cyclotomic", lambda p, G: computed.append(p) or cyclotomic(p, G))
+    computed = _record_kernel(monkeypatch)
     monkeypatch.setitem(localdensity._STORE, k, {})  # an empty store for k, whatever ran before
     sieve_product(2 * 10**6 + 2, k, z)
-    assert computed == odd
+    assert sorted(computed) == odd  # each prime once
     sieve_product(2 * 10**6 + 4, k, z)  # a new target: new residues, same (p, k)
     omega(3 * 5 * 997, 2 * 10**6 + 6, k)
-    assert computed == odd  # no prime computed again
+    assert sorted(computed) == odd  # no prime computed again
     held = localdensity._STORE[k]
     assert sorted(held) == odd
     for p in odd:
@@ -308,9 +317,52 @@ def test_classes_are_the_cosets(p, k):
 def test_local_walks_the_generator_once_per_prime(monkeypatch, capsys):
     # the class of every residue comes from the engine's one walk of g^s mod p
     calls = []
-    walk = localdensity._generator_powers
-    monkeypatch.setattr(localdensity, "_generator_powers", lambda p: calls.append(p) or walk(p))
+    walks = localdensity._generator_walks
+
+    def walk(ps, gs, width):
+        calls.extend(ps.tolist())
+        return walks(ps, gs, width)
+
+    monkeypatch.setattr(localdensity, "_generator_walks", walk)
     monkeypatch.setitem(localdensity._STORE, 7, {})
     assert main(["local", "--pmax", "200", "--k", "7"]) == 0
     assert capsys.readouterr().out.count('"n_class"') == 1 + sum(primes_up_to(200)[1:])  # n = 0 only at p = 2
-    assert calls == primes_up_to(200)
+    assert sorted(calls) == primes_up_to(200)
+
+
+def _assert_kernel_matches_oracle(primes: list[int], G: int) -> None:
+    f, nu, A, classes = localdensity._cyclotomic_many(primes, G)
+    assert len(f) == len(nu) == len(A) == len(classes) == len(primes)
+    for i, p in enumerate(primes):
+        of, onu, oA, oclasses = cyclotomic_per_prime(p, G)
+        assert (f[i], nu[i]) == (of, onu), p
+        np.testing.assert_array_equal(A[i], oA, err_msg=str(p))
+        np.testing.assert_array_equal(classes[i], oclasses, err_msg=str(p))
+        assert classes[i].dtype == np.uint8 and classes[i].shape == (p,)
+        assert not classes[i].flags.writeable
+
+
+@pytest.mark.parametrize("k", [3, 4, 7, 14])
+def test_chunked_kernel_matches_the_per_prime_oracle(k):
+    # every prime to 3000 (p = 2, 3 and, at k = 7, p = 43 with G = p - 1
+    # among them), both sides of the int64/object edge, and 16411, a prime
+    # whose walk alone exceeds a chunk; one sorted call per coset count
+    groups: dict[int, list[int]] = {}
+    for p in [*primes_up_to(3000), 5399, 5407, 16411]:
+        groups.setdefault(_coset_count(p, k), []).append(p)
+    for G, primes in groups.items():
+        _assert_kernel_matches_oracle(primes, G)
+    if k == 7:
+        assert 43 in groups[42]
+
+
+def test_chunked_kernel_across_chunk_boundaries(monkeypatch):
+    # an unsorted batch of one coset count (G = 6 at k = 3) that spans
+    # several chunks, with 16411 (over a whole chunk) in the middle
+    primes = [p for p in primes_up_to(3000) if p % 6 == 1]
+    batch = primes[1::2][::-1] + [16411] + primes[::2]
+    assert sum(batch) > 4 * localdensity._CHUNK_SLOTS
+    _assert_kernel_matches_oracle(batch, 6)
+    # chunks of a few slots: many boundaries, each between small primes
+    monkeypatch.setattr(localdensity, "_CHUNK_SLOTS", 64)
+    _assert_kernel_matches_oracle(primes[:40][::-1] + primes[40:60], 6)
