@@ -14,12 +14,15 @@ one run of equal entries (``_runs``).  At small sizes an exhaustive twin
 compares every entry with every entry, and the two must agree exactly.
 
 The three equation counts never hold their whole value multiset.  Each value
-is an outer value plus an entry of a small sorted multiset W (triple:
-x^3 + (z^3 + y^k), mixed: x^3 + (y1^k + y2^k), fourth moment: y1^k + y^k), and
-``_bands`` cuts the value axis into bands of about ``_BAND_ENTRIES`` entries.
-A band is gathered from each outer value's slice of W, sorted and read by
-``_runs``.  Equal values never straddle a band, so a sum over value runs is
-the sum of its per-band sums, and memory stays bounded by the band size.
+is an outer value plus an entry of a small sorted array W (triple:
+x^3 + (z^3 + y^k), mixed: (y1^k + y2^k) + x^3, fourth moment: y_i^k + y_j^k),
+and ``_bands`` cuts the value axis into bands of about ``_BAND_ENTRIES``
+entries, gathered from each outer value's slice of W as keys
+((value - a) << bits) | tag and sorted.  Equal values never straddle a band,
+so memory stays bounded by the band size.  The triple count folds W into
+distinct values and the fourth moment takes the pairs i <= j, each tagged with
+its weight less one, so every distinct sum is gathered once (``_square_sum``);
+the mixed count tags each key with its x index.
 """
 
 from __future__ import annotations
@@ -75,17 +78,14 @@ def _powers(values: np.ndarray, k: int) -> np.ndarray:
     return values.astype(np.int64) ** k
 
 
-def _runs(*keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Start and length of each run of equal rows (keys[0][i], keys[1][i], ...).
+def _runs(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Start and length of each run of equal entries of sorted ``values``.
 
-    The rows must be in lexicographic order.  The lengths sum to the entry
-    count, at most PAIR_BUDGET = 10^8, so their int64 square sum is exact.
+    The lengths sum to the entry count, at most PAIR_BUDGET = 10^8, so their
+    int64 square sum is exact.
     """
-    n = keys[0].size
-    new = np.ones(n + 1, dtype=bool)  # new[i]: row i starts a run; new[n] closes the last
-    new[1:n] = False
-    for key in keys:
-        new[1:n] |= key[1:] != key[:-1]
+    new = np.ones(values.size + 1, dtype=bool)  # new[i]: entry i starts a run; new[n] closes the last
+    new[1:-1] = values[1:] != values[:-1]
     bounds = np.flatnonzero(new)
     return bounds[:-1], np.diff(bounds)
 
@@ -147,43 +147,65 @@ def _wrap(values: np.ndarray, dtype: np.dtype) -> np.ndarray:
     return values.astype(dtype)
 
 
-def _bands(outer: np.ndarray, inner: np.ndarray):
-    """Yield (a, b, offsets, n) for each band [a, b) of the sums outer[i] + inner[j].
+def _bands(
+    outer: np.ndarray, inner: np.ndarray, tags: np.ndarray | int = 0, bits: int = 0, pairs: bool = False
+):
+    """Yield (a, b, keys) for each band [a, b) of the sums outer[i] + inner[j].
 
-    offsets holds the band's sums minus a, unsorted, in ``_narrow(b - a)``,
-    and n[i] how many come from each i.  outer and inner are sorted.  Two
-    searchsorted calls give every i its slice lo[i] <= j < lo[i] + n[i] of
-    inner, and ``np.repeat`` gathers the slices, i by i, with no loop over i.
-    An offset is (inner[j] - inner[0]) + (outer[i] + inner[0] - a), both
-    terms wrapped modulo 2^bits: the true offset lies in [0, b - a), so the
-    wrapped sum is exact, and equal sums get equal offsets.  Every sum lies in
-    exactly one band, and equal sums in the same one.  The edges are Python
-    ints: if either side holds Python ints (object dtype), both are made to.
+    keys holds ((sum - a) << bits) | tags[j] (tags below 2^bits, or one int for
+    all j) in ``_narrow((b - a) << bits)``, i by i, unsorted; outer and inner are
+    sorted.  With ``pairs`` (outer is inner) only j >= i is taken, tagged 1 for
+    j > i.  Two searchsorted calls give every i its slice of inner, and
+    ``np.repeat`` gathers the slices with no loop over i.  A key is
+    ((inner[j] - inner[0]) << bits | tags[j]) + ((outer[i] + inner[0] - a) << bits),
+    both terms wrapped modulo 2^width: the true key lies below (b - a) << bits,
+    so the wrapped sum is exact.  Every sum lies in exactly one band, and equal
+    sums in the same one.  The edges are Python ints: if either side holds
+    Python ints (object dtype), both are made to.
     """
     if object in (outer.dtype, inner.dtype):
         outer, inner = outer.astype(object), inner.astype(object)
+    if pairs:
+        tags, bits = 1, 1
     edges = _band_edges(outer, inner)
-    rel, base = {}, inner - inner[0]  # rel: base wrapped, once per dtype
+    rel, base, diag = {}, inner - inner[0], np.arange(outer.size)  # rel: tagged base, once per dtype
     for a, b in zip(edges[:-1], edges[1:]):
-        dtype = _narrow(b - a)
+        dtype = _narrow((b - a) << bits)
         if dtype not in rel:
-            rel[dtype] = _wrap(base, dtype)
+            rel[dtype] = _wrap(base, dtype) << bits | _wrap(np.asarray(tags), dtype)
         lo = np.searchsorted(inner, a - outer)
-        n = np.searchsorted(inner, b - outer) - lo
-        j = np.repeat(lo - (np.cumsum(n) - n), n)
+        hi = np.searchsorted(inner, b - outer)
+        if pairs:
+            lo, hi = np.maximum(lo, diag), np.maximum(hi, diag)
+        n = hi - lo
+        start = np.cumsum(n) - n
+        j = np.repeat(lo - start, n)
         j += np.arange(j.size)
-        offsets = rel[dtype][j]
-        offsets += np.repeat(_wrap(outer + (inner[0] - a), dtype), n)
-        yield a, b, offsets, n
+        keys = rel[dtype][j]
+        keys += np.repeat(_wrap(outer + (inner[0] - a), dtype) << bits, n)
+        if pairs:
+            keys[start[(lo == diag) & (n > 0)]] -= 1  # j = i opens its slice: weight 1
+        yield a, b, keys
 
 
-def _square_sum(outer: np.ndarray, inner: np.ndarray) -> int:
-    """Solutions of a = b over the multiset outer[i] + inner[j]: sum over values of c(v)^2."""
-    total = 0
-    for _, _, offsets, _ in _bands(outer, inner):
-        offsets.sort()
-        _, c = _runs(offsets)
-        total += int(c @ c)
+def _square_sum(alone: int, bits: int, bands) -> int:
+    """Sum over values v of c(v)^2, c(v) the total weight of v's entries.
+
+    Each band yields keys ((v - a) << bits) | (w - 1), and ``alone``, the sum
+    of w^2 over every entry, is in closed form.  The rest, c(v)^2 less its
+    entries' w^2, comes from runs of two or more keys with equal value bits
+    only, and only those are read beyond one comparison per entry.
+    """
+    total, low = alone, (1 << bits) - 1
+    for _, _, keys in bands:
+        keys.sort()
+        same = np.flatnonzero((keys[1:] ^ keys[:-1]) <= low)  # entry i + 1 has entry i's value
+        if same.size:
+            at = np.sort(np.concatenate((same, same + 1)))  # each entry at most twice
+            run = keys[at[_runs(at)[0]]]
+            w = (run & low).astype(np.int64) + 1
+            c = np.add.reduceat(w, _runs(run >> bits)[0])
+            total += int(c @ c) - int(w @ w)
     return total
 
 
@@ -211,7 +233,8 @@ def count_hua4(k: int, Q: float, method: str = "meet_in_middle") -> CountReport:
     ys = dyadic_range(Q)
     pk = _powers(ys, k)
     if method == "meet_in_middle":
-        count = _square_sum(pk, pk)
+        # the pairs i <= j: n of weight 1 (i = j) and C(n, 2) of weight 2
+        count = _square_sum(n + 4 * math.comb(n, 2), 1, _bands(pk, pk, pairs=True))
     else:
         count = _literal_square_sum((pk[:, None] + pk[None, :]).ravel())
     return CountReport(
@@ -259,17 +282,16 @@ def count_mixed_S(k: int, P: float) -> MixedCount:
 
     pk = _powers(ys, k)
     pair_sums = np.sort((pk[:, None] + pk[None, :]).ravel())
+    bx = (xs.size - 1).bit_length()  # the x index fills a key's low bits
     S_total = S1_direct = max_h = 0
-    for _, _, offsets, n in _bands(_powers(xs, 3), pair_sums):
-        x_index = np.repeat(np.arange(xs.size), n)
-        order = np.lexsort((x_index, offsets))  # by value, then by x
-        values, x_key = offsets[order], x_index[order]
-        starts, c = _runs(values)
+    for _, _, keys in _bands(pair_sums, _powers(xs, 3), np.arange(xs.size), bx):
+        keys.sort()  # by value, then by x
+        starts, c = _runs(keys >> bx)
         S_total += int(c @ c)
-        # the xs are consecutive: the x-index spread of a value run is its largest shift
-        max_h = max(max_h, int(np.max(x_key[starts + c - 1] - x_key[starts], initial=0)))
+        # the xs are consecutive: a value run's key spread is its largest shift
+        max_h = max(max_h, int(np.max(keys[starts + c - 1] - keys[starts], initial=0)))
         # S1 directly: per (value, x) multiplicities c, S1 = sum c^2
-        _, c1 = _runs(values, x_key)
+        _, c1 = _runs(keys)
         S1_direct += int(c1 @ c1)
 
     h_limit = 2.0**k * math.sqrt(P)
@@ -321,9 +343,12 @@ def count_admissible_triple(k: int, N: float, method: str = "meet_in_middle") ->
     t0 = time.perf_counter()
     xs, zs, ys = dyadic_range(X), dyadic_range(Z), dyadic_range(Y)
     x3 = _powers(xs, 3)
-    zy = (_powers(zs, 3)[:, None] + _powers(ys, k)[None, :]).ravel()
+    zy = np.sort((_powers(zs, 3)[:, None] + _powers(ys, k)[None, :]).ravel())
     if method == "meet_in_middle":
-        count = _square_sum(x3, np.sort(zy))
+        # each distinct z^3 + y^k once, its multiplicity m as the weight
+        starts, m = _runs(zy)
+        bits = int(m.max() - 1).bit_length()
+        count = _square_sum(x3.size * int(m @ m), bits, _bands(x3, zy[starts], m - 1, bits))
     elif method == "exhaustive":
         if side**2 > 4 * 10**8:
             raise BudgetExceeded(f"exhaustive triple scan of {side**2} pairs refused, over the 4*10^8 budget")
@@ -428,13 +453,16 @@ def count_representations(n: int, k: int, r: int, box_params: Parameters | None 
         starts, a_counts = _runs(left)
         table = np.zeros(n + 1, np.min_scalar_type(a_counts.max(initial=0)))
         table[left[starts]] = a_counts
-        # cubes p2^3 + p3^3 + p4^3, sorted once, then stream over p5
+        # cubes p2^3 + p3^3 + p4^3, sorted and folded once, then stream over p5
         a3 = cube_a**3
         trip = (a3[:, None, None] + a3[None, :, None] + (cube_b**3)[None, None, :]).ravel()
         trip.sort()
+        starts, mult = _runs(trip)
+        trip = trip[starts]
         for p5 in k_ps.tolist():
             rest = n - p5**k  # the targets rest - trip > 0 lie in 1..n
-            count += int(table[rest - trip[: np.searchsorted(trip, rest)]].sum(dtype=np.int64))
+            m = np.searchsorted(trip, rest)
+            count += int(table[rest - trip[:m]] @ mult[:m])
     return CountReport(
         "representation count for the mixed form",
         {"n": n, "k": k, "r": r, "mode": "free" if bp is None else "dyadic"},

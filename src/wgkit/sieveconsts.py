@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 from .arith import primes_up_to
 from .localdensity import class_counts_many
@@ -101,8 +102,12 @@ def F_upper(s: float) -> float:
     return 2.0 * EXP_GAMMA / s
 
 
+@lru_cache(maxsize=64)
 def sieve_product(n: int, k: int, z: float) -> float:
-    """W(z) = prod over odd primes p < z of (1 - omega(p)/p)."""
+    """W(z) = prod over odd primes p < z of (1 - omega(p)/p), once per (n, k, z).
+
+    A target's W(z) and both of its sieve window values share one product.
+    """
     if n % 2 != 0:
         raise ValueError(f"n must be even, got {n}")
     check_k(k)

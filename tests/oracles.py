@@ -3,7 +3,7 @@
 Nothing here shares code with the package's counting kernels: congruence
 counts come from explicit tuple enumeration or from cyclic convolution of
 residue histograms, quadrature values from Gauss-Legendre panels, Diophantine
-counts from literal comparisons.
+counts from literal comparisons or from one sort of every unfolded entry.
 """
 
 from __future__ import annotations
@@ -235,6 +235,98 @@ def mixed_literal(k: int, P: float) -> tuple[int, int]:
         S += int(same.sum())
         max_h = max(max_h, int(np.abs(x_of[same] - x).max()))
     return S, max_h
+
+
+def _box(X: float) -> range:
+    return range(math.floor(X) + 1, math.floor(2 * X) + 1)
+
+
+def _exact_powers(values, j: int) -> np.ndarray:
+    """v**j for each v: int64 when every entry is below 2^61, so sums of two
+    or three stay exact, else Python ints (object dtype)."""
+    out = [int(v) ** j for v in values]
+    return np.array(out, dtype=np.int64 if max(out, default=0) < 2**61 else object)
+
+
+def _run_lengths(*keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Start and length of each run of equal rows of lexicographically ordered keys."""
+    new = np.ones(keys[0].size + 1, dtype=bool)
+    new[1:-1] = np.any([key[1:] != key[:-1] for key in keys], axis=0)
+    bounds = np.flatnonzero(new)
+    return bounds[:-1], np.diff(bounds)
+
+
+def square_sum_unfolded(values: np.ndarray) -> int:
+    """Solutions of a = b over a value multiset: one sort of every entry, unbanded
+    and with every repeat kept, then the sum of squared run lengths."""
+    _, c = _run_lengths(np.sort(values))
+    return int(c @ c)
+
+
+def hua4_unfolded(k: int, Q: float) -> int:
+    """The fourth-moment count over every ordered pair sum y1^k + y2^k on (Q, 2Q]."""
+    pk = _exact_powers(_box(Q), k)
+    return square_sum_unfolded((pk[:, None] + pk[None, :]).ravel())
+
+
+def triple_unfolded(k: int, N: float) -> int:
+    """The triple count over every sum x^3 + z^3 + y^k on the triple boxes, with
+    z^3 + y^k kept per (z, y) even where z and y share a box (k = 3)."""
+    x3 = _exact_powers(_box(N ** (1.0 / 3)), 3)
+    z3 = _exact_powers(_box(N ** (5.0 / 18)), 3)
+    yk = _exact_powers(_box(N ** (5.0 / (6 * k))), k)
+    return square_sum_unfolded((x3[:, None, None] + z3[None, :, None] + yk[None, None, :]).ravel())
+
+
+def mixed_lexsort(k: int, P: float) -> tuple[int, int, int]:
+    """(S, S1, max_h) of the mixed count from one lexsort of every (value, x) entry.
+
+    The values x^3 + y1^k + y2^k over the mixed boxes, each with its x, are
+    ordered by value and then by x.  S sums the squared value-run lengths, S1
+    the squared (value, x)-run lengths, and max_h is the largest x spread of a
+    value run.
+    """
+    Q = P ** (5.0 / (2 * k))
+    xs, ys = _box(P), _box(Q)
+    x3, pk = _exact_powers(xs, 3), _exact_powers(ys, k)
+    values = (x3[:, None] + (pk[:, None] + pk[None, :]).ravel()[None, :]).ravel()
+    x_of = np.repeat(np.array(xs, dtype=np.int64), len(ys) ** 2)
+    order = np.lexsort((x_of, values))
+    values, x_of = values[order], x_of[order]
+    starts, c = _run_lengths(values)
+    _, c1 = _run_lengths(values, x_of)
+    max_h = int(np.max(x_of[starts + c - 1] - x_of[starts], initial=0))
+    return int(c @ c), int(c1 @ c1), max_h
+
+
+def representations_unfolded(n: int, k: int, r: int, boxes=None) -> int:
+    """Representations n = x^2 + p1^2 + p2^3 + p3^3 + p4^3 + p5^k, Omega(x) <= r,
+    with every ordered cube triple kept.
+
+    The left multiset x^2 + p1^2 is a dense bincount over 0..n; for each p5
+    the table is read at n - p5^k - t for every triple sum t = p2^3 + p3^3 + p4^3
+    below n - p5^k.  ``boxes`` gives X for x and p1, for p2 and p3, for p4 and
+    for p5, each variable confined to (X, 2X]; without it every variable takes
+    every size.
+    """
+    root = math.isqrt(n)
+    primes = [q for q in range(2, root + 1) if _is_prime(q)]
+
+    def within(values, i: int, j: int) -> np.ndarray:
+        lo, hi = (0, n) if boxes is None else (boxes[i], 2 * boxes[i])
+        return np.array([v for v in values if lo < v <= hi and v**j <= n], dtype=np.int64)
+
+    xs = within([x for x in range(1, root + 1) if _omega_count(x) <= r], 0, 2)
+    p1s, cube_a, cube_b, k_ps = (within(primes, i, j) for i, j in enumerate((2, 3, 3, k)))
+    left = ((xs * xs)[:, None] + (p1s * p1s)[None, :]).ravel()
+    table = np.bincount(left[left <= n], minlength=n + 1)
+    a3 = cube_a**3
+    trip = np.sort((a3[:, None, None] + a3[None, :, None] + (cube_b**3)[None, None, :]).ravel())
+    count = 0
+    for p5 in k_ps.tolist():
+        rest = n - p5**k
+        count += int(table[rest - trip[trip < rest]].sum())
+    return count
 
 
 def _omega_count(m: int) -> int:

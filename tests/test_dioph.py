@@ -5,7 +5,16 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from oracles import hua4_literal, mixed_literal, representations_in_boxes_literal, representations_literal
+from oracles import (
+    hua4_literal,
+    hua4_unfolded,
+    mixed_lexsort,
+    mixed_literal,
+    representations_in_boxes_literal,
+    representations_literal,
+    representations_unfolded,
+    triple_unfolded,
+)
 from wgkit import dioph
 from wgkit.dioph import (
     CountReport,
@@ -125,15 +134,67 @@ def test_triple_join_equals_literal_count(k, N):
     assert count_admissible_triple(k, N).count == count_admissible_triple(k, N, "exhaustive").count
 
 
+# the weighted joins against the unfolded ones, at sizes beyond the literal oracles
+
+
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(st.integers(2, 14), st.floats(1, 300))
+@example(14, 20.0)  # (2Q)^14 > 2^62: the values are Python ints
+@example(2, 300.0)  # k = 2: many sums y_i^2 + y_j^2 collide
+@example(3, 300.0)
+def test_hua4_pair_join_equals_unfolded_join(k, Q):
+    assert count_hua4(k, Q).count == hua4_unfolded(k, Q)
+
+
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(st.integers(3, 14), st.floats(2, 2e6))
+@example(3, 2e6)  # z and y share a box: z^3 + y^3 folds with multiplicities up to 4
+@example(4, 2e6)  # no repeats: the weight field is 0 bits wide
+def test_triple_folded_join_equals_unfolded_join(k, N):
+    assert count_admissible_triple(k, N).count == triple_unfolded(k, N)
+
+
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(st.integers(3, 14), st.floats(2, 300))
+@example(3, 300.0)
+@example(4, 300.0)
+def test_mixed_packed_key_equals_lexsort_join(k, P):
+    mc = count_mixed_S(k, P)
+    assert (mc.S.count, mc.S1.count, mc.max_h) == mixed_lexsort(k, P)
+
+
+@settings(max_examples=20, deadline=None, derandomize=True)
+@given(st.integers(5 * 10**5, 10**6), st.integers(3, 5), st.integers(0, 3), st.booleans())
+@example(5 * 10**5, 3, 3, False)
+@example(5 * 10**5, 3, 3, True)
+def test_representations_folded_join_equals_unfolded_join(half_n, k, r, dyadic):
+    n = 2 * half_n
+    if dyadic:
+        k = 3  # at n ~ 10^6 only k = 3 has a nonempty sieve range, and so box sizes
+        bp = params(n, k)
+        rep = count_representations(n, k, r, box_params=bp)
+        want = representations_unfolded(n, k, r, (bp.x2, bp.x3, bp.x3_star, bp.xk_star))
+    else:
+        rep, want = count_representations(n, k, r), representations_unfolded(n, k, r)
+    assert rep.count == want
+
+
+def test_counts_at_the_verify_sizes():
+    # the sizes the benchmark's verify workload runs; triple and reps are pinned below
+    assert count_hua4(3, 1500).count == 4500476
+    mc = count_mixed_S(4, 512)
+    assert (mc.S.count, mc.S1.count, mc.max_h) == (2435612, 2433536, 105)
+
+
 def _in_bands(entries, count, *args):
     """count(*args) with bands of about ``entries`` sums, and the size of every band."""
     sizes = []
     bands = dioph._bands
 
-    def recorded(outer, inner):
-        for a, b, offsets, n in bands(outer, inner):
-            sizes.append(offsets.size)
-            yield a, b, offsets, n
+    def recorded(*args, **kwargs):
+        for a, b, keys in bands(*args, **kwargs):
+            sizes.append(keys.size)
+            yield a, b, keys
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(dioph, "_BAND_ENTRIES", entries)
@@ -152,7 +213,8 @@ def test_hua4_count_is_band_invariant(k, Q):
     banded, sizes = _in_bands(7, count_hua4, k, Q)
     whole, one = _in_bands(ONE_BAND, count_hua4, k, Q)
     assert banded.count == whole.count == count_hua4(k, Q, "exhaustive").count
-    assert sum(sizes) == sum(one) == dyadic_range(Q).size ** 2 and len(one) == 1
+    n = dyadic_range(Q).size
+    assert sum(sizes) == sum(one) == n * (n + 1) // 2 and len(one) == 1  # the pairs i <= j
     if sum(sizes) >= 100:
         assert len(sizes) >= sum(sizes) // 14  # about 7 sums a band
 
@@ -197,10 +259,10 @@ def test_band_edges_split_the_sums_evenly():
     sizes = np.diff(np.searchsorted(sums, edges))
     assert sizes.sum() == sums.size and sizes.max() <= 2 * dioph._BAND_ENTRIES
     bands = list(dioph._bands(outer, inner))
-    assert [a for a, _, _, _ in bands] == edges[:-1] and [b for _, b, _, _ in bands] == edges[1:]
-    assert [v.size for _, _, v, _ in bands] == sizes.tolist()
-    # a band's offsets plus its start are its sums
-    assert np.array_equal(np.sort(np.concatenate([v + a for a, _, v, _ in bands])), sums)
+    assert [a for a, _, _ in bands] == edges[:-1] and [b for _, b, _ in bands] == edges[1:]
+    assert [v.size for _, _, v in bands] == sizes.tolist()
+    # a band's keys (no tags: its offsets) plus its start are its sums
+    assert np.array_equal(np.sort(np.concatenate([v + a for a, _, v in bands])), sums)
 
 
 def _sorted_side(base, deltas, exact):
@@ -218,6 +280,10 @@ _DELTA = st.one_of(
 )
 
 
+def _narrowest(span):
+    return np.dtype(np.uint32 if span <= 2**32 else np.uint64 if span <= 2**64 else object)
+
+
 @settings(max_examples=200, deadline=None, derandomize=True)
 @given(
     st.booleans(),
@@ -225,32 +291,55 @@ _DELTA = st.one_of(
     st.lists(_DELTA, min_size=1, max_size=6),
     st.lists(_DELTA, min_size=1, max_size=6),
     st.sampled_from([2, 5, 2**17]),
+    st.sampled_from([0, 1, 2, 9]),
 )
-@example(False, 7, [0, 2**31, 2**32 - 1], [0, 1], 2**17)  # span 2^32 + 1: uint64
-@example(False, 7, [0, 2**31, 2**32 - 2], [0, 1], 2**17)  # span 2^32: uint32
-@example(True, 3**40, [0, 2**63], [0, 2**63 - 1], 2**17)  # span 2^64: uint64
-@example(True, 3**40, [0, 2**63], [0, 2**63], 2**17)  # span 2^64 + 1: object
-def test_band_offsets_are_exact_in_the_narrowest_dtype(exact, base, outer_d, inner_d, entries):
+@example(False, 7, [0, 2**31, 2**32 - 1], [0, 1], 2**17, 0)  # span 2^32 + 1: uint64
+@example(False, 7, [0, 2**31, 2**32 - 2], [0, 1], 2**17, 0)  # span 2^32: uint32
+@example(False, 7, [0, 2**30, 2**31 - 2], [0, 1], 2**17, 1)  # keys span 2^32: uint32
+@example(False, 7, [0, 2**30, 2**31 - 1], [0, 1], 2**17, 1)  # keys span 2^32 + 2: uint64
+@example(True, 3**40, [0, 2**63], [0, 2**63 - 1], 2**17, 0)  # span 2^64: uint64
+@example(True, 3**40, [0, 2**63], [0, 2**63], 2**17, 0)  # span 2^64 + 1: object
+@example(True, 3**40, [0, 2**62], [0, 2**62 - 1], 2**17, 1)  # keys span 2^64: uint64
+@example(True, 3**40, [0, 2**62], [0, 2**62], 2**17, 1)  # keys span 2^64 + 2: object
+def test_band_offsets_are_exact_in_the_narrowest_dtype(exact, base, outer_d, inner_d, entries, bits):
     # int64 sides keep every sum below 2^63; Python-int sides may hold anything
     if not exact:
         base, outer_d, inner_d = base % 2**40, [d % 2**61 for d in outer_d], [d % 2**61 for d in inner_d]
     outer = _sorted_side(base, outer_d, exact)
     inner = _sorted_side(base // 3, inner_d, exact)
-    sums = [(o + x) for o in outer.tolist() for x in inner.tolist()]
+    tags = np.array([(2**bits - 1 - j) % 2**bits for j in range(inner.size)], dtype=np.int64)
+    sums = [(o + x, t) for o in outer.tolist() for x, t in zip(inner.tolist(), tags.tolist())]
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(dioph, "_BAND_ENTRIES", entries)
-        bands = list(dioph._bands(outer, inner))
-    edges = [a for a, _, _, _ in bands] + [bands[-1][1]]
-    assert edges[0] == min(sums) and edges[-1] == max(sums) + 1
+        bands = list(dioph._bands(outer, inner, tags, bits))
+    edges = [a for a, _, _ in bands] + [bands[-1][1]]
+    assert edges[0] == min(s for s, _ in sums) and edges[-1] == max(s for s, _ in sums) + 1
     assert all(a < b for a, b in zip(edges, edges[1:]))
-    assert [b for _, b, _, _ in bands] == edges[1:]
-    for a, b, offsets, n in bands:
-        span = b - a
-        narrowest = np.uint32 if span <= 2**32 else np.uint64 if span <= 2**64 else object
-        assert offsets.dtype == np.dtype(narrowest)
-        # the sums in [a, b), outer index by outer index, in inner order
-        assert [int(v) + a for v in offsets.tolist()] == [s for s in sums if a <= s < b]
-        assert n.tolist() == [sum(a <= o + x < b for x in inner.tolist()) for o in outer.tolist()]
+    assert [b for _, b, _ in bands] == edges[1:]
+    for a, b, keys in bands:
+        assert keys.dtype == _narrowest((b - a) << bits)
+        # the sums in [a, b) and their tags, outer index by outer index, in inner order
+        assert [int(v) for v in keys.tolist()] == [(s - a) << bits | t for s, t in sums if a <= s < b]
+
+
+@settings(max_examples=50, deadline=None, derandomize=True)
+@given(st.booleans(), st.integers(0, 2**70), st.lists(_DELTA, min_size=1, max_size=8), st.sampled_from([2, 5, 2**17]))
+@example(False, 7, [0, 0, 1], 2)  # equal entries: i < j keeps weight 2 where y_i = y_j
+def test_pair_bands_hold_each_unordered_pair_once(exact, base, deltas, entries):
+    if not exact:
+        base, deltas = base % 2**40, [d % 2**61 for d in deltas]
+    side = _sorted_side(base, deltas, exact)
+    ys = side.tolist()
+    pairs = [(i, j) for i in range(len(ys)) for j in range(i, len(ys))]
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(dioph, "_BAND_ENTRIES", entries)
+        bands = list(dioph._bands(side, side, pairs=True))
+    assert sum(keys.size for _, _, keys in bands) == len(pairs)
+    for a, b, keys in bands:
+        assert keys.dtype == _narrowest((b - a) << 1)
+        # j = i is tagged 0 (weight 1), j > i is tagged 1 (weight 2), i by i
+        want = [(ys[i] + ys[j] - a) << 1 | (i < j) for i, j in pairs if a <= ys[i] + ys[j] < b]
+        assert [int(v) for v in keys.tolist()] == want
 
 
 def test_triple_count_memory_is_bounded_by_the_band():

@@ -266,6 +266,7 @@ def test_class_counts_cached_per_prime_and_power(monkeypatch):
     odd = [p for p in primes_up_to(z - 1) if p > 2]
     computed = _record_kernel(monkeypatch)
     monkeypatch.setitem(localdensity._STORE, k, {})  # an empty store for k, whatever ran before
+    sieve_product.cache_clear()  # and no W(z) held from an earlier call
     sieve_product(2 * 10**6 + 2, k, z)
     assert sorted(computed) == odd  # each prime once
     sieve_product(2 * 10**6 + 4, k, z)  # a new target: new residues, same (p, k)

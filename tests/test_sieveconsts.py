@@ -94,9 +94,11 @@ def test_main_term_margin_examples():
 
 
 def test_sieve_window_value():
+    sieve_product.cache_clear()
     lower = sieve_window_value(40, 3, z=5.0, D=125.0, side="lower")
     upper = sieve_window_value(40, 3, z=5.0, D=125.0, side="upper")
     w = sieve_product(40, 3, 5.0)
+    assert sieve_product.cache_info().misses == 1  # one W(z) for the target
     assert lower == pytest.approx(w * f_lower(3.0), rel=1e-12)
     assert upper == pytest.approx(w * F_upper(3.0), rel=1e-12)
     assert lower < upper
