@@ -13,16 +13,17 @@ of count_A(v) * count_B(v), and sorting a value multiset puts each count(v) in
 one run of equal entries (``_runs``).  At small sizes an exhaustive twin
 compares every entry with every entry, and the two must agree exactly.
 
-The three equation counts never hold their whole value multiset.  Each value
-is an outer value plus an entry of a small sorted array W (triple:
-x^3 + (z^3 + y^k), mixed: (y1^k + y2^k) + x^3, fourth moment: y_i^k + y_j^k),
-and ``_bands`` cuts the value axis into bands of about ``_BAND_ENTRIES``
-entries, gathered from each outer value's slice of W as keys
-((value - a) << bits) | tag and sorted.  Equal values never straddle a band,
-so memory stays bounded by the band size.  The triple count folds W into
-distinct values and the fourth moment takes the pairs i <= j, each tagged with
-its weight less one, so every distinct sum is gathered once (``_square_sum``);
-the mixed count tags each key with its x index.
+No count holds its whole value multiset.  Each value is an outer value plus
+an entry of a small sorted array W (triple: x^3 + (z^3 + y^k), mixed:
+(y1^k + y2^k) + x^3, fourth moment: y_i^k + y_j^k), and ``_bands`` cuts the
+value axis into bands of about ``_BAND_ENTRIES`` entries, gathered from each
+outer value's slice of W (``_slices``) as keys ((value - a) << bits) | tag and
+sorted.  Equal values never straddle a band, so memory stays bounded by the
+band size.  The triple count folds W into distinct values and the fourth
+moment takes the pairs i <= j, each tagged with its weight less one, so every
+distinct sum is gathered once (``_square_sum``); the mixed count tags each key
+with its x index.  The representation count bins x^2 + p1^2 in bands of
+``_BAND_ENTRIES`` values, read at the targets n - p5^k - w in each band.
 """
 
 from __future__ import annotations
@@ -90,29 +91,31 @@ def _runs(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return bounds[:-1], np.diff(bounds)
 
 
-def _band_edges(outer: np.ndarray, inner: np.ndarray) -> list[int]:
+def _band_edges(outer: np.ndarray, inner: np.ndarray, pairs: bool = False) -> list[int]:
     """Value edges e_0 < e_1 < ... < e_m, about ``_BAND_ENTRIES`` sums per [e_t, e_t+1).
 
-    The sums are outer[i] + inner[j] over sorted arrays; e_0 is the least sum
-    and e_m the largest plus one.  Each inner edge is bisected on a float image
-    of the count of sums below a value (sum_i searchsorted(inner, v - outer[i])),
-    until its bracket holds an eighth of a band.  The edges only size the bands:
-    rounding moves how many sums a band holds, never which band a sum is in.
+    The sums are outer[i] + inner[j] over sorted arrays (with ``pairs``, i <= j
+    only); e_0 is the least sum and e_m the largest plus one.  Each inner edge
+    is bisected on a float image of the count of ordered sums below a value
+    (sum_i searchsorted(inner, v - outer[i])), until its bracket holds an eighth
+    of a band.  The edges only size the bands: rounding moves how many sums a
+    band holds, never which band a sum is in.
     """
     first = int(outer[0]) + int(inner[0])
     last = int(outer[-1]) + int(inner[-1]) + 1
     total = outer.size * inner.size
-    targets = np.arange(_BAND_ENTRIES, total, _BAND_ENTRIES)  # sums below each inner edge
+    band = _BAND_ENTRIES << pairs  # ordered sums per band: a pair i < j is two of them
+    targets = np.arange(band, total, band)  # ordered sums below each inner edge
     # the count is symmetric in the two sides: take the shorter one as needles
     needles, haystack = sorted((outer.astype(float), inner.astype(float)), key=len)
     edges = [first]
-    rows = max(1, _BAND_ENTRIES // needles.size)  # edges bisected at once: a band of needles
+    rows = max(1, band // needles.size)  # edges bisected at once: a band of needles
     for s in range(0, targets.size, rows):
         t = targets[s : s + rows]
         lo, hi = np.full(t.size, float(first)), np.full(t.size, float(last))
         n_lo, n_hi = np.zeros(t.size, np.int64), np.full(t.size, total)
         for _ in range(64):
-            if (n_hi - n_lo <= _BAND_ENTRIES // 8).all():
+            if (n_hi - n_lo <= band // 8).all():
                 break
             mid = 0.5 * (lo + hi)
             n = np.searchsorted(haystack, mid[:, None] - needles).sum(axis=1)
@@ -123,6 +126,14 @@ def _band_edges(outer: np.ndarray, inner: np.ndarray) -> list[int]:
             if edges[-1] < e < last:
                 edges.append(e)
     return edges + [last]
+
+
+def _slices(lo: np.ndarray, n: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The indices of the slices [lo[i], lo[i] + n[i]) end to end, and where each slice starts."""
+    start = np.cumsum(n) - n
+    j = np.repeat(lo - start, n)
+    j += np.arange(j.size)
+    return j, start
 
 
 def _narrow(span: int) -> np.dtype:
@@ -156,7 +167,7 @@ def _bands(
     all j) in ``_narrow((b - a) << bits)``, i by i, unsorted; outer and inner are
     sorted.  With ``pairs`` (outer is inner) only j >= i is taken, tagged 1 for
     j > i.  Two searchsorted calls give every i its slice of inner, and
-    ``np.repeat`` gathers the slices with no loop over i.  A key is
+    ``_slices`` gathers the slices with no loop over i.  A key is
     ((inner[j] - inner[0]) << bits | tags[j]) + ((outer[i] + inner[0] - a) << bits),
     both terms wrapped modulo 2^width: the true key lies below (b - a) << bits,
     so the wrapped sum is exact.  Every sum lies in exactly one band, and equal
@@ -167,7 +178,7 @@ def _bands(
         outer, inner = outer.astype(object), inner.astype(object)
     if pairs:
         tags, bits = 1, 1
-    edges = _band_edges(outer, inner)
+    edges = _band_edges(outer, inner, pairs)
     rel, base, diag = {}, inner - inner[0], np.arange(outer.size)  # rel: tagged base, once per dtype
     for a, b in zip(edges[:-1], edges[1:]):
         dtype = _narrow((b - a) << bits)
@@ -178,10 +189,9 @@ def _bands(
         if pairs:
             lo, hi = np.maximum(lo, diag), np.maximum(hi, diag)
         n = hi - lo
-        start = np.cumsum(n) - n
-        j = np.repeat(lo - start, n)
-        j += np.arange(j.size)
+        j, start = _slices(lo, n)
         keys = rel[dtype][j]
+        del j  # dead: not held across the yield while the caller sorts the keys
         keys += np.repeat(_wrap(outer + (inner[0] - a), dtype) << bits, n)
         if pairs:
             keys[start[(lo == diag) & (n > 0)]] -= 1  # j = i opens its slice: weight 1
@@ -273,8 +283,7 @@ def count_mixed_S(k: int, P: float) -> MixedCount:
     n_pairs = n_x * n_y**2
     if n_pairs > PAIR_BUDGET:
         raise BudgetExceeded(
-            f"{n_x} x-values times {n_y}^2 y-pairs = {n_pairs} entries "
-            f"exceeds the {PAIR_BUDGET} budget"
+            f"{n_x} x-values times {n_y}^2 y-pairs = {n_pairs} entries exceeds the {PAIR_BUDGET} budget"
         )
     t0 = time.perf_counter()
     xs, ys = dyadic_range(P), dyadic_range(Q)
@@ -357,13 +366,7 @@ def count_admissible_triple(k: int, N: float, method: str = "meet_in_middle") ->
         raise ValueError(f"unknown method {method!r}")
     return CountReport(
         "admissible-triple count",
-        {
-            "k": k,
-            "N": N,
-            "x_count": int(xs.size),
-            "z_count": int(zs.size),
-            "y_count": int(ys.size),
-        },
+        {"k": k, "N": N, "x_count": int(xs.size), "z_count": int(zs.size), "y_count": int(ys.size)},
         count,
         time.perf_counter() - t0,
         method,
@@ -380,8 +383,7 @@ def fit_scaling(counts: list[CountReport], size_key: str) -> ScalingFit:
         if size <= 0 or rep.count <= 0:
             raise ValueError("scaling fit needs positive sizes and counts")
         pts.append((math.log(float(size)), math.log(float(rep.count))))
-    xs = np.array([p[0] for p in pts])
-    ys = np.array([p[1] for p in pts])
+    xs, ys = np.array(pts).T
     slope, intercept = np.polyfit(xs, ys, 1)
     resid = np.abs(ys - (slope * xs + intercept)).max()
     return ScalingFit(tuple(pts), float(slope), float(intercept), float(resid))
@@ -414,7 +416,8 @@ def count_representations(n: int, k: int, r: int, box_params: Parameters | None 
     The p_i are primes; x >= 1 is an almost-prime with at most r prime
     factors counted with multiplicity (x = 1 qualifies, having none).  Without
     ``box_params`` every variable takes every size; with it, each is confined
-    to its dyadic box (X, 2X] from ``box_params``.
+    to its dyadic box (X, 2X] from ``box_params``.  The join runs over bands of
+    ``_BAND_ENTRIES`` target values, so its memory does not grow with n.
     """
     if n % 2 != 0:
         raise ValueError(f"the representation target must be even, got n={n}")
@@ -443,26 +446,23 @@ def count_representations(n: int, k: int, r: int, box_params: Parameters | None 
     xs = candidates(boxes[0], 2, np.flatnonzero(_omega_table(root) <= r))
     p1s, cube_a, cube_b, k_ps = (candidates(b, j) for b, j in zip(boxes, (2, 3, 3, k)))
     count = 0
-    # x^2, p1^2 <= n <= 10^8, so the left sums fit int32 and those above n never match
-    xs, p1s = xs.astype(np.int32), p1s.astype(np.int32)
     if min(xs.size, p1s.size, cube_a.size, cube_b.size, k_ps.size) > 0:
-        # left multiset x^2 + p1^2 as a dense table of multiplicities over 0..n
-        left = ((xs * xs)[:, None] + (p1s * p1s)[None, :]).ravel()
-        left = left[left <= n]
-        left.sort()
-        starts, a_counts = _runs(left)
-        table = np.zeros(n + 1, np.min_scalar_type(a_counts.max(initial=0)))
-        table[left[starts]] = a_counts
-        # cubes p2^3 + p3^3 + p4^3, sorted and folded once, then stream over p5
+        outer, inner = sorted((xs * xs, p1s * p1s), key=len)  # the left sums, shorter side outer
         a3 = cube_a**3
         trip = (a3[:, None, None] + a3[None, :, None] + (cube_b**3)[None, None, :]).ravel()
         trip.sort()
         starts, mult = _runs(trip)
-        trip = trip[starts]
-        for p5 in k_ps.tolist():
-            rest = n - p5**k  # the targets rest - trip > 0 lie in 1..n
-            m = np.searchsorted(trip, rest)
-            count += int(table[rest - trip[:m]] @ mult[:m])
+        trip, rests = trip[starts], n - k_ps**k  # distinct cube sums w; the targets are rest - w
+        first = int(outer[0] + inner[0])  # the least left sum: every slice of inner starts at 0
+        left, right = np.zeros_like(outer), np.searchsorted(trip, rests - first, "right")
+        for lo in range(first, int(rests[0] - trip[0]) + 1, _BAND_ENTRIES):  # to the largest target
+            left_end = np.searchsorted(inner, lo + _BAND_ENTRIES - outer)
+            right_end = np.searchsorted(trip, rests - lo - _BAND_ENTRIES, "right")
+            j, _ = _slices(left, left_end - left)
+            c = np.bincount(inner[j] + np.repeat(outer - lo, left_end - left), minlength=_BAND_ENTRIES)
+            m, _ = _slices(right_end, right - right_end)
+            count += int(c[np.repeat(rests - lo, right - right_end) - trip[m]] @ mult[m])
+            left, right = left_end, right_end  # a slice ends where it starts in the next band
     return CountReport(
         "representation count for the mixed form",
         {"n": n, "k": k, "r": r, "mode": "free" if bp is None else "dyadic"},

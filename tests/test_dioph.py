@@ -216,7 +216,7 @@ def test_hua4_count_is_band_invariant(k, Q):
     n = dyadic_range(Q).size
     assert sum(sizes) == sum(one) == n * (n + 1) // 2 and len(one) == 1  # the pairs i <= j
     if sum(sizes) >= 100:
-        assert len(sizes) >= sum(sizes) // 14  # about 7 sums a band
+        assert sum(sizes) // 14 <= len(sizes) <= sum(sizes) // 5  # about 7 pairs a band, not 7 ordered sums
 
 
 @settings(max_examples=25, deadline=None, derandomize=True)
@@ -354,16 +354,30 @@ def test_triple_count_memory_is_bounded_by_the_band():
     assert peak <= 32 * 8 * dioph._BAND_ENTRIES  # 32 int64 arrays of one band: 32 MB
 
 
-def test_representations_memory_is_bounded():
-    # the left multiset x^2 + p1^2 goes into a dense uint8 table over 0..n (10 MB)
+def _representations_peak(n):
+    """count_representations(n, 3, 3).count and the tracemalloc peak of the call."""
     tracemalloc.start()
     try:
-        rep = count_representations(10**7, 3, 3)
+        rep = count_representations(n, 3, 3)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert rep.count == 354188
-    assert peak <= 24 * 2**20
+    return rep.count, peak
+
+
+def test_representations_memory_is_bounded():
+    # one band's bincount of x^2 + p1^2 holds 2^17 int64 (1 MB), whatever n
+    count, peak = _representations_peak(10**7)
+    assert count == 354188
+    assert peak <= 8 * 2**20
+
+
+def test_representations_memory_does_not_grow_with_n():
+    # ten times the n of the test above; the peak is mostly the 90^3 int64
+    # cube sums p2^3 + p3^3 + p4^3 (5.8 MB) before they are folded
+    count, peak = _representations_peak(10**8)
+    assert count == 2736492
+    assert peak <= 16 * 2**20
 
 
 def test_fit_scaling_synthetic():
@@ -399,6 +413,42 @@ def test_representations_join_equals_literal_count(half_n, k, r):
     n = 2 * half_n
     want = representations_literal(n, k, lambda om: om <= r)
     assert count_representations(n, k, r).count == want
+
+
+def _representations_in_bands(entries, n, k, r, box_params=None):
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(dioph, "_BAND_ENTRIES", entries)
+        return count_representations(n, k, r, box_params=box_params).count
+
+
+@settings(max_examples=20, deadline=None, derandomize=True)
+@given(st.integers(5 * 10**4, 5 * 10**5), st.integers(3, 5), st.integers(0, 3), st.booleans())
+@example(5 * 10**5, 3, 3, False)
+@example(5 * 10**5, 3, 3, True)
+@example(5 * 10**4, 5, 0, False)
+def test_representations_in_many_bands_equal_unfolded_join(half_n, k, r, dyadic):
+    # bands of 2^10 values: n in 10^5..10^6 spans about 100 to 1000 of them
+    n = 2 * half_n
+    if dyadic:
+        n, k = n + 10**6, 3  # box sizes start at n = 10^6, where only k = 3 has a sieve range
+        bp = params(n, k)
+        got = _representations_in_bands(2**10, n, k, r, bp)
+        want = representations_unfolded(n, k, r, (bp.x2, bp.x3, bp.x3_star, bp.xk_star))
+    else:
+        got, want = _representations_in_bands(2**10, n, k, r), representations_unfolded(n, k, r)
+    assert got == want
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(st.integers(3, 300), st.integers(3, 5), st.integers(0, 3), st.sampled_from([1, 2, 3, 2**17]))
+@example(28, 3, 0, 1)  # 56 = 1 + 2^2 + 3 * 2^3 + 3^3: a target at the least left sum
+@example(28, 3, 0, 2)
+@example(300, 3, 3, 2**17)  # n below one band
+def test_representations_at_band_edges_equal_literal_count(half_n, k, r, entries):
+    # bands of one value put every target on a band edge
+    n = 2 * half_n
+    want = representations_literal(n, k, lambda om: om <= r)
+    assert _representations_in_bands(entries, n, k, r) == want
 
 
 def test_representations_rejections():
