@@ -148,10 +148,25 @@ def primitive_root(p: int) -> int:
     """Smallest generator of the multiplicative group mod an odd prime p."""
     if p == 2 or not is_prime(p):
         raise ValueError(f"need an odd prime, got {p}")
-    return int(_least_generators(np.array([p]))[0])
+    return int(_least_generators([p])[0])
 
 
-def _least_generators(ps: np.ndarray) -> np.ndarray:
+_LEAST_ROOTS: dict[int, int] = {}  # prime -> least primitive root, each searched once per process
+
+
+def _least_generators(ps) -> np.ndarray:
+    """The least primitive root of each prime of ``ps`` (1 at p = 2), as an int64 array.
+
+    Primes not yet in ``_LEAST_ROOTS`` are searched in one ``_root_search`` call.
+    """
+    ps = [int(p) for p in ps]
+    new = sorted(set(ps).difference(_LEAST_ROOTS))
+    if new:
+        _LEAST_ROOTS.update(zip(new, _root_search(new).tolist()))
+    return np.array([_LEAST_ROOTS[p] for p in ps], dtype=np.int64)
+
+
+def _root_search(ps) -> np.ndarray:
     """The least primitive root of each prime of ``ps`` (1 at p = 2), in stacked passes.
 
     For each prime q <= sqrt(max p) dividing p - 1, the q-part of p - 1 is its

@@ -56,41 +56,6 @@ def max_r(k: int) -> int:
     return math.floor(36 * k / (15 - k))
 
 
-@dataclass(frozen=True)
-class LevelFunction:
-    """One level g_m sampled on its lattice, with cubic off-lattice evaluation."""
-
-    m: int
-    U: float
-    xs: np.ndarray
-    ys: np.ndarray
-
-    def __call__(self, u: float) -> float:
-        if u <= self.xs[0]:
-            return 0.0
-        if u >= self.xs[-1]:
-            return float(self.ys[-1])
-        if len(self.xs) < 4:
-            return float(np.interp(u, self.xs, self.ys))
-        i = int(np.searchsorted(self.xs, u)) - 1
-        lo = min(max(i - 1, 0), len(self.xs) - 4)
-        x = self.xs[lo : lo + 4]
-        y = self.ys[lo : lo + 4]
-        # 4-point Lagrange (piecewise cubic)
-        total = 0.0
-        for a in range(4):
-            w = 1.0
-            for b in range(4):
-                if a != b:
-                    w *= (u - x[b]) / (x[a] - x[b])
-            total += w * y[a]
-        return total
-
-    @property
-    def top_value(self) -> float:
-        return float(self.ys[-1])
-
-
 def _cumsimpson(f: np.ndarray, h: float) -> np.ndarray:
     """Cumulative composite Simpson integral of ``f`` (n >= 3 samples, step h), from 0.
 
@@ -176,19 +141,6 @@ def _converged_values(k: int) -> tuple[Mapping[int, float], float]:
             f"c_r changes by {err:.3g} at k={k} between {STEPS_PER_UNIT} steps per unit, not below {ACCURACY:g}"
         )
     return MappingProxyType(fine), err
-
-
-def level_function(m: int, k: int, steps_per_unit: int = STEPS_PER_UNIT[-1]) -> LevelFunction:
-    """The sampled level g_m on [m, U_k], for inspection and spot checks."""
-    reference.check_k(k)
-    if m < 2:
-        raise ValueError(f"levels start at m = 2, got {m}")
-    U = upper_limit(k)
-    *_, (_, xs, ys) = _levels(k, steps_per_unit, m)  # the last level, g_m
-    if ys is None:
-        xs = np.array([float(m), U]) if U > m else np.array([float(m)])
-        ys = np.zeros_like(xs)
-    return LevelFunction(m, U, xs, ys)
 
 
 def iterated_integral(r: int, k: int) -> float:

@@ -25,21 +25,15 @@ EXP_GAMMA = math.exp(EULER_GAMMA)
 
 @dataclass(frozen=True)
 class Parameters:
-    """Dyadic box sizes and arc parameters for an even target n and power k."""
+    """Dyadic box sizes and the sieve level for an even target n and power k."""
 
     n: int
     k: int
-    eps: float
     x2: float
     x3: float
-    xk: float
-    x2_star: float
     x3_star: float
     xk_star: float
     D: float
-    z: float
-    Q1: float
-    Q2: float
 
 
 def params(n: int, k: int, eps: float = 1e-4) -> Parameters:
@@ -58,27 +52,14 @@ def params(n: int, k: int, eps: float = 1e-4) -> Parameters:
     z = D ** (1.0 / 3.0)
     if z <= 2.0:
         raise ValueError(f"empty sieve range: z = {z} <= 2")
-    p = Parameters(
-        n=n,
-        k=k,
-        eps=eps,
-        x2=box_size(n, 2),
-        x3=box_size(n, 3),
-        xk=box_size(n, k),
-        x2_star=box_size(n, 2, star=True),
-        x3_star=box_size(n, 3, star=True),
-        xk_star=box_size(n, k, star=True),
-        D=D,
-        z=z,
-        Q1=float(n) ** (5.0 / 9 - 5.0 / (6 * k) + 50 * eps),
-        Q2=float(n) ** (4.0 / 9 + 5.0 / (6 * k) - 50 * eps),
-    )
+    x2, x3 = box_size(n, 2), box_size(n, 3)
+    x3s, xks = box_size(n, 3, star=True), box_size(n, k, star=True)
     # the dyadic boxes must be able to reach the target
-    low = 2 * p.x2**2 + 2 * p.x3**3 + p.x3_star**3 + p.xk_star**k
-    high = 2 * (2 * p.x2) ** 2 + 2 * (2 * p.x3) ** 3 + (2 * p.x3_star) ** 3 + (2 * p.xk_star) ** k
+    low = 2 * x2**2 + 2 * x3**3 + x3s**3 + xks**k
+    high = 2 * (2 * x2) ** 2 + 2 * (2 * x3) ** 3 + (2 * x3s) ** 3 + (2 * xks) ** k
     if not (low < n <= high):
         raise ValueError(f"dyadic boxes incompatible with target: {low} < {n} <= {high} fails")
-    return p
+    return Parameters(n, k, x2, x3, x3s, xks, D)
 
 
 _WINDOW_SLACK = 1e-9  # tolerate roundoff when s is computed as log D / log z

@@ -26,8 +26,6 @@ import numpy as np
 
 from .reference import check_k
 
-METHOD = "arcsin_gauss_legendre"
-
 
 def expected_growth_exponent(k: int) -> float:
     """Exponent of the growth order of J(n): 17/18 + 5/(6k)."""
@@ -41,7 +39,6 @@ class SingularIntegralEval:
     k: int
     value: float
     est_abs_error: float
-    method: str
     samples: int  # integrand evaluations used, over both quadrature orders
     empty: bool
 
@@ -133,14 +130,13 @@ def singular_integral(
     x3s, xks = box_size(n, 3, star=True), box_size(n, k, star=True)
     # quick emptiness test: the largest achievable t must clear X2^2
     if n - x2**2 - 2 * x3**3 - x3s**3 - xks**k <= x2**2:
-        return SingularIntegralEval(n, k, 0.0, 0.0, METHOD, 0, True)
+        return SingularIntegralEval(n, k, 0.0, 0.0, 0, True)
     (low, low_evals), (value, evals) = (_quadrature(n, k, *order) for order in ORDERS)
     return SingularIntegralEval(
         n=n,
         k=k,
         value=value,
         est_abs_error=abs(value - low),
-        method=METHOD,
         samples=low_evals + evals,
         empty=value == 0.0,
     )

@@ -19,7 +19,8 @@ asked once for the whole prime range of a product:
     p not dividing d:  1 + A_d(p,n) = L(p,n) / (p-1)^5,
     p dividing d:      1 + A_d(p,n) = p K(p,n) / (p-1)^5.
 
-Truncating at p_max >= 29 leaves a tail controlled by |A(p,n)| <= 200 / p^2.
+Truncating at p_max >= 29 leaves a tail controlled by |A(p,n)| <= 200 / p^2,
+which holds for p not dividing d; a d with a prime factor above p_max is refused.
 The sieve density is omega(p) = p K(p,n) / L(p,n), multiplicative in d.
 Both read the engine's store directly; nothing here holds a cache of its own.
 """
@@ -151,6 +152,9 @@ def singular_series(n: int, d, k: int, p_max: int = 10**4) -> SingularSeriesEval
     if not fd.is_squarefree():
         raise ValueError(f"d must be squarefree, got {fd.value}")
     tail = tail_envelope(p_max)
+    if fd.primes and fd.primes[-1] > p_max:
+        # the envelope's 200/p^2 covers L/(p-1)^5 - 1 only, not p K/(p-1)^5 - 1
+        raise ValueError(f"d = {fd.value} has the prime factor {fd.primes[-1]} above p_max = {p_max}")
     factors = []
     log_sum = 0.0
     zero = False

@@ -1,7 +1,13 @@
 import pytest
+from hypothesis import settings
 
 from wgkit.buchstab import constants_table
 from wgkit.reference import K_RANGE
+
+# every property test replays the same examples: no random seed, no example
+# database, no deadline
+settings.register_profile("wgkit", derandomize=True, database=None, deadline=None)
+settings.load_profile("wgkit")
 
 
 @pytest.fixture(scope="session")

@@ -12,9 +12,9 @@ from wgkit.buchstab import (
     _cascade,
     _converged_values,
     _cumsimpson,
+    _levels,
     constants_table,
     iterated_integral,
-    level_function,
     max_r,
     tables_to_csv,
     tables_to_json,
@@ -39,17 +39,22 @@ def test_max_r_values():
     assert max_r(14) == 504
 
 
+def _level(m: int, k: int, steps: int = 256):
+    """(xs, ys) of the sampled level g_m, or (None, None) for the zero function."""
+    *_, (_, xs, ys) = _levels(k, steps, m)
+    return xs, ys
+
+
 def test_base_level_against_quadrature_oracle():
-    g2 = level_function(2, 3)
+    xs, g2 = _level(2, 3)
     oracle = gauss_legendre(lambda t: np.log(t - 1.0) / t, 2.0, 3.0)
     # frozen from the oracle; hand check: log2 log3 - int_1^2 log(1+u)/u du = 0.14722
     assert oracle == pytest.approx(0.1472207, abs=1e-6)
-    assert g2(3.0) == pytest.approx(oracle, abs=1e-9)
-    assert g2(2.0) == 0.0
-    # nondecreasing on a grid
-    us = np.linspace(2, 8, 50)
-    vals = [g2(u) for u in us]
-    assert all(b >= a - 1e-15 for a, b in zip(vals, vals[1:]))
+    assert xs[256] == 3.0  # the lattice 8 - j/256 holds every integer of [2, 8]
+    assert g2[256] == pytest.approx(oracle, abs=1e-9)
+    assert (xs[0], g2[0]) == (2.0, 0.0)
+    # nondecreasing on the lattice
+    assert (np.diff(g2) >= -1e-15).all()
 
 
 def test_c4_against_independent_nested_quadrature():
@@ -71,27 +76,27 @@ def test_cr_degenerate_cases():
     assert iterated_integral(200, 5) == 0.0
 
 
-def test_level_function_matches_cr():
-    assert level_function(3, 3).top_value == pytest.approx(iterated_integral(4, 3), abs=1e-7)
+def test_level_top_matches_cr():
+    assert _level(3, 3)[1][-1] == pytest.approx(iterated_integral(4, 3), abs=1e-7)
 
 
-def test_level_function_shares_the_cascade_levels():
-    # the sampled level is the one the c_r cascade integrates, bit for bit
+def test_cascade_reads_the_level_tops():
+    # the cascade's c_{m+1} is the top sample of level g_m, bit for bit
     for k, steps in ((3, 256), (8, 128), (14, 128)):
         values = _cascade(k, steps)
         for m in {2, 3, 5, max_r(k) - 1}:
-            assert level_function(m, k, steps).top_value == values[m + 1]
+            ys = _level(m, k, steps)[1]
+            assert (0.0 if ys is None else ys[-1]) == values[m + 1]
     # past U_k the level is the zero function
-    g9 = level_function(9, 3)  # U(3) = 8
-    assert g9.top_value == 0.0 and g9(8.5) == 0.0 and g9(20.0) == 0.0
+    assert _level(9, 3) == (None, None)  # U(3) = 8
 
 
 def test_level_lattice_holds_at_any_step():
     # at S = 221, (U_11 - 6) S rounds one way and (U_11 - 5) S the other: each level's
     # lattice must still be the one below it, shifted by S, or g_6 reads g_5 at its top
-    g6 = level_function(6, 11, 221)
-    assert g6.xs[0] >= 6.0 and np.abs(g6.ys[:3]).max() < 1e-12  # g_6 vanishes to high order at 6
-    assert g6.top_value == pytest.approx(level_function(6, 11, 256).top_value, rel=1e-8)
+    xs, g6 = _level(6, 11, 221)
+    assert xs[0] >= 6.0 and np.abs(g6[:3]).max() < 1e-12  # g_6 vanishes to high order at 6
+    assert g6[-1] == pytest.approx(_level(6, 11, 256)[1][-1], rel=1e-8)
 
 
 @settings(max_examples=100, deadline=None, derandomize=True)

@@ -171,6 +171,8 @@ def test_range_errors_come_from_the_command(capsys, tmp_path):
         (["local", "--pmax", "1", "--k", "3"], "--pmax must be >= 2, got 1"),
         (["local", "--pmax", "0", "--k", "3"], "--pmax must be >= 2, got 0"),
         (["singular", "--n", "40", "--k", "3", "--pmax", "1"], "truncation bound needs p_max >= 29, got 1"),
+        (["singular", "--n", "40", "--k", "14", "--d", "45823", "--pmax", "10000"],
+         "d = 45823 has the prime factor 45823 above p_max = 10000"),
         (["singint", "--k", "3", "--samples", "10"], "--samples must be >= 1024, got 10"),
         (["count", "--what", "hua4", "--k", "1", "--Q", "10"], "k must be >= 2, got 1"),
         (["count", "--what", "reps", "--k", "2", "--n", "40"], "k must be >= 3, got 2"),

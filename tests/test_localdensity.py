@@ -9,7 +9,7 @@ from oracles import brute_density_loops, brute_density_vectorized, convolution_c
 from wgkit.arith import primes_up_to, primitive_root
 from wgkit.cli import main
 from wgkit.errors import VerificationError
-from wgkit import localdensity
+from wgkit import arith, expsums, localdensity
 from wgkit.expsums import _power_hists
 from wgkit.localdensity import (
     class_counts,
@@ -279,6 +279,32 @@ def test_class_counts_cached_per_prime_and_power(monkeypatch):
         size = _coset_count(p, k) + 1
         assert len(cc.K) == len(cc.L) == len(cc.Lstar) == len(cc.E_p) == size
         assert len(cc.classes) == p and set(cc.classes.tolist()) == set(range(size))
+
+
+def test_each_prime_root_is_searched_once(monkeypatch):
+    # the least primitive root depends on p alone: a second batch, another k and
+    # the character tables read the root table, and search no prime again
+    searched = []
+    search = arith._root_search
+
+    def record(ps):
+        searched.extend(ps)
+        return search(ps)
+
+    monkeypatch.setattr(arith, "_root_search", record)
+    monkeypatch.setattr(arith, "_LEAST_ROOTS", {})
+    primes = primes_up_to(2000)
+    monkeypatch.setitem(localdensity._STORE, 3, {})
+    class_counts_many(primes, 3)
+    assert sorted(searched) == primes
+    searched.clear()
+    monkeypatch.setitem(localdensity._STORE, 14, {})
+    class_counts_many(primes, 14)
+    expsums._generator_tables.cache_clear()
+    for p in primes_up_to(199)[1:]:
+        expsums._generator_tables(p)
+    assert searched == []
+    assert arith._LEAST_ROOTS == dict(zip(primes, search(primes).tolist()))
 
 
 @pytest.mark.parametrize("k", [3, 4, 14])

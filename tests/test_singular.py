@@ -1,9 +1,11 @@
 
+import numpy as np
 import pytest
 
 from wgkit.arith import factorize, primes_up_to
 from wgkit.localdensity import local_densities_all
 from wgkit.singular import (
+    TAIL_PRIME_CONSTANT,
     correlation_sum,
     euler_factor,
     euler_factor_via_sums,
@@ -76,6 +78,8 @@ def test_singular_series_rejects_bad_input():
         singular_series(40, 1, 3, p_max=20)  # tail bound needs p_max >= 29
     with pytest.raises(ValueError):
         singular_series(40, 1, 15)
+    with pytest.raises(ValueError, match="prime factor 45823 above p_max = 10000"):
+        singular_series(40, 45823, 14, p_max=10**4)  # p | d past p_max: outside the tail bound
 
 
 def test_tail_envelope_magnitude():
@@ -94,6 +98,18 @@ def test_amplitude_bound_200_over_p2():
             for n in range(p):
                 a_val = L[n] / (p - 1) ** 5 - 1.0
                 assert abs(a_val) <= 200.0 / p**2
+
+
+def test_tail_constant_covers_its_closed_form():
+    # for p not dividing d, |A(p, n)| <= B(p): p - 1 unit terms |S2| |S2*| |S3*|^3 |Sk*|
+    # over p (p - 1)^5, with |S2| = sqrt p, |S2*| <= sqrt p + 1, |S3*| <= 2 sqrt p + 1 and
+    # |Sk*| <= 13 sqrt p + 1, the prime-modulus bounds of the exponential-sum sweep
+    p = np.arange(29, 10**6 + 1, dtype=float)
+    r = np.sqrt(p)
+    scaled = p**2 * (p - 1) * r * (r + 1) * (2 * r + 1) ** 3 * (13 * r + 1) / (p * (p - 1) ** 5)
+    assert scaled[0] == pytest.approx(187.85, abs=0.01)  # the worst prime is the first
+    assert (np.diff(scaled) < 0).all() and scaled[-1] > 104  # falling to the limit 104
+    assert (scaled <= TAIL_PRIME_CONSTANT).all()
 
 
 def test_omega_examples():
