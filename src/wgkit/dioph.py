@@ -36,7 +36,7 @@ import numpy as np
 
 from .arith import primes_up_to
 from .errors import BudgetExceeded, VerificationError
-from .sieveconsts import Parameters
+from .singint import boxes
 
 PAIR_BUDGET = 10**8
 
@@ -410,13 +410,14 @@ def _omega_table(limit: int) -> np.ndarray:
     return om
 
 
-def count_representations(n: int, k: int, r: int, box_params: Parameters | None = None) -> CountReport:
+def count_representations(n: int, k: int, r: int, dyadic: bool = False) -> CountReport:
     """Representations n = x^2 + p1^2 + p2^3 + p3^3 + p4^3 + p5^k, Omega(x) <= r.
 
     The p_i are primes; x >= 1 is an almost-prime with at most r prime
-    factors counted with multiplicity (x = 1 qualifies, having none).  Without
-    ``box_params`` every variable takes every size; with it, each is confined
-    to its dyadic box (X, 2X] from ``box_params``.  The join runs over bands of
+    factors counted with multiplicity (x = 1 qualifies, having none).  By
+    default every variable takes every size; with ``dyadic``, each is confined
+    to its dyadic box (X, 2X] from ``singint.boxes(n, k)``: X2 for x and p1,
+    X3 for p2 and p3, X3* for p4 and Xk* for p5.  The join runs over bands of
     ``_BAND_ENTRIES`` target values, so its memory does not grow with n.
     """
     if n % 2 != 0:
@@ -429,12 +430,9 @@ def count_representations(n: int, k: int, r: int, box_params: Parameters | None 
         raise ValueError(f"k must be >= 3, got {k}")
     if n > 10**8:
         raise BudgetExceeded(f"representation counting capped at n = 10**8, got {n}")
-    bp = box_params
-    if bp is not None and (bp.n, bp.k) != (n, k):
-        raise ValueError(f"box_params are for n={bp.n}, k={bp.k}, not n={n}, k={k}")
     t0 = time.perf_counter()
     # the box (lo, hi] of x and p1, of p2 and p3, of p4 and of p5
-    boxes = [(0, n)] * 4 if bp is None else [(X, 2 * X) for X in (bp.x2, bp.x3, bp.x3_star, bp.xk_star)]
+    box_set = [(X, 2 * X) for X in boxes(n, k)] if dyadic else [(0, n)] * 4
     root = math.isqrt(n)
     primes = np.array(primes_up_to(root), dtype=np.int64)  # n >= 6, so root >= 2
 
@@ -443,8 +441,8 @@ def count_representations(n: int, k: int, r: int, box_params: Parameters | None 
         top = min(math.floor(box[1]), _iroot(n, j))
         return values[(values > box[0]) & (values <= top)]
 
-    xs = candidates(boxes[0], 2, np.flatnonzero(_omega_table(root) <= r))
-    p1s, cube_a, cube_b, k_ps = (candidates(b, j) for b, j in zip(boxes, (2, 3, 3, k)))
+    xs = candidates(box_set[0], 2, np.flatnonzero(_omega_table(root) <= r))
+    p1s, cube_a, cube_b, k_ps = (candidates(b, j) for b, j in zip(box_set, (2, 3, 3, k)))
     count = 0
     if min(xs.size, p1s.size, cube_a.size, cube_b.size, k_ps.size) > 0:
         outer, inner = sorted((xs * xs, p1s * p1s), key=len)  # the left sums, shorter side outer
@@ -465,7 +463,7 @@ def count_representations(n: int, k: int, r: int, box_params: Parameters | None 
             left, right = left_end, right_end  # a slice ends where it starts in the next band
     return CountReport(
         "representation count for the mixed form",
-        {"n": n, "k": k, "r": r, "mode": "free" if bp is None else "dyadic"},
+        {"n": n, "k": k, "r": r, "mode": "dyadic" if dyadic else "free"},
         count,
         time.perf_counter() - t0,
         "meet_in_middle",

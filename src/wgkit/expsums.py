@@ -276,16 +276,16 @@ def twisted_gap(j: int, q1: int, q2: int) -> float:
     """Max deviation over all a of S(q1 q2, a) - S(q1, a q2^(j-1)) S(q2, a q1^(j-1)).
 
     The identity holds exactly for coprime q1, q2; the returned gap is pure
-    floating-point noise when the implementation is correct.
+    floating-point noise when the implementation is correct.  The factor
+    moduli's spectra come from the cache; the product's, used once, does not.
     """
     if math.gcd(q1, q2) != 1:
         raise ValueError(f"moduli must be coprime, got {q1}, {q2}")
     q = q1 * q2
-    big = complete_sums_all(j, q)
     s1 = complete_sums_all(j, q1)
     s2 = complete_sums_all(j, q2)
+    lhs = _power_spectra((j,), q, False)[0]
     a = np.arange(q)
-    lhs = big[a]
     rhs = s1[a * pow(q2, j - 1, q1) % q1] * s2[a * pow(q1, j - 1, q2) % q2]
     return float(np.abs(lhs - rhs).max())
 

@@ -16,7 +16,6 @@ from functools import lru_cache
 from .arith import primes_up_to
 from .localdensity import class_counts_many
 from .reference import check_k
-from .singint import box_size
 from .singular import _omega_p
 
 EULER_GAMMA = 0.57721566490153286
@@ -25,23 +24,19 @@ EXP_GAMMA = math.exp(EULER_GAMMA)
 
 @dataclass(frozen=True)
 class Parameters:
-    """Dyadic box sizes and the sieve level for an even target n and power k."""
+    """The sieve level D for an even target n and power k."""
 
     n: int
     k: int
-    x2: float
-    x3: float
-    x3_star: float
-    xk_star: float
     D: float
 
 
 def params(n: int, k: int, eps: float = 1e-4) -> Parameters:
-    """Populate every derived parameter, with range and sanity checks."""
+    """The sieve level D = n^(5/8k - 1/24 - 51 eps), with range and sanity checks."""
     if n % 2 != 0:
         raise ValueError(f"n must be even, got {n}")
     if n < 10**6:
-        raise ValueError(f"n must be >= 10**6 for meaningful box sizes, got {n}")
+        raise ValueError(f"n must be >= 10**6, got {n}")
     check_k(k)
     if not (0 < eps <= 1e-3):
         raise ValueError(f"eps must lie in (0, 1e-3], got {eps}")
@@ -52,14 +47,7 @@ def params(n: int, k: int, eps: float = 1e-4) -> Parameters:
     z = D ** (1.0 / 3.0)
     if z <= 2.0:
         raise ValueError(f"empty sieve range: z = {z} <= 2")
-    x2, x3 = box_size(n, 2), box_size(n, 3)
-    x3s, xks = box_size(n, 3, star=True), box_size(n, k, star=True)
-    # the dyadic boxes must be able to reach the target
-    low = 2 * x2**2 + 2 * x3**3 + x3s**3 + xks**k
-    high = 2 * (2 * x2) ** 2 + 2 * (2 * x3) ** 3 + (2 * x3s) ** 3 + (2 * xks) ** k
-    if not (low < n <= high):
-        raise ValueError(f"dyadic boxes incompatible with target: {low} < {n} <= {high} fails")
-    return Parameters(n, k, x2, x3, x3s, xks, D)
+    return Parameters(n, k, D)
 
 
 _WINDOW_SLACK = 1e-9  # tolerate roundoff when s is computed as log D / log z

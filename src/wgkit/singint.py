@@ -12,10 +12,11 @@ integral grows like n^(17/18 + 5/6k).
 
 Evaluation is deterministic.  With R^2 = n - u3^3 - u4^3 - u5^3 - u6^k the u2
 integral is an arcsin difference in closed form, continuous in R^2 with kinks
-only at R^2 = 2, 5 and 8 X2^2.  The remaining 4-dimensional integral is tensor
-Gauss-Legendre over (u4, u5, u6), and Gauss-Legendre in u3 on the pieces
-between the u3 values of those kinks.  Two orders are evaluated; the higher is
-the value and their difference the error estimate.
+at R^2 = 2, 5 and 8 X2^2.  Since X2^2 = n/6 and X3^3 = n/12, R^2 < n - 2 X3^3 =
+5 X2^2 on the box, so only the kink at 2 X2^2 lies in it.  The remaining
+4-dimensional integral is tensor Gauss-Legendre over (u4, u5, u6), and
+Gauss-Legendre in u3 from X3 up to the u3 of that kink.  Two orders are
+evaluated; the higher is the value and their difference the error estimate.
 """
 
 from __future__ import annotations
@@ -40,13 +41,16 @@ class SingularIntegralEval:
     value: float
     est_abs_error: float
     samples: int  # integrand evaluations used, over both quadrature orders
-    empty: bool
 
 
-def box_size(n: int, j: int, star: bool = False) -> float:
-    """Dyadic box size X_j = (1/2)(2n/3)^(1/j), or X_j* = (1/2)(2n/3)^(5/6j) if star."""
-    exponent = 5.0 / (6.0 * j) if star else 1.0 / j
-    return 0.5 * (2.0 * n / 3.0) ** exponent
+def boxes(n: int, k: int) -> tuple[float, float, float, float]:
+    """The dyadic box sizes (X2, X3, X3*, Xk*) for target n and power k.
+
+    X_j = (1/2)(2n/3)^(1/j) and X_j* = (1/2)(2n/3)^(5/6j).  They bound x and p1
+    (u1, u2 in J(n)), p2 and p3 (u3, u4), p4 (u5) and p5 (u6), each to (X, 2X].
+    """
+    exponents = (1.0 / 2, 1.0 / 3, 5.0 / (6.0 * 3), 5.0 / (6.0 * k))
+    return tuple(0.5 * (2.0 * n / 3.0) ** e for e in exponents)
 
 
 def _u2_integral(r2, x2: float):
@@ -72,16 +76,15 @@ def _gauss(lo: float, hi: float, order: int):
 
 
 def _quadrature(n: int, k: int, outer: int, inner: int) -> tuple[float, int]:
-    """J(n) by tensor Gauss-Legendre over (u4, u5, u6), split Gauss-Legendre in u3.
+    """J(n) by tensor Gauss-Legendre over (u4, u5, u6), Gauss-Legendre in u3.
 
-    For each outer node the u3 interval is cut where R^2 = n - rest - u3^3 crosses
-    8, 5 and 2 X2^2, so the u2 integral is smooth on each of the two pieces it
-    does not vanish on.  One u4 node is evaluated at a time, so the arrays hold
+    For each outer node the u3 interval runs from X3 to b2, where R^2 =
+    n - rest - u3^3 falls to 2 X2^2, so the u2 integral is smooth on it and
+    vanishes beyond it.  One u4 node is evaluated at a time, so the arrays hold
     outer^2 * inner elements.  Returns the value and the number of integrand
     evaluations.
     """
-    x2, x3 = box_size(n, 2), box_size(n, 3)
-    x3s, xks = box_size(n, 3, star=True), box_size(n, k, star=True)
+    x2, x3, x3s, xks = boxes(n, k)
     u4, w4 = _gauss(x3, 2 * x3, outer)
     u5, w5 = _gauss(x3s, 2 * x3s, outer)
     u6, w6 = _gauss(xks, 2 * xks, outer)
@@ -92,16 +95,13 @@ def _quadrature(n: int, k: int, outer: int, inner: int) -> tuple[float, int]:
     total, evaluations = 0.0, 0
     for u, wu in zip(u4, w4):
         m = n - u**3 - rest56  # R^2 + u3^3
-        b8, b5, b2 = (np.clip(np.cbrt(m - c * s2), x3, 2 * x3) for c in (8.0, 5.0, 2.0))
-        for a, b in ((b8, b5), (b5, b2)):
-            half = 0.5 * (b - a)
-            # R^2 < n - 2 X3^3 = 5 X2^2 on the box, so the first piece is always
-            # empty, and the second is empty where R^2 <= 2 X2^2 for every u3
-            if not half.any():
-                continue
-            u3 = (a + half)[:, None] + half[:, None] * t
-            total += float(wu * (w56 @ (half * (_u2_integral(m[:, None] - u3**3, x2) @ wt))))
-            evaluations += u3.size
+        b2 = np.clip(np.cbrt(m - 2.0 * s2), x3, 2 * x3)
+        half = 0.5 * (b2 - x3)
+        if not half.any():  # R^2 <= 2 X2^2 for every u3
+            continue
+        u3 = (x3 + half)[:, None] + half[:, None] * t
+        total += float(wu * (w56 @ (half * (_u2_integral(m[:, None] - u3**3, x2) @ wt))))
+        evaluations += u3.size
     return total, evaluations
 
 
@@ -123,14 +123,11 @@ def singular_integral(
     """
     if n % 2 != 0:
         raise ValueError(f"n must be even, got {n}")
+    if n < 2:
+        raise ValueError(f"n must be >= 2, got {n}")
     check_k(k)
     if samples < 1024:
         raise ValueError(f"need at least 1024 samples, got {samples}")
-    x2, x3 = box_size(n, 2), box_size(n, 3)
-    x3s, xks = box_size(n, 3, star=True), box_size(n, k, star=True)
-    # quick emptiness test: the largest achievable t must clear X2^2
-    if n - x2**2 - 2 * x3**3 - x3s**3 - xks**k <= x2**2:
-        return SingularIntegralEval(n, k, 0.0, 0.0, 0, True)
     (low, low_evals), (value, evals) = (_quadrature(n, k, *order) for order in ORDERS)
     return SingularIntegralEval(
         n=n,
@@ -138,7 +135,6 @@ def singular_integral(
         value=value,
         est_abs_error=abs(value - low),
         samples=low_evals + evals,
-        empty=value == 0.0,
     )
 
 

@@ -1,5 +1,8 @@
+import tempfile
+
 import pytest
 from hypothesis import settings
+from hypothesis.configuration import set_hypothesis_home_dir
 
 from wgkit.buchstab import constants_table
 from wgkit.reference import K_RANGE
@@ -8,6 +11,11 @@ from wgkit.reference import K_RANGE
 # database, no deadline
 settings.register_profile("wgkit", derandomize=True, database=None, deadline=None)
 settings.load_profile("wgkit")
+
+# Hypothesis still caches the constants of the code under test; keep that
+# cache out of the checkout, in a directory removed when the run ends
+_HYPOTHESIS_HOME = tempfile.TemporaryDirectory(prefix="wgkit-hypothesis-")
+set_hypothesis_home_dir(_HYPOTHESIS_HOME.name)
 
 
 @pytest.fixture(scope="session")

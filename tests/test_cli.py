@@ -550,6 +550,7 @@ _STDOUT_DIGESTS = {
     "count --what reps --k 3 --n 10000 --r 3": (
         0, "b5411b3b640fc65ae9fe0c78ac2841b4a9c162a2013d256996c0bc76a9753b5f"
     ),
+    "singint --k 3 --n-grid 1e8,1e11": (0, "8e8545a8157fce6fe13175a50bb4a55425b5b563b608729f44b570288ec41c52"),
 }
 
 

@@ -28,7 +28,7 @@ from wgkit.dioph import (
     fit_scaling,
 )
 from wgkit.errors import BudgetExceeded
-from wgkit.sieveconsts import params
+from wgkit.singint import boxes
 
 
 def test_dyadic_range_half_open():
@@ -167,16 +167,11 @@ def test_mixed_packed_key_equals_lexsort_join(k, P):
 @given(st.integers(5 * 10**5, 10**6), st.integers(3, 5), st.integers(0, 3), st.booleans())
 @example(5 * 10**5, 3, 3, False)
 @example(5 * 10**5, 3, 3, True)
+@example(5 * 10**5, 5, 3, True)
 def test_representations_folded_join_equals_unfolded_join(half_n, k, r, dyadic):
     n = 2 * half_n
-    if dyadic:
-        k = 3  # at n ~ 10^6 only k = 3 has a nonempty sieve range, and so box sizes
-        bp = params(n, k)
-        rep = count_representations(n, k, r, box_params=bp)
-        want = representations_unfolded(n, k, r, (bp.x2, bp.x3, bp.x3_star, bp.xk_star))
-    else:
-        rep, want = count_representations(n, k, r), representations_unfolded(n, k, r)
-    assert rep.count == want
+    rep = count_representations(n, k, r, dyadic)
+    assert rep.count == representations_unfolded(n, k, r, boxes(n, k) if dyadic else None)
 
 
 def test_counts_at_the_verify_sizes():
@@ -415,10 +410,10 @@ def test_representations_join_equals_literal_count(half_n, k, r):
     assert count_representations(n, k, r).count == want
 
 
-def _representations_in_bands(entries, n, k, r, box_params=None):
+def _representations_in_bands(entries, n, k, r, dyadic=False):
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(dioph, "_BAND_ENTRIES", entries)
-        return count_representations(n, k, r, box_params=box_params).count
+        return count_representations(n, k, r, dyadic).count
 
 
 @settings(max_examples=20, deadline=None, derandomize=True)
@@ -426,17 +421,12 @@ def _representations_in_bands(entries, n, k, r, box_params=None):
 @example(5 * 10**5, 3, 3, False)
 @example(5 * 10**5, 3, 3, True)
 @example(5 * 10**4, 5, 0, False)
+@example(5 * 10**4, 5, 3, True)
 def test_representations_in_many_bands_equal_unfolded_join(half_n, k, r, dyadic):
     # bands of 2^10 values: n in 10^5..10^6 spans about 100 to 1000 of them
     n = 2 * half_n
-    if dyadic:
-        n, k = n + 10**6, 3  # box sizes start at n = 10^6, where only k = 3 has a sieve range
-        bp = params(n, k)
-        got = _representations_in_bands(2**10, n, k, r, bp)
-        want = representations_unfolded(n, k, r, (bp.x2, bp.x3, bp.x3_star, bp.xk_star))
-    else:
-        got, want = _representations_in_bands(2**10, n, k, r), representations_unfolded(n, k, r)
-    assert got == want
+    got = _representations_in_bands(2**10, n, k, r, dyadic)
+    assert got == representations_unfolded(n, k, r, boxes(n, k) if dyadic else None)
 
 
 @settings(max_examples=40, deadline=None, derandomize=True)
@@ -461,17 +451,11 @@ def test_representations_rejections():
 
 
 def test_representations_dyadic_mode():
-    # box_params confines every variable to its dyadic box: the join against a
-    # literal loop over the same boxes
-    for n, want in ((10**6, 14), (10**7, 370)):
-        bp = params(n, 3)
-        rep = count_representations(n, 3, 3, box_params=bp)
-        boxes = (bp.x2, bp.x3, bp.x3_star, bp.xk_star)
-        assert rep.count == representations_in_boxes_literal(n, 3, 3, boxes) == want
+    # dyadic confines every variable to its box from singint.boxes: the join
+    # against a literal loop over the same boxes
+    for n, k, want in ((10**6, 3, 14), (10**7, 3, 370), (10**6, 5, 5), (10**7, 14, 12)):
+        rep = count_representations(n, k, 3, dyadic=True)
+        assert rep.count == representations_in_boxes_literal(n, k, 3, boxes(n, k)) == want
         assert rep.parameters["mode"] == "dyadic"
+    assert count_representations(10**8, 3, 3, dyadic=True).count == 1430
     assert count_representations(10**6, 3, 3).parameters["mode"] == "free"
-    # boxes sized for another target or power would count nothing, silently
-    for n, k in ((10**7, 3), (10**6, 5)):
-        with pytest.raises(ValueError, match="box_params are for n=1000000, k=3"):
-            count_representations(n, k, 3, box_params=params(10**6, 3))
-

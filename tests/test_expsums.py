@@ -1,4 +1,5 @@
 import cmath
+import json
 import math
 
 import numpy as np
@@ -7,7 +8,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import char_sums_matrix
+from wgkit import expsums
 from wgkit.arith import primes_up_to
+from wgkit.cli import main
 from wgkit.expsums import (
     MAG_TOL,
     SWEEP_POINT_BUDGET,
@@ -221,6 +224,13 @@ def test_twisted_multiplicativity_spot():
         twisted_gap(2, 6, 9)
 
 
+def test_twisted_gap_caches_only_the_factor_spectra():
+    # the product modulus's spectrum is used once: it is not kept
+    complete_sums_all.cache_clear()
+    twisted_gap(3, 5, 7)
+    assert complete_sums_all.cache_info().currsize == 2
+
+
 @st.composite
 def _coprime_pair(draw):
     q1 = draw(st.integers(2, 60))
@@ -255,6 +265,34 @@ def test_verify_bounds_small_grid():
         assert ratio >= 1.0 - 1e-12  # q = 1 already achieves ratio 1
     d = rep.as_dict()
     assert d["passed"] is True
+
+
+# one broken input per kind of hard check: (module global, how it is broken,
+# the violations it must raise, twisted_q_max)
+_BROKEN_CHECKS = {
+    "prime_bounds": (
+        "_power_spectra", lambda f: lambda *a, **kw: 1.5 * f(*a, **kw),
+        {"complete_prime_bound", "unit_prime_bound"}, 0,
+    ),
+    "vanishing": ("vanishing_exponent", lambda f: lambda p, j: f(p, j) - 1, {"unit_sum_vanishing"}, 0),
+    "weil": (
+        "char_class_sums", lambda f: lambda p, j: (f(p, j)[0], 10 * f(p, j)[1]), {"weil_char_bound"}, 0,
+    ),
+    "twisted": (
+        "twisted_gap", lambda f: lambda j, q1, q2: f(j, q1, q2) + q1 * q2, {"twisted_multiplicativity"}, 6,
+    ),
+}
+
+
+@pytest.mark.parametrize("case", list(_BROKEN_CHECKS))
+def test_each_hard_check_can_fail(case, monkeypatch, capsys):
+    name, breaks, want, twisted_q_max = _BROKEN_CHECKS[case]
+    monkeypatch.setattr(expsums, name, breaks(getattr(expsums, name)))
+    rep = verify_bounds(j_max=3, q_max=40, pp_max=64, twisted_q_max=twisted_q_max)
+    assert {v[0] for v in rep.violations} == want
+    argv = ["sums", "--jmax", "3", "--qmax", "40", "--ppmax", "64", "--twisted-qmax", str(twisted_q_max)]
+    assert main(argv) == 1
+    assert json.loads(capsys.readouterr().out)["report"]["passed"] is False
 
 
 def test_verify_bounds_rejects_bad_args():

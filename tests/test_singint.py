@@ -1,11 +1,13 @@
 
 import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from wgkit.singint import (
     _quadrature,
     _u2_integral,
-    box_size,
+    boxes,
     expected_growth_exponent,
     singular_integral,
 )
@@ -18,10 +20,29 @@ def test_expected_exponents():
         expected_growth_exponent(2)
 
 
-def test_singular_integral_empty_region():
-    ev = singular_integral(10**6, 14, samples=2048)
-    # tiny n with k = 14: box exists, may or may not be empty; just check flags line up
-    assert (ev.value == 0.0) == ev.empty
+def test_box_sizes():
+    x2, x3, x3s, xks = boxes(10**9, 3)
+    assert x2 == pytest.approx(0.5 * (2e9 / 3) ** 0.5, rel=1e-12)
+    assert x2 == pytest.approx(1.29e4, rel=0.01)
+    assert x3 == pytest.approx(0.5 * (2e9 / 3) ** (1 / 3), rel=1e-12)
+    assert x3s == xks == pytest.approx(0.5 * (2e9 / 3) ** (5 / 18), rel=1e-12)
+    assert boxes(10**9, 14)[3] == pytest.approx(0.5 * (2e9 / 3) ** (5 / 84), rel=1e-12)
+    assert all(a < b for a, b in zip(boxes(10**8, 3), boxes(10**10, 3)))
+
+
+@given(st.integers(1, 5 * 10**17), st.integers(3, 14))
+@example(1, 3)
+@example(1, 14)
+@example(5 * 10**17, 3)
+def test_box_identities(half_n, k):
+    # X2^2 = n/6 and X3^3 = n/12, so the boxes' least sum 2 X2^2 + 2 X3^3 +
+    # X3*^3 + Xk*^k = n/2 + X3*^3 + Xk*^k stays below n: every target is reachable,
+    # and R^2 = n - u3^3 - ... < n - 2 X3^3 = 5 X2^2 inside the box
+    n = 2 * half_n
+    x2, x3, x3s, xks = boxes(n, k)
+    assert x2**2 == pytest.approx(n / 6, rel=1e-12)
+    assert x3**3 == pytest.approx(n / 12, rel=1e-12)
+    assert 2 * x2**2 + 2 * x3**3 + x3s**3 + xks**k < n
 
 
 @pytest.mark.parametrize("ratio", [1.5, 2.5, 4.5, 5.0, 6.5, 7.9, 9.0])
@@ -42,7 +63,7 @@ def test_u2_closed_form_matches_brute_force(ratio):
 
 def test_singular_integral_positive_and_deterministic():
     a = singular_integral(10**8, 3)
-    assert a.value > 0 and not a.empty
+    assert a.value > 0
     # the rule has no randomness: samples and seed leave it bitwise unchanged
     for kwargs in ({}, {"seed": 7}, {"samples": 2048, "seed": 8}, {"samples": 10**9}):
         b = singular_integral(10**8, 3, **kwargs)
@@ -62,9 +83,8 @@ def test_singular_integral_error_estimate_is_honest():
 def test_singular_integral_matches_monte_carlo_oracle(k):
     # plain Monte Carlo over the 5-dimensional box, independent of the closed form
     n = 10**8
-    edges = [box_size(n, 2), box_size(n, 3), box_size(n, 3)]
-    edges += [box_size(n, 3, star=True), box_size(n, k, star=True)]
-    lows = np.array(edges)
+    x2, x3, x3s, xks = boxes(n, k)
+    lows = np.array([x2, x3, x3, x3s, xks])
     pts = lows * (1.0 + np.random.default_rng(0).random((2**19, 5)))
     t = n - (pts ** np.array([2, 3, 3, 3, k])).sum(axis=1)
     inside = (t > lows[0] ** 2) & (t <= 4 * lows[0] ** 2)
@@ -89,3 +109,7 @@ def test_singular_integral_rejects():
         singular_integral(10**8, 2)
     with pytest.raises(ValueError):
         singular_integral(10**8, 3, samples=10)
+    # below the least even target: n = 0 and negative n
+    for n in (0, -4):
+        with pytest.raises(ValueError, match=f"n must be >= 2, got {n}"):
+            singular_integral(n, 3)
