@@ -447,9 +447,16 @@ def count_representations(n: int, k: int, r: int, dyadic: bool = False) -> Count
     if min(xs.size, p1s.size, cube_a.size, cube_b.size, k_ps.size) > 0:
         outer, inner = sorted((xs * xs, p1s * p1s), key=len)  # the left sums, shorter side outer
         a3 = cube_a**3
-        trip = (a3[:, None, None] + a3[None, :, None] + (cube_b**3)[None, None, :]).ravel()
+        i, j = np.triu_indices(a3.size)  # p2 <= p3: (p3, p2) repeats the sum of (p2, p3)
+        # each sum w = p2^3 + p3^3 + p4^3 as the key 2w + 1 where p2 < p3 (weight 2), else 2w (weight 1)
+        trip = np.add.outer(2 * (a3[i] + a3[j]) + (i < j), 2 * cube_b**3).ravel()
         trip.sort()
-        starts, mult = _runs(trip)
+        starts, mult = _runs(trip)  # one run per key
+        trip = trip[starts]
+        mult <<= trip & 1
+        trip >>= 1
+        starts, _ = _runs(trip)  # a sum w's two keys fold into one weight
+        mult = np.add.reduceat(mult, starts)
         trip, rests = trip[starts], n - k_ps**k  # distinct cube sums w; the targets are rest - w
         first = int(outer[0] + inner[0])  # the least left sum: every slice of inner starts at 0
         left, right = np.zeros_like(outer), np.searchsorted(trip, rests - first, "right")

@@ -22,6 +22,13 @@ replacing r by r + j shifts that sequence by one step in s, which changes
 only the phase of its DFT, so |G(chi_t, j, a)| depends on ind a = r only
 mod gcd(j, p - 1).
 
+``verify_bounds`` sweeps the moduli in chunks of consecutive q, at most
+``_CHUNK_SLOTS`` table entries each: one power table and one bincount give
+every histogram of a chunk.  At a prime q the one non-unit m = q adds one
+count at v = 0, so the unit histogram is the complete one less that count,
+and both go through one FFT.  The character sums of all exponents at one
+prime go through one FFT too.
+
 Magnitude assertions use tolerance 1e-6 * q; moduli stay <= 10**4 so
 accumulation error is orders of magnitude below that.  ``verify_bounds``
 estimates its FFT work before it starts and refuses a sweep over
@@ -45,6 +52,9 @@ MAG_TOL = 1e-6  # relative to q
 SWEEP_POINT_BUDGET = 10**8
 # the odd primes p <= min(CHAR_P_MAX, q_max) carry verify_bounds' character sums
 CHAR_P_MAX = 199
+# table entries (exponents times residues) per chunk of consecutive moduli in
+# verify_bounds: bounds the chunk's power table and histograms at 128 KB each
+_CHUNK_SLOTS = 2**14
 
 
 @dataclass(frozen=True)
@@ -78,20 +88,20 @@ def _roots(q: int) -> np.ndarray:
     return table
 
 
-def _power_table(js: tuple[int, ...], q: int) -> np.ndarray:
-    """Rows m^j mod q for m = 1..q, one per exponent of the ascending ``js``.
+def _power_table(js: tuple[int, ...], m: np.ndarray, mod) -> np.ndarray:
+    """Rows m^j mod ``mod`` over the entries of ``m``, one per exponent of the ascending ``js``.
 
-    Each power comes from the previous one by one multiply-reduce (int64-safe),
-    so the table costs max(js) steps however many rows it holds.
+    ``mod`` is one modulus, or one per entry.  Each power comes from the
+    previous one by one multiply-reduce (int64-safe), so the table costs
+    max(js) passes however many rows it holds.
     """
-    m = np.arange(1, q + 1, dtype=np.int64)
-    acc = np.ones(q, dtype=np.int64)
-    table = np.empty((len(js), q), dtype=np.int64)
+    acc = np.ones(m.size, dtype=np.int64)
+    table = np.empty((len(js), m.size), dtype=np.int64)
     e = 0
     for i, j in enumerate(js):
         for _ in range(j - e):
             np.multiply(acc, m, out=acc)
-            np.remainder(acc, q, out=acc)
+            np.remainder(acc, mod, out=acc)
         e = j
         table[i] = acc
     return table
@@ -100,7 +110,7 @@ def _power_table(js: tuple[int, ...], q: int) -> np.ndarray:
 @lru_cache(maxsize=2048)
 def _power_residues(j: int, q: int) -> np.ndarray:
     """m^j mod q for m = 1..q (read-only)."""
-    res = _power_table((j,), q)[0]
+    res = _power_table((j,), np.arange(1, q + 1, dtype=np.int64), q)[0]
     res.setflags(write=False)
     return res
 
@@ -138,22 +148,44 @@ def unit_sum(j: int, q: int, a: int) -> ExpSumValue:
 
 def _power_hists(js: tuple[int, ...], q: int, units_only: bool) -> np.ndarray:
     """h[i, v] = #{m in 1..q : m^js[i] = v mod q (and gcd(m,q)=1 if units_only)}."""
-    table = _power_table(js, q)
+    return _power_hists_many(js, (q,), units_only)
+
+
+def _power_hists_many(js: tuple[int, ...], qs, units_only: bool = False) -> np.ndarray:
+    """The histograms ``_power_hists`` of every modulus of ``qs``, side by side in one table.
+
+    Modulus q's histograms are the columns [s, s + q) of the (len(js), sum(qs))
+    result, s the residues of the moduli before it.  One power table over the
+    residues m = 1..q of every modulus, and one bincount.
+    """
+    qs = np.asarray(qs, dtype=np.int64)
+    if qs.size == 1:  # one modulus: scalars in place of the per-column arrays
+        mod, first = int(qs[0]), 0
+        m = np.arange(1, mod + 1, dtype=np.int64)
+    else:
+        mod, first = np.repeat(qs, qs), np.repeat(np.cumsum(qs) - qs, qs)  # per column: q and s
+        m = np.arange(1, mod.size + 1, dtype=np.int64) - first
+    table = _power_table(js, m, mod)
+    # row i of modulus q counts into bins i sum(qs) + s + v
+    table += first
+    table += m.size * np.arange(len(js))[:, None]
     if units_only:
-        table = table[:, _unit_mask(q)]
-    # row i counts into bins [i q, (i + 1) q) of one bincount
-    table += q * np.arange(len(js), dtype=np.int64)[:, None]
-    return np.bincount(table.ravel(), minlength=len(js) * q).reshape(len(js), q)
+        table = table[:, np.concatenate([_unit_mask(q) for q in qs.tolist()])]
+    return np.bincount(table.ravel(), minlength=len(js) * m.size).reshape(len(js), m.size)
+
+
+def _spectra(hists: np.ndarray, dtype=np.float64) -> np.ndarray:
+    """Row i: the conjugate DFT of histogram row i, S(a) = sum_v h[v] e(a v / q), in ``dtype``."""
+    out = np.fft.fft(hists.astype(dtype))
+    return np.conjugate(out, out=out)
 
 
 def _power_spectra(js: tuple[int, ...], q: int, units_only: bool, dtype=np.float64) -> np.ndarray:
     """Row i: the complete (or unit) sums of exponent js[i] for every a = 0..q-1.
 
-    S(a) = sum_v h[v] e(a v / q), the conjugate DFT of each histogram row,
-    transformed in ``dtype`` (``np.longdouble`` for extended precision).
+    Transformed in ``dtype`` (``np.longdouble`` for extended precision).
     """
-    out = np.fft.fft(_power_hists(js, q, units_only).astype(dtype))
-    return np.conjugate(out, out=out)
+    return _spectra(_power_hists(js, q, units_only), dtype)
 
 
 @lru_cache(maxsize=4096)
@@ -246,18 +278,28 @@ def char_class_sums(p: int, j: int) -> tuple[np.ndarray, np.ndarray]:
     Returns ``(a, G)``: a[c] is the least unit with ind a = c mod d, and
     G[c, t] = G(chi_t, j, a[c]) for t = 0..p-2.  |G(chi_t, j, a)| is the same
     for every a in a class (module docstring), so the d rows carry every
-    magnitude of the (p-1) x (p-1) table.  One FFT over the discrete log per row.
+    magnitude of the (p-1) x (p-1) table.  The one-exponent case of ``_char_rows``.
     """
     _check_jq(j, p)
     if not is_prime(p) or p == 2:
         raise ValueError(f"need an odd prime, got {p}")
-    d = math.gcd(j, p - 1)
+    reps, sums = _char_rows(p, (j,))
+    return reps, sums[:, -np.arange(p - 1) % (p - 1)]
+
+
+def _char_rows(p: int, js: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray]:
+    """The class rows of ``char_class_sums`` for every exponent of ``js``, in one FFT.
+
+    Exponent j contributes gcd(j, p-1) rows, stacked in the order of ``js``:
+    a[r] is row r's numerator and G[r, s] = G(chi_t, j, a[r]) at t = -s mod p-1.
+    """
     pw, dlog = _generator_tables(p)
-    reps = 1 + np.argmax(dlog[1:] % d == np.arange(d)[:, None], axis=1)
-    # row c: v[s] = e(a_c g^(j s) / p); G(chi_t, a_c) = sum_s e(t s/(p-1)) v[s] = fft(v)[-t]
-    pw = pw[j * np.arange(p - 1) % (p - 1)]
-    v = _roots(p)[np.multiply.outer(reps, pw) % p]
-    return reps, np.fft.fft(v, axis=1)[:, -np.arange(p - 1) % (p - 1)]
+    ds = [math.gcd(j, p - 1) for j in js]
+    least = {d: 1 + np.argmax(dlog[1:] % d == np.arange(d)[:, None], axis=1) for d in set(ds)}
+    reps = np.concatenate([least[d] for d in ds])
+    # row r: v[s] = e(a_r g^(j s) / p); G(chi_t, a_r) = sum_s e(t s/(p-1)) v[s] = fft(v)[-t]
+    pw = pw[np.multiply.outer(np.repeat(js, ds), np.arange(p - 1)) % (p - 1)]
+    return reps, np.fft.fft(_roots(p)[reps[:, None] * pw % p], axis=1)
 
 
 def vanishing_exponent(p: int, j: int) -> int:
@@ -398,32 +440,49 @@ def verify_bounds(
             )
     rep = BoundReport(j_max=j_max, q_max=q_max, pp_max=pp_max)
     primes = set(primes_up_to(q_max))
-    worst = np.zeros(len(js))
-    worst_q = np.ones(len(js), dtype=np.int64)
-    worst_a = np.ones(len(js), dtype=np.int64)
+    n = len(js)
+    worst = np.zeros(n)
+    worst_q = np.ones(n, dtype=np.int64)
+    worst_a = np.ones(n, dtype=np.int64)
     found = []  # found modulus by modulus, reported j by j
-    for q in range(1, q_max + 1):
-        # unit numerators a = 0..q-1; a = 0 stands for m = q (a unit only for q = 1)
-        units = np.nonzero(np.roll(_unit_mask(q), 1))[0]
-        mags = np.abs(_power_spectra(js, q, False)[:, units])
-        # Python-scalar powers: numpy's array power can differ in the last ulp
-        ratios = mags / np.array([q ** (1 - 1 / j) for j in js])[:, None]
-        i = ratios.argmax(axis=1)
-        best = ratios.max(axis=1)
-        better = best > worst
-        worst[better] = best[better]
-        worst_q[better] = q
-        worst_a[better] = units[i[better]]
-        if q in primes:
-            tol = MAG_TOL * q
-            bound = np.array([(math.gcd(j, q - 1) - 1) * math.sqrt(q) for j in js])[:, None]
-            slack_p = bound - mags
-            slack_u = bound + 1 - np.abs(_power_spectra(js, q, True)[:, units])
-            rep.prime_slack = min(rep.prime_slack, float(slack_p.min()))
-            rep.unit_slack = min(rep.unit_slack, float(slack_u.min()))
-            for name, slack in (("complete_prime_bound", slack_p), ("unit_prime_bound", slack_u)):
-                for r in np.nonzero((slack < -tol).any(axis=1))[0]:
-                    found.append((name, js[r], q, int(units[np.argmin(slack[r])])))
+    lo = 1
+    while lo <= q_max:
+        # the chunk's moduli lo..hi - 1: at most _CHUNK_SLOTS table entries, or one modulus
+        hi, size = lo + 1, lo
+        while hi <= q_max and n * (size + hi) <= _CHUNK_SLOTS:
+            size += hi
+            hi += 1
+        hists = _power_hists_many(js, range(lo, hi))
+        start = 0
+        for q in range(lo, hi):
+            block = hists[:, start : start + q]
+            start += q
+            if q in primes:
+                # m = q is the one non-unit: the unit histogram lacks one count at v = 0
+                block = np.concatenate((block, block))
+                block[n:, 0] -= 1
+            # unit numerators a = 0..q-1; a = 0 stands for m = q (a unit only for q = 1)
+            units = np.flatnonzero(np.gcd(np.arange(q), q) == 1)
+            mags = np.abs(_spectra(block)[:, units])
+            # Python-scalar powers: numpy's array power can differ in the last ulp
+            ratios = mags[:n] / np.array([q ** (1 - 1 / j) for j in js])[:, None]
+            best = ratios.max(axis=1)
+            better = best > worst
+            if better.any():
+                worst[better] = best[better]
+                worst_q[better] = q
+                worst_a[better] = units[ratios.argmax(axis=1)[better]]
+            if q in primes:
+                tol = MAG_TOL * q
+                bound = np.array([(math.gcd(j, q - 1) - 1) * math.sqrt(q) for j in js])[:, None]
+                slack_p = bound - mags[:n]
+                slack_u = bound + 1 - mags[n:]
+                rep.prime_slack = min(rep.prime_slack, float(slack_p.min()))
+                rep.unit_slack = min(rep.unit_slack, float(slack_u.min()))
+                for name, slack in (("complete_prime_bound", slack_p), ("unit_prime_bound", slack_u)):
+                    for r in np.nonzero((slack < -tol).any(axis=1))[0]:
+                        found.append((name, js[r], q, int(units[np.argmin(slack[r])])))
+        lo = hi
     for r, j in enumerate(js):
         rep.complete_ratio[j] = (float(worst[r]), int(worst_q[r]), int(worst_a[r]))
     rep.violations.extend(sorted(found, key=lambda v: v[1]))
@@ -446,20 +505,25 @@ def verify_bounds(
             ell += 1
     rep.violations.extend(sorted(found, key=lambda v: v[1]))
 
-    # character-sum ratios and the Weil-type bound |G| <= (j+1) sqrt(p)
-    char_primes = primes_up_to(min(CHAR_P_MAX, q_max))[1:]
-    for j in js:
-        worst_char = (0.0, 3, 1)
-        for p in char_primes:
-            reps, sums = char_class_sums(p, j)
-            mags = np.abs(sums)
-            peak = mags.max()
-            ratio = float(peak / math.sqrt(p))
-            if ratio > worst_char[0]:
-                worst_char = (ratio, p, int(reps[np.argmax(mags) // (p - 1)]))
+    # character-sum ratios and the Weil-type bound |G| <= (j+1) sqrt(p), all j of a prime at once
+    worst_char = dict.fromkeys(js, (0.0, 3, 1))
+    weil = {j: [] for j in js}
+    for p in primes_up_to(min(CHAR_P_MAX, q_max))[1:]:
+        reps, sums = _char_rows(p, js)
+        row_peaks = np.abs(sums).max(axis=1).tolist()
+        start = 0
+        for j in js:
+            rows = row_peaks[start : start + math.gcd(j, p - 1)]
+            peak = max(rows)
+            ratio = peak / math.sqrt(p)
+            if ratio > worst_char[j][0]:
+                worst_char[j] = (ratio, p, int(reps[start + rows.index(peak)]))
             if peak > (j + 1) * math.sqrt(p) + MAG_TOL * p:
-                rep.violations.append(("weil_char_bound", j, p, float(peak)))
-        rep.char_ratio[j] = worst_char
+                weil[j].append(("weil_char_bound", j, p, peak))
+            start += len(rows)
+    for j in js:
+        rep.violations.extend(weil[j])
+        rep.char_ratio[j] = worst_char[j]
 
     if twisted_q_max:
         for j in js:

@@ -188,6 +188,59 @@ def independent_level_cascade(k: int, r_top: int, M: int = 3000) -> dict[int, fl
     return out
 
 
+def cumsimpson_strided(f: np.ndarray, h: float) -> np.ndarray:
+    """Cumulative composite Simpson integral of ``f`` (n >= 3 samples, step h), from 0.
+
+    The cascade's former kernel, on strided views of the whole sample array:
+    cell [x_i, x_{i+1}] is h/3 * (5 f_a/4 + 2 f_b - f_c/4), forward for even i,
+    backward for odd i and for the last cell, summed left to right.
+    """
+    n = f.size
+    c = h / 3
+    even, mid, far = f[0 : n - 2 : 2], f[1 : n - 1 : 2], f[2:n:2]
+    cells = np.empty(n - 1)
+    cells[0 : n - 2 : 2] = c * (5 * even / 4 + 2 * mid - far / 4)
+    cells[1::2] = c * (5 * far / 4 + 2 * mid - even / 4)
+    if n % 2 == 0:
+        cells[-1] = c * (5 * f[-1] / 4 + 2 * f[-2] - f[-3] / 4)
+    out = np.empty(n)
+    out[0] = 0.0
+    np.cumsum(cells, out=out[1:])
+    return out
+
+
+def levels_fresh_arrays(k: int, steps_per_unit: int, top: int):
+    """Yield (m, ys) of the level cascade g_2..g_top, every level in fresh arrays.
+
+    The cascade's former loop: each level slices its samples from the whole
+    lattice U_k - j/S, divides the previous level's first samples by them and
+    integrates with ``cumsimpson_strided``; a zero level comes as (m, None).
+    """
+    from wgkit.buchstab import ZERO_LEVEL_SUP, upper_limit
+
+    U = upper_limit(k)
+    h = 1.0 / steps_per_unit
+    n_2 = int(math.floor((U - 2) / h + 1e-12))
+    lattice = U - h * np.arange(n_2, -1, -1)
+    prev_ys = None
+    for m in range(2, top + 1):
+        n_m = n_2 - (m - 2) * steps_per_unit
+        if (m > 2 and prev_ys is None) or U - m <= 0 or n_m < 2:
+            prev_ys = None
+            yield m, None
+            continue
+        xs = lattice[-(n_m + 1) :]
+        integrand = np.log(xs - 1.0) / xs if m == 2 else prev_ys[: xs.size] / xs
+        base = 0.0
+        if xs[0] - m > 1e-13:
+            coeffs = np.polyfit(np.array([m, xs[0], xs[1]]), np.array([0.0, integrand[0], integrand[1]]), 2)
+            anti = np.polyint(coeffs)
+            base = float(np.polyval(anti, xs[0]) - np.polyval(anti, m))
+        ys = cumsimpson_strided(integrand, h) + base
+        yield m, ys
+        prev_ys = None if ys.max() < ZERO_LEVEL_SUP else ys
+
+
 def char_sums_matrix(p: int, j: int) -> np.ndarray:
     """Every character sum mod an odd prime p, one FFT row per numerator.
 
@@ -203,6 +256,127 @@ def char_sums_matrix(p: int, j: int) -> np.ndarray:
     pw = np.array([pow(g, j * s, p) for s in range(p - 1)], dtype=np.int64)
     v = roots[np.multiply.outer(np.arange(1, p, dtype=np.int64), pw) % p]
     return np.conj(np.fft.fft(v, axis=1)).T
+
+
+def _spectra_per_modulus(js: tuple[int, ...], q: int, units_only: bool) -> np.ndarray:
+    """Row i: the conjugate DFT of the histogram of m^js[i] mod q over m = 1..q
+    (units only if asked), from a power table and a bincount of its own."""
+    m = np.arange(1, q + 1, dtype=np.int64)
+    acc = np.ones(q, dtype=np.int64)
+    table = np.empty((len(js), q), dtype=np.int64)
+    e = 0
+    for i, j in enumerate(js):
+        for _ in range(j - e):
+            acc = acc * m % q
+        e = j
+        table[i] = acc
+    if units_only:
+        table = table[:, np.gcd(m, q) == 1]
+    table += q * np.arange(len(js), dtype=np.int64)[:, None]
+    hists = np.bincount(table.ravel(), minlength=len(js) * q).reshape(len(js), q)
+    return np.conjugate(np.fft.fft(hists.astype(np.float64)))
+
+
+def _char_class_sums_one_exponent(p: int, j: int) -> tuple[np.ndarray, np.ndarray]:
+    """(a, G): one least unit a per class of ind a mod gcd(j, p-1), and one FFT
+    per class row of the character sums G(chi_t, j, a), t = 0..p-2."""
+    from wgkit.expsums import _generator_tables, _roots
+
+    d = math.gcd(j, p - 1)
+    pw, dlog = _generator_tables(p)
+    reps = 1 + np.argmax(dlog[1:] % d == np.arange(d)[:, None], axis=1)
+    pw = pw[j * np.arange(p - 1) % (p - 1)]
+    v = _roots(p)[np.multiply.outer(reps, pw) % p]
+    return reps, np.fft.fft(v, axis=1)[:, -np.arange(p - 1) % (p - 1)]
+
+
+def verify_bounds_per_modulus(j_max: int, q_max: int, pp_max: int, twisted_q_max: int = 0):
+    """The classical exponential-sum sweep, one modulus and one exponent at a time.
+
+    The sweep's former loop: per modulus q its own power table, histogram
+    and FFT for every exponent, and at a prime q a second table, histogram
+    and FFT for the unit sums; per (p, j) one character-sum FFT; and the
+    twisted pairs from spectra of their own.  Returns the same ``BoundReport``.
+    """
+    from wgkit.arith import primes_up_to
+    from wgkit.expsums import CHAR_P_MAX, MAG_TOL, BoundReport, vanishing_exponent
+
+    js = tuple(range(2, j_max + 1))
+    rep = BoundReport(j_max=j_max, q_max=q_max, pp_max=pp_max)
+    primes = set(primes_up_to(q_max))
+    worst = np.zeros(len(js))
+    worst_q = np.ones(len(js), dtype=np.int64)
+    worst_a = np.ones(len(js), dtype=np.int64)
+    found = []
+    for q in range(1, q_max + 1):
+        units = np.nonzero(np.gcd(np.arange(q), q) == 1)[0]
+        mags = np.abs(_spectra_per_modulus(js, q, False)[:, units])
+        ratios = mags / np.array([q ** (1 - 1 / j) for j in js])[:, None]
+        i = ratios.argmax(axis=1)
+        best = ratios.max(axis=1)
+        better = best > worst
+        worst[better] = best[better]
+        worst_q[better] = q
+        worst_a[better] = units[i[better]]
+        if q in primes:
+            tol = MAG_TOL * q
+            bound = np.array([(math.gcd(j, q - 1) - 1) * math.sqrt(q) for j in js])[:, None]
+            slack_p = bound - mags
+            slack_u = bound + 1 - np.abs(_spectra_per_modulus(js, q, True)[:, units])
+            rep.prime_slack = min(rep.prime_slack, float(slack_p.min()))
+            rep.unit_slack = min(rep.unit_slack, float(slack_u.min()))
+            for name, slack in (("complete_prime_bound", slack_p), ("unit_prime_bound", slack_u)):
+                for r in np.nonzero((slack < -tol).any(axis=1))[0]:
+                    found.append((name, js[r], q, int(units[np.argmin(slack[r])])))
+    for r, j in enumerate(js):
+        rep.complete_ratio[j] = (float(worst[r]), int(worst_q[r]), int(worst_a[r]))
+    rep.violations.extend(sorted(found, key=lambda v: v[1]))
+
+    found = []
+    for p in primes_up_to(int(math.isqrt(pp_max)) + 1):
+        gammas = [vanishing_exponent(p, j) for j in js]
+        q, ell = p * p, 2
+        while q <= pp_max:
+            level_js = tuple(j for j, gamma in zip(js, gammas) if gamma <= ell)
+            if level_js:
+                units = np.gcd(np.arange(q), q) == 1
+                peaks = np.abs(_spectra_per_modulus(level_js, q, True)[:, units]).max(axis=1)
+                rep.vanishing_max = max(rep.vanishing_max, float(peaks.max()))
+                for j, m in zip(level_js, peaks.tolist()):
+                    if m > MAG_TOL * q:
+                        found.append(("unit_sum_vanishing", j, q, m))
+            q *= p
+            ell += 1
+    rep.violations.extend(sorted(found, key=lambda v: v[1]))
+
+    char_primes = primes_up_to(min(CHAR_P_MAX, q_max))[1:]
+    for j in js:
+        worst_char = (0.0, 3, 1)
+        for p in char_primes:
+            reps, sums = _char_class_sums_one_exponent(p, j)
+            mags = np.abs(sums)
+            peak = mags.max()
+            ratio = float(peak / math.sqrt(p))
+            if ratio > worst_char[0]:
+                worst_char = (ratio, p, int(reps[np.argmax(mags) // (p - 1)]))
+            if peak > (j + 1) * math.sqrt(p) + MAG_TOL * p:
+                rep.violations.append(("weil_char_bound", j, p, float(peak)))
+        rep.char_ratio[j] = worst_char
+
+    for j in js if twisted_q_max else ():
+        for q1 in range(2, twisted_q_max + 1):
+            for q2 in range(q1 + 1, twisted_q_max + 1):
+                if math.gcd(q1, q2) != 1:
+                    continue
+                q = q1 * q2
+                s1, s2, lhs = (_spectra_per_modulus((j,), m, False)[0] for m in (q1, q2, q))
+                a = np.arange(q)
+                rhs = s1[a * pow(q2, j - 1, q1) % q1] * s2[a * pow(q1, j - 1, q2) % q2]
+                gap = float(np.abs(lhs - rhs).max())
+                rep.twisted_gap_max = max(rep.twisted_gap_max, gap)
+                if gap > MAG_TOL * q:
+                    rep.violations.append(("twisted_multiplicativity", j, q1, q2, gap))
+    return rep
 
 
 def hua4_literal(k: int, Q: float) -> int:
@@ -297,6 +471,13 @@ def mixed_lexsort(k: int, P: float) -> tuple[int, int, int]:
     _, c1 = _run_lengths(values, x_of)
     max_h = int(np.max(x_of[starts + c - 1] - x_of[starts], initial=0))
     return int(c @ c), int(c1 @ c1), max_h
+
+
+def dyadic_boxes(n: int, k: int) -> tuple[float, float, float, float]:
+    """The box sizes of x and p1, of p2 and p3, of p4 and of p5, written out:
+    (1/2)(2n/3)^(1/j) for j = 2, 3 and (1/2)(2n/3)^(5/6j) for j = 3, k."""
+    base = 2 * n / 3
+    return 0.5 * base ** (1 / 2), 0.5 * base ** (1 / 3), 0.5 * base ** (5 / 18), 0.5 * base ** (5 / (6 * k))
 
 
 def representations_unfolded(n: int, k: int, r: int, boxes=None) -> int:

@@ -6,12 +6,13 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from oracles import gauss_legendre, independent_level_cascade, nested_c4
+from oracles import cumsimpson_strided, gauss_legendre, independent_level_cascade, levels_fresh_arrays, nested_c4
 from wgkit import buchstab, cli, reference
 from wgkit.buchstab import (
     _cascade,
     _converged_values,
     _cumsimpson,
+    _lattice,
     _levels,
     constants_table,
     iterated_integral,
@@ -41,8 +42,8 @@ def test_max_r_values():
 
 def _level(m: int, k: int, steps: int = 256):
     """(xs, ys) of the sampled level g_m, or (None, None) for the zero function."""
-    *_, (_, xs, ys) = _levels(k, steps, m)
-    return xs, ys
+    *_, (_, ys) = _levels(k, steps, m)
+    return (None, None) if ys is None else (_lattice(k, steps)[-ys.size :], ys)
 
 
 def test_base_level_against_quadrature_oracle():
@@ -110,11 +111,47 @@ def test_level_lattice_holds_at_any_step():
 @example(n=128001, pool=np.sin(np.arange(300.0)), h=1 / 256)
 @example(n=128002, pool=np.sin(np.arange(300.0)), h=1 / 256)
 def test_cumsimpson_is_scipys_cumulative_simpson(n, pool, h):
-    # the kept half-interval formulas of scipy's kernel, bit for bit, for either parity
+    # the kept half-interval formulas of scipy's kernel, bit for bit, for either parity,
+    # run on the halves and the buffers the cascade hands it
     from scipy.integrate import cumulative_simpson
 
     f = np.resize(pool, n)
-    assert np.array_equal(_cumsimpson(f, h), cumulative_simpson(f, dx=h, initial=0.0))
+    out = _cumsimpson(f[0::2].copy(), f[1::2].copy(), h, np.empty(n), np.full(n, np.nan))
+    assert np.array_equal(out, cumulative_simpson(f, dx=h, initial=0.0))
+    assert np.array_equal(out, cumsimpson_strided(f, h))
+
+
+@pytest.mark.parametrize("steps", [64, 128, 255, 256, 257, 1024])
+def test_cascade_is_the_fresh_array_cascade(steps):
+    # every level, and so every c_r, bit for bit the former loop's, on even and odd S
+    # (an odd S starts every other level on the lattice's odd half)
+    for k in range(3, 15):
+        top = max_r(k) - 1
+        tops = {}
+        for (m, ys), (m_old, old) in zip(_levels(k, steps, top), levels_fresh_arrays(k, steps, top)):
+            assert m == m_old and (ys is None) == (old is None), (k, m)
+            assert ys is None or ys.tobytes() == old.tobytes(), (k, m)
+            tops[m + 1] = (0.0 if old is None else float(old[-1])).hex()
+        assert {r: v.hex() for r, v in _cascade(k, steps).items()} == tops, k
+
+
+def test_cascade_workspace_is_four_lattices():
+    # the lattice halves, the integrand halves, one level buffer and the spare: no
+    # level allocates a lattice-sized array of its own
+    import tracemalloc
+
+    peaks = []
+    for k in reference.K_RANGE:
+        for steps in buchstab.STEPS_PER_UNIT:
+            lattice_bytes = _lattice(k, steps).nbytes
+            tracemalloc.start()
+            try:
+                _cascade(k, steps)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+            assert peaks[-1] < 4 * lattice_bytes + 2**16, (k, steps, peaks[-1] / lattice_bytes)
+    assert max(peaks) < 4.90 * 2**20
 
 
 def test_cascade_runs_once_per_k_and_tol(all_tables, monkeypatch, capsys):

@@ -534,6 +534,10 @@ _STDOUT_DIGESTS = {
     "--format csv margin": (0, "43f7568fc897a6f7510646b5ccfec404123b05685e938508308e433e47274b34"),
     "constants --k 3,4": (0, "afc5dc58bb617aa417b8b5e4b0cb4f65665bbe9672527420a24b518772e38dc4"),
     "--format csv constants --k 3,4": (0, "2df48bf584ba34526167261351937d828c3031e425260fff9ee6a6caafba9879"),
+    # the verify workload's sizes; every k exits 1 on criterion 1's five entries
+    "constants --k all": (1, "d45a57e80556758aaaaecbed0a69a9e338eb8d31ea12f675f5574529a6748587"),
+    "--format csv constants --k all": (1, "fea62bd2bb924859c39ea466fa603461140c62aadec2cc5241afd2f96234a6be"),
+    "sums --qmax 250 --ppmax 2500": (0, "2ef043fe0a3991fc4be20b332dc5aab2445b164f648289e16ec70aa9e5496068"),
     "local --pmax 60 --k 4": (0, "1c73a465535fc1f35aa4229064f15374fa378ebeb8638399e4c1a38977ff6964"),
     # k = 7 has G = 42 at p = 43, 127, 211, 337, 379, 421 and 463: the widest class maps
     "local --pmax 500 --k 7": (0, "1092491da9586af90cfb38ee1ba701074d2d6760449c2b83e4c22c0c576bb079"),

@@ -6,6 +6,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from oracles import (
+    dyadic_boxes,
     hua4_literal,
     hua4_unfolded,
     mixed_lexsort,
@@ -28,7 +29,6 @@ from wgkit.dioph import (
     fit_scaling,
 )
 from wgkit.errors import BudgetExceeded
-from wgkit.singint import boxes
 
 
 def test_dyadic_range_half_open():
@@ -171,7 +171,7 @@ def test_mixed_packed_key_equals_lexsort_join(k, P):
 def test_representations_folded_join_equals_unfolded_join(half_n, k, r, dyadic):
     n = 2 * half_n
     rep = count_representations(n, k, r, dyadic)
-    assert rep.count == representations_unfolded(n, k, r, boxes(n, k) if dyadic else None)
+    assert rep.count == representations_unfolded(n, k, r, dyadic_boxes(n, k) if dyadic else None)
 
 
 def test_counts_at_the_verify_sizes():
@@ -368,11 +368,12 @@ def test_representations_memory_is_bounded():
 
 
 def test_representations_memory_does_not_grow_with_n():
-    # ten times the n of the test above; the peak is mostly the 90^3 int64
-    # cube sums p2^3 + p3^3 + p4^3 (5.8 MB) before they are folded
+    # ten times the n of the test above; the largest array is the 90 * 91 / 2 * 90
+    # int64 keys of the cube sums p2^3 + p3^3 + p4^3 with p2 <= p3 (2.9 MB) before
+    # they are folded, half the unfolded 90^3
     count, peak = _representations_peak(10**8)
     assert count == 2736492
-    assert peak <= 16 * 2**20
+    assert peak <= 8 * 2**20
 
 
 def test_fit_scaling_synthetic():
@@ -426,7 +427,7 @@ def test_representations_in_many_bands_equal_unfolded_join(half_n, k, r, dyadic)
     # bands of 2^10 values: n in 10^5..10^6 spans about 100 to 1000 of them
     n = 2 * half_n
     got = _representations_in_bands(2**10, n, k, r, dyadic)
-    assert got == representations_unfolded(n, k, r, boxes(n, k) if dyadic else None)
+    assert got == representations_unfolded(n, k, r, dyadic_boxes(n, k) if dyadic else None)
 
 
 @settings(max_examples=40, deadline=None, derandomize=True)
@@ -452,10 +453,10 @@ def test_representations_rejections():
 
 def test_representations_dyadic_mode():
     # dyadic confines every variable to its box from singint.boxes: the join
-    # against a literal loop over the same boxes
+    # against a literal loop over the boxes as the oracle writes them
     for n, k, want in ((10**6, 3, 14), (10**7, 3, 370), (10**6, 5, 5), (10**7, 14, 12)):
         rep = count_representations(n, k, 3, dyadic=True)
-        assert rep.count == representations_in_boxes_literal(n, k, 3, boxes(n, k)) == want
+        assert rep.count == representations_in_boxes_literal(n, k, 3, dyadic_boxes(n, k)) == want
         assert rep.parameters["mode"] == "dyadic"
     assert count_representations(10**8, 3, 3, dyadic=True).count == 1430
     assert count_representations(10**6, 3, 3).parameters["mode"] == "free"

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import char_sums_matrix
+from oracles import char_sums_matrix, verify_bounds_per_modulus
 from wgkit import expsums
 from wgkit.arith import primes_up_to
 from wgkit.cli import main
@@ -15,8 +15,10 @@ from wgkit.expsums import (
     MAG_TOL,
     SWEEP_POINT_BUDGET,
     BoundReport,
+    _char_rows,
     _generator_tables,
     _power_hists,
+    _power_hists_many,
     _power_spectra,
     _sweep_points,
     all_characters,
@@ -84,7 +86,8 @@ def test_spectral_path_agrees_with_direct():
 
 
 def test_multi_exponent_kernel_rows_are_the_single_row_path():
-    # one power table, bincount and FFT for all j: every row bit-identical to the per-j call
+    # one power table, bincount and FFT for all j: every row bit-identical to the per-j call;
+    # and for consecutive moduli side by side, each column block is its modulus's histogram
     js = tuple(range(2, 15))
     for q in range(1, 121):
         for units_only, single in ((False, complete_sums_all), (True, unit_sums_all)):
@@ -94,6 +97,49 @@ def test_multi_exponent_kernel_rows_are_the_single_row_path():
                 literal = [pow(m, j, q) for m in range(1, q + 1) if not units_only or math.gcd(m, q) == 1]
                 assert np.array_equal(hists[i], np.bincount(literal, minlength=q)), (q, j, units_only)
                 assert np.array_equal(spectra[i], single(j, q)), (q, j, units_only)
+    for qs, units_only in ((range(1, 121), False), (range(97, 131), False), (range(250, 252), False), (range(2, 60), True)):
+        side = _power_hists_many(js, qs, units_only)
+        assert side.shape == (len(js), sum(qs))
+        starts = np.cumsum([0, *qs])
+        for q, s in zip(qs, starts.tolist()):
+            assert np.array_equal(side[:, s : s + q], _power_hists(js, q, units_only)), (q, units_only)
+
+
+def test_char_rows_stack_the_one_exponent_rows():
+    # every exponent of one prime in one FFT: the rows of char_class_sums, bit for bit, in js order
+    js = tuple(range(2, 15))
+    for p in primes_up_to(199)[1:]:
+        reps, sums = _char_rows(p, js)
+        one = [char_class_sums(p, j) for j in js]
+        assert np.array_equal(reps, np.concatenate([r for r, _ in one]))
+        assert np.array_equal(sums[:, -np.arange(p - 1) % (p - 1)], np.concatenate([g for _, g in one])), p
+
+
+@pytest.mark.parametrize("args", [(14, 250, 2500, 0), (14, 499, 10**4, 0), (5, 60, 256, 12), (3, 40, 64, 0)])
+def test_sweep_is_the_per_modulus_sweep(args):
+    # chunked tables, one FFT per modulus and one per character prime: the former loop's report
+    ours, oracle = verify_bounds(*args).as_dict(), verify_bounds_per_modulus(*args).as_dict()
+    assert ours == oracle and repr(ours) == repr(oracle)
+
+
+def test_sweep_transforms_once_per_modulus_and_prime(monkeypatch):
+    # a prime modulus's complete and unit sums share one FFT, and so do a prime's exponents
+    calls = []
+    fft = np.fft.fft
+    monkeypatch.setattr(np.fft, "fft", lambda a, *args, **kw: calls.append(np.shape(a)) or fft(a, *args, **kw))
+    j_max, q_max, pp_max = 14, 60, 256
+    verify_bounds(j_max, q_max, pp_max)
+    js = range(2, j_max + 1)
+    levels = [
+        (p, ell)
+        for p in primes_up_to(math.isqrt(pp_max))
+        for ell in range(2, int(math.log(pp_max, p)) + 2)
+        if p**ell <= pp_max and any(vanishing_exponent(p, j) <= ell for j in js)
+    ]
+    char_primes = primes_up_to(q_max)[1:]
+    assert len(calls) == q_max + len(levels) + len(char_primes)
+    assert calls[:q_max] == [(26 if q in primes_up_to(q_max) else 13, q) for q in range(1, q_max + 1)]
+    assert calls[q_max + len(levels) :] == [(sum(math.gcd(j, p - 1) for j in js), p - 1) for p in char_primes]
 
 
 def test_char_class_sums_cover_every_character_sum():
@@ -271,12 +317,12 @@ def test_verify_bounds_small_grid():
 # the violations it must raise, twisted_q_max)
 _BROKEN_CHECKS = {
     "prime_bounds": (
-        "_power_spectra", lambda f: lambda *a, **kw: 1.5 * f(*a, **kw),
+        "_spectra", lambda f: lambda *a, **kw: 1.5 * f(*a, **kw),
         {"complete_prime_bound", "unit_prime_bound"}, 0,
     ),
     "vanishing": ("vanishing_exponent", lambda f: lambda p, j: f(p, j) - 1, {"unit_sum_vanishing"}, 0),
     "weil": (
-        "char_class_sums", lambda f: lambda p, j: (f(p, j)[0], 10 * f(p, j)[1]), {"weil_char_bound"}, 0,
+        "_char_rows", lambda f: lambda p, js: (f(p, js)[0], 10 * f(p, js)[1]), {"weil_char_bound"}, 0,
     ),
     "twisted": (
         "twisted_gap", lambda f: lambda j, q1, q2: f(j, q1, q2) + q1 * q2, {"twisted_multiplicativity"}, 6,
