@@ -155,7 +155,7 @@ def _levels(k: int, steps_per_unit: int, top: int):
         level = _cumsimpson(even[: xe.size], odd[: xo.size], h, ys[:n], spare)
         level += base
         yield m, level
-        live = not (level[-1] < ZERO_LEVEL_SUP and level.max() < ZERO_LEVEL_SUP)
+        live = not level.max() < ZERO_LEVEL_SUP
 
 
 def _cascade(k: int, steps_per_unit: int) -> dict[int, float]:

@@ -159,12 +159,8 @@ def _power_hists_many(js: tuple[int, ...], qs, units_only: bool = False) -> np.n
     residues m = 1..q of every modulus, and one bincount.
     """
     qs = np.asarray(qs, dtype=np.int64)
-    if qs.size == 1:  # one modulus: scalars in place of the per-column arrays
-        mod, first = int(qs[0]), 0
-        m = np.arange(1, mod + 1, dtype=np.int64)
-    else:
-        mod, first = np.repeat(qs, qs), np.repeat(np.cumsum(qs) - qs, qs)  # per column: q and s
-        m = np.arange(1, mod.size + 1, dtype=np.int64) - first
+    mod, first = np.repeat(qs, qs), np.repeat(np.cumsum(qs) - qs, qs)  # per column: q and s
+    m = np.arange(1, mod.size + 1, dtype=np.int64) - first
     table = _power_table(js, m, mod)
     # row i of modulus q counts into bins i sum(qs) + s + v
     table += first
@@ -461,17 +457,17 @@ def verify_bounds(
                 # m = q is the one non-unit: the unit histogram lacks one count at v = 0
                 block = np.concatenate((block, block))
                 block[n:, 0] -= 1
-            # unit numerators a = 0..q-1; a = 0 stands for m = q (a unit only for q = 1)
+            # unit numerators a = 0..q-1 (a = 0 only for q = 1), uncached: a cached mask of
+            # every q would outlast the sweep
             units = np.flatnonzero(np.gcd(np.arange(q), q) == 1)
             mags = np.abs(_spectra(block)[:, units])
             # Python-scalar powers: numpy's array power can differ in the last ulp
             ratios = mags[:n] / np.array([q ** (1 - 1 / j) for j in js])[:, None]
             best = ratios.max(axis=1)
             better = best > worst
-            if better.any():
-                worst[better] = best[better]
-                worst_q[better] = q
-                worst_a[better] = units[ratios.argmax(axis=1)[better]]
+            worst[better] = best[better]
+            worst_q[better] = q
+            worst_a[better] = units[ratios.argmax(axis=1)[better]]
             if q in primes:
                 tol = MAG_TOL * q
                 bound = np.array([(math.gcd(j, q - 1) - 1) * math.sqrt(q) for j in js])[:, None]
@@ -495,7 +491,7 @@ def verify_bounds(
         while q <= pp_max:
             level_js = tuple(j for j, gamma in zip(js, gammas) if gamma <= ell)
             if level_js:
-                units = np.roll(_unit_mask(q), 1)
+                units = np.gcd(np.arange(q), q) == 1
                 peaks = np.abs(_power_spectra(level_js, q, True)[:, units]).max(axis=1)
                 rep.vanishing_max = max(rep.vanishing_max, float(peaks.max()))
                 for j, m in zip(level_js, peaks.tolist()):
