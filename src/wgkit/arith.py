@@ -157,70 +157,27 @@ _LEAST_ROOTS: dict[int, int] = {}  # prime -> least primitive root, each searche
 def _least_generators(ps) -> np.ndarray:
     """The least primitive root of each prime of ``ps`` (1 at p = 2), as an int64 array.
 
-    Primes not yet in ``_LEAST_ROOTS`` are searched in one ``_root_search`` call.
+    Each prime not yet in ``_LEAST_ROOTS`` is searched by ``_least_root``.
     """
     ps = [int(p) for p in ps]
-    new = sorted(set(ps).difference(_LEAST_ROOTS))
-    if new:
-        _LEAST_ROOTS.update(zip(new, _root_search(new).tolist()))
+    for p in set(ps).difference(_LEAST_ROOTS):
+        _LEAST_ROOTS[p] = _least_root(p)
     return np.array([_LEAST_ROOTS[p] for p in ps], dtype=np.int64)
 
 
-def _root_search(ps) -> np.ndarray:
-    """The least primitive root of each prime of ``ps`` (1 at p = 2), in stacked passes.
+def _least_root(p: int) -> int:
+    """The least primitive root of the prime p (1 at p = 2).
 
-    For each prime q <= sqrt(max p) dividing p - 1, the q-part of p - 1 is its
-    gcd with a power of q past p; what the q-parts leave is 1 or a prime.  g
-    generates iff g^((p-1)/q) != 1 mod p at every prime q | p - 1, and each
-    pass tests the candidates [c, 4c) at every (p, q) pair at once, from c = 2.
+    g generates iff g^((p-1)/q) != 1 mod p at every prime q | p - 1; p - 1 is
+    factored by the primes up to sqrt(p), and g = 2, 3, ... are tried in turn.
     """
-    top = int(np.max(ps))
-    ps = np.asarray(ps, dtype=np.int64 if top < 2**27 else object)
-    small = primes_up_to(max(2, math.isqrt(top)))
-    high = []  # q^e >= max p
-    for q in small:
-        high.append(q)
-        while high[-1] < top:
-            high[-1] *= q
-    small, high = np.array(small), np.array(high)
-    row, col = np.nonzero((ps[:, None] - 1) % small == 0)
-    smooth = np.ones_like(ps)
-    np.multiply.at(smooth, row, np.gcd(ps[row] - 1, high[col]))
-    rest = (ps - 1) // smooth
-    big = np.flatnonzero(rest > 1)
-    # the (p, q) pairs: prime index at[t] and exponent (p - 1)/q
-    at = np.concatenate((row, big))
-    exponent = (ps[at] - 1) // np.concatenate((small[col], rest[big]))
-    g = np.ones_like(ps)
-    pending = ps > 2
-    first = 2
-    while pending.any():
-        pairs = pending[at]
-        cand = np.arange(first, 4 * first)
-        power = _pow_mod(cand, exponent[pairs, None], ps[at[pairs], None])
-        # a candidate fails at a prime if it has power 1 at any of its pairs
-        i, c = np.nonzero(power == 1)
-        fails = np.bincount(at[pairs][i] * len(cand) + c, minlength=len(ps) * len(cand))
-        ok = (fails.reshape(-1, len(cand)) == 0) & pending[:, None]
-        found = ok.any(axis=1)
-        g[found] = cand[ok[found].argmax(axis=1)]
-        pending &= ~found
-        first *= 4
+    if p == 2:
+        return 1
+    qs = factorize(p - 1).primes
+    g = 2
+    while any(pow(g, (p - 1) // q, p) == 1 for q in qs):
+        g += 1
     return g
-
-
-def _pow_mod(base: np.ndarray, exponent: np.ndarray, mod: np.ndarray) -> np.ndarray:
-    """base^exponent mod mod, an (n, C) grid: ``base`` is a row (C,), the others (n, 1) columns.
-
-    Left-to-right square-and-multiply; each step's product is below
-    mod^2 * max(base), int64-exact for mod < 2^27 and base < 2^9.
-    """
-    out = np.ones((len(exponent), len(base)), dtype=exponent.dtype)
-    for b in range(int(exponent.max()).bit_length() - 1, -1, -1):
-        out *= out
-        out *= np.where((exponent >> b) & 1, base, 1)
-        out %= mod
-    return out
 
 
 def _generator_walks(ps: np.ndarray, gs: np.ndarray, width: int) -> np.ndarray:

@@ -13,6 +13,7 @@ import contextlib
 import dataclasses
 import itertools
 import json
+import math
 import os
 import sys
 
@@ -266,8 +267,10 @@ def cmd_count(args) -> int:
 def cmd_singint(args) -> int:
     if args.samples < 1024:
         raise ValueError(f"--samples must be >= 1024, got {args.samples}")
-    n_grid = [int(float(tok)) for tok in args.n_grid.split(",")]
-    n_grid = [n if n % 2 == 0 else n + 1 for n in n_grid]
+    n_grid = [float(tok) for tok in args.n_grid.split(",")]
+    if not all(math.isfinite(n) for n in n_grid):
+        raise ValueError(f"grid points must be finite, got {args.n_grid}")
+    n_grid = [n if n % 2 == 0 else n + 1 for n in map(int, n_grid)]
     evals, slope, intercept, resid = singint.growth_fit(n_grid, args.k)
     expected = singint.expected_growth_exponent(args.k)
     payload = {

@@ -226,8 +226,8 @@ def _literal_square_sum(values: np.ndarray) -> int:
 
 def count_hua4(k: int, Q: float, method: str = "meet_in_middle") -> CountReport:
     """Solutions of y1^k + y2^k = y3^k + y4^k with all y in (Q, 2Q]."""
-    if Q < 1:
-        raise ValueError(f"Q must be >= 1, got {Q}")
+    if not 1 <= Q < math.inf:
+        raise ValueError(f"Q must be finite and >= 1, got {Q}")
     if k < 2:
         raise ValueError(f"k must be >= 2, got {k}")
     n = dyadic_size(Q)
@@ -276,8 +276,8 @@ def count_mixed_S(k: int, P: float) -> MixedCount:
     """
     if k < 3:
         raise ValueError(f"k must be >= 3, got {k}")
-    if P < 2:
-        raise ValueError(f"P must be >= 2, got {P}")
+    if not 2 <= P < math.inf:
+        raise ValueError(f"P must be finite and >= 2, got {P}")
     Q = P ** (5.0 / (2 * k))
     n_x, n_y = dyadic_size(P), dyadic_size(Q)
     n_pairs = n_x * n_y**2
@@ -343,8 +343,8 @@ def count_admissible_triple(k: int, N: float, method: str = "meet_in_middle") ->
     """
     if k < 3:
         raise ValueError(f"k must be >= 3, got {k}")
-    if N < 2:
-        raise ValueError(f"N must be >= 2, got {N}")
+    if not 2 <= N < math.inf:
+        raise ValueError(f"N must be finite and >= 2, got {N}")
     X, Z, Y = N ** (1.0 / 3), N ** (5.0 / 18), N ** (5.0 / (6 * k))
     side = dyadic_size(X) * dyadic_size(Z) * dyadic_size(Y)
     if side > PAIR_BUDGET:

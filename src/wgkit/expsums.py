@@ -425,6 +425,9 @@ def verify_bounds(
         pp_max = q_max
     if pp_max < 2:
         raise ValueError(f"pp_max must be >= 2, got {pp_max}")
+    if twisted_q_max < 0 or 1 <= twisted_q_max <= 2:
+        # the first coprime pair is (2, 3): 1 and 2 would run no pair at all
+        raise ValueError(f"twisted_q_max must be 0 (off) or >= 3, got {twisted_q_max}")
     js = tuple(range(J_MIN, j_max + 1))
     points = 0
     for batch in _sweep_points(js, q_max, pp_max, twisted_q_max):

@@ -25,15 +25,17 @@ Every term is a non-negative count, and L(p,n) <= 2 p (p-1)^4 (the other five
 variables fix x2 up to sign), so int64 arithmetic is exact for p <= 5399;
 larger primes count in Python integers.
 
-``class_counts_many`` computes many primes at once and holds the results per
-k, one ``ClassCounts`` per prime: the three counts and E_p per class, and the
-class of every residue mod p (p bytes), the one residue -> class map that
-every caller reads.  The primes that share G and an integer width go through
-two stacked stages.  The O(p) stage runs in chunks of at most
-``_CHUNK_SLOTS`` residue slots: per chunk, one walk of g^s mod p for all its
-primes, one scatter into their class maps and one bincount of the cyclotomic
-numbers.  The class algebra then runs once for the whole group, as stacked
-(G + 1)-square integer products indexed by each prime's f and nu.
+The counts depend on k only through d = gcd(k, p - 1): the unit k-th powers
+mod p are the d-th powers, each hit d times, and G = lcm(gcd(6, p - 1), d).
+``class_counts_many`` computes many primes at once and holds one
+``ClassCounts`` per (p, d), which every k of that d at p reads: the three
+counts and E_p per class, and the class of every residue mod p (p bytes), the
+one residue -> class map that every caller reads.  The primes that share G and
+an integer width go through two stacked stages.  The O(p) stage runs in chunks
+of at most ``_CHUNK_SLOTS`` residue slots: per chunk, one walk of g^s mod p for
+all its primes, one scatter into their class maps and one bincount of the
+cyclotomic numbers.  The class algebra then runs once for the whole group, as
+stacked (G + 1)-square integer products indexed by each prime's f and nu.
 
 The error term E_p = p L*(p,n) - (p-1)^6 satisfies the closed form bound
 (p-1)(sqrt p + 1)^2 (2 sqrt p + 1)^3 (13 sqrt p + 1), uniform over powers
@@ -51,7 +53,7 @@ from functools import lru_cache
 import numpy as np
 
 from .arith import _generator_walks, _least_generators, is_prime
-from .errors import VerificationError
+from .errors import BudgetExceeded, VerificationError
 from .expsums import _power_spectra
 from .reference import K_RANGE, check_k
 
@@ -88,27 +90,35 @@ class ClassCounts:
 # each, whatever the number of primes
 _CHUNK_SLOTS = 2**14
 
-# class_counts_many's store: k -> {p: ClassCounts}; entries are never evicted
-_STORE: dict[int, dict[int, ClassCounts]] = {}
+# the largest prime the engine counts at, and so singular's largest truncation
+# bound (its tail envelope sieves to 10 p_max)
+P_MAX_BUDGET = 10**5
+
+# class_counts_many's store: (p, gcd(k, p - 1)) -> ClassCounts; entries are never evicted
+_STORE: dict[tuple[int, int], ClassCounts] = {}
 
 
 def class_counts(p: int, k: int) -> ClassCounts:
-    """(K, L, L*) per class of n, exact, for any prime p."""
+    """(K, L, L*) per class of n, exact, for any prime p <= ``P_MAX_BUDGET``."""
     return class_counts_many((p,), k)[0]
 
 
 def class_counts_many(primes: Sequence[int], k: int) -> list[ClassCounts]:
     """``class_counts`` at each prime of the sequence ``primes``, in its order.
 
-    The results are held per k, and a call computes only the primes not yet
-    held.  The primes of one coset count G, and of one integer width, share
-    the chunked O(p) kernel ``_cyclotomic_many`` and then a single pass of
-    stacked (G + 1)-square products, ``_class_algebra``.
+    The results are held per (p, gcd(k, p - 1)), and a call computes only the
+    pairs not yet held.  A prime above ``P_MAX_BUDGET`` is refused with
+    ``BudgetExceeded`` before any work.  The primes of one coset count G, and
+    of one integer width, share the chunked O(p) kernel ``_cyclotomic_many``
+    and then a single pass of stacked (G + 1)-square products,
+    ``_class_algebra``.
     """
     check_k(k)
-    store = _STORE.setdefault(k, {})
+    keys = [(p, math.gcd(k, p - 1)) for p in primes]
     groups: dict[tuple[int, bool], list[int]] = {}
-    for p in sorted({p for p in primes if p not in store}):
+    for p, _ in sorted(set(keys).difference(_STORE)):
+        if p > P_MAX_BUDGET:
+            raise BudgetExceeded(f"p = {p} is over the {P_MAX_BUDGET} budget of the class-count engine")
         if not is_prime(p):
             raise ValueError(f"p must be prime, got {p}")
         G = math.gcd(math.lcm(2, 3, k), p - 1)
@@ -121,15 +131,15 @@ def class_counts_many(primes: Sequence[int], k: int) -> list[ClassCounts]:
         if bad.any():
             raise VerificationError(f"L = L* + K fails at p={ps[bad.argmax()]}, k={k}")
         for p, cls, *v in zip(ps, classes, K.tolist(), L.tolist(), Lstar.tolist()):
-            store[p] = ClassCounts(p, cls, *map(tuple, v))
-    return [store[p] for p in primes]
+            _STORE[p, math.gcd(k, p - 1)] = ClassCounts(p, cls, *map(tuple, v))
+    return [_STORE[key] for key in keys]
 
 
 def _cyclotomic_many(primes: Sequence[int], G: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, list]:
     """f = (p - 1)/G, the class nu of -1, the cyclotomic numbers A and the class map at each prime.
 
-    All the primes have coset count G, and their least primitive roots are
-    found in one stacked pass.  Consecutive primes form a chunk of m rows of
+    All the primes have coset count G, and their least primitive roots come
+    from ``_least_generators``.  Consecutive primes form a chunk of m rows of
     p_max + 1 slots, at most ``_CHUNK_SLOTS`` slots in all (or one prime), so
     sorted primes waste few slots.  A chunk walks x = g^s mod p for all its
     rows at once; x lies in C_(s mod G), column 1 + (s mod G), which the

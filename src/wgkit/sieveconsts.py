@@ -14,7 +14,8 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from .arith import primes_up_to
-from .localdensity import class_counts_many
+from .errors import BudgetExceeded
+from .localdensity import P_MAX_BUDGET, class_counts_many
 from .reference import check_k
 from .singular import _omega_p
 
@@ -82,6 +83,8 @@ def sieve_product(n: int, k: int, z: float) -> float:
     check_k(k)
     if z <= 3.0:
         raise ValueError(f"need z > 3 for a nonempty product, got {z}")
+    if z > P_MAX_BUDGET:
+        raise BudgetExceeded(f"z = {z} is over the {P_MAX_BUDGET} budget of the class-count engine")
     log_sum = 0.0
     for cc in class_counts_many(primes_up_to(math.ceil(z) - 1)[1:], k):  # odd primes strictly below z
         frac = _omega_p(cc, n) / cc.p

@@ -21,6 +21,7 @@ evaluated; the higher is the value and their difference the error estimate.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -120,6 +121,7 @@ def singular_integral(
 
     ``samples`` and ``seed`` are accepted for callers of the earlier Monte Carlo
     rule and do not affect the result; fewer than 1024 samples is still refused.
+    An n whose J(n) or error estimate is not finite in float64 is refused.
     """
     if n % 2 != 0:
         raise ValueError(f"n must be even, got {n}")
@@ -128,7 +130,10 @@ def singular_integral(
     check_k(k)
     if samples < 1024:
         raise ValueError(f"need at least 1024 samples, got {samples}")
-    (low, low_evals), (value, evals) = (_quadrature(n, k, *order) for order in ORDERS)
+    with np.errstate(over="ignore", invalid="ignore"):  # a J(n) past float64 is refused below
+        (low, low_evals), (value, evals) = (_quadrature(n, k, *order) for order in ORDERS)
+    if not (math.isfinite(value) and math.isfinite(value - low)):
+        raise ValueError(f"J(n) at n = {n:.6g} is not finite in float64")
     return SingularIntegralEval(
         n=n,
         k=k,

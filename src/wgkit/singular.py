@@ -35,13 +35,11 @@ import numpy as np
 from .arith import FactoredInt, factorize, is_prime, primes_up_to
 from .errors import BudgetExceeded, VerificationError
 from .expsums import _unit_mask, complete_sums_all, unit_sums_all
-from .localdensity import ClassCounts, class_counts_many
+from .localdensity import P_MAX_BUDGET, ClassCounts, class_counts_many
 from .reference import check_k
 
 TAIL_PRIME_CONSTANT = 200.0  # |A(p,n)| <= 200/p^2 for p >= 29
 TAIL_VALID_FROM = 29
-# largest truncation bound: the envelope sieves to 10 p_max, and the engine holds every prime's counts
-P_MAX_BUDGET = 10**5
 
 
 @dataclass(frozen=True)

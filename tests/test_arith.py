@@ -147,16 +147,15 @@ def test_primitive_root_examples():
 
 
 def test_least_generators_match_the_definition():
-    # one stacked call over every prime below 40000 (least roots up to 37, at
-    # p = 36721, so three candidate passes) against a per-prime search on the
-    # definition; p = 2 maps to 1
+    # one call over every prime below 40000 (least roots up to 37, at
+    # p = 36721) against a search on the definition; p = 2 maps to 1
     def least_root(p: int) -> int:
         qs = factorize(p - 1).primes
         return next(g for g in range(2, p) if all(pow(g, (p - 1) // q, p) != 1 for q in qs))
 
     primes = primes_up_to(40000)
     assert _least_generators(primes).tolist() == [1] + [least_root(p) for p in primes[1:]]
-    # past 2^27 the search runs in Python integers
+    # primes far above the class-count engine's budget: p - 1 is factored by trial division
     for p, g in ((10**9 + 7, 5), (2**31 - 1, 7), (10**12 + 39, 3)):
         assert primitive_root(p) == g == least_root(p)
 

@@ -22,6 +22,15 @@ from wgkit.reference import K_RANGE
 GOLDEN = os.path.join(os.path.dirname(__file__), "..", "golden", "constants_table.csv")
 
 
+def _json(text: str):
+    """``text`` parsed as strict JSON: NaN, Infinity and -Infinity are not JSON."""
+
+    def refuse(constant):
+        raise ValueError(f"{constant} is not JSON")
+
+    return json.loads(text, parse_constant=refuse)
+
+
 def run_cli(capsys, argv):
     code = main(argv)
     out = capsys.readouterr().out
@@ -31,7 +40,7 @@ def run_cli(capsys, argv):
 def test_sums_command_json(capsys):
     code, out = run_cli(capsys, ["sums", "--jmax", "3", "--qmax", "40", "--ppmax", "64"])
     assert code == 0
-    payload = json.loads(out)
+    payload = _json(out)
     assert payload["schema_version"] == 1
     assert payload["report"]["passed"] is True
 
@@ -63,7 +72,7 @@ def test_sums_refuses_sweeps_over_budget(capsys):
 def test_local_command(capsys):
     code, out = run_cli(capsys, ["local", "--pmax", "50", "--k", "3"])
     assert code == 0
-    payload = json.loads(out)
+    payload = _json(out)
     rows = payload["rows"]
     assert all(row["pass"] for row in rows)
     p2 = [row for row in rows if row["p"] == 2]
@@ -114,8 +123,8 @@ def test_local_table_is_streamed(tmp_path):
     assert code == 0
     text = target.read_text()
     assert peak < len(text)
-    assert text == json.dumps(json.loads(text), indent=2) + "\n"
-    assert len(json.loads(text)["rows"]) == 1 + sum(
+    assert text == json.dumps(_json(text), indent=2) + "\n"
+    assert len(_json(text)["rows"]) == 1 + sum(
         p for p in range(3, 500) if all(p % d for d in range(2, p))
     )
 
@@ -143,7 +152,7 @@ def test_local_parity_all_fails_at_two(capsys):
                  ["--format", "csv", "local", "--pmax", "50", "--k", "7", "--parity", "all"]):
         assert main(argv) == 1
     capsys.readouterr()
-    rows = json.loads(run_cli(capsys, ["local", "--pmax", "2", "--k", "3", "--parity", "all"])[1])["rows"]
+    rows = _json(run_cli(capsys, ["local", "--pmax", "2", "--k", "3", "--parity", "all"])[1])["rows"]
     assert [(r["n_class"], r["Lstar"], r["pass"]) for r in rows] == [(0, 1, True), (1, 0, False)]
 
 
@@ -183,6 +192,36 @@ def test_range_errors_come_from_the_command(capsys, tmp_path):
         assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["count", "--what", "hua4", "--k", "3", "--Q", "inf"], "Q must be finite and >= 1, got inf"),
+        (["count", "--what", "mixed", "--k", "4", "--P", "inf"], "P must be finite and >= 2, got inf"),
+        (["count", "--what", "triple", "--k", "3", "--N", "inf"], "N must be finite and >= 2, got inf"),
+        (["singint", "--k", "3", "--n-grid", "1e8,inf"], "grid points must be finite, got 1e8,inf"),
+    ],
+    ids=["hua4", "mixed", "triple", "singint"],
+)
+def test_non_finite_sizes_are_refused(argv, message, capfd):
+    # an infinite box or grid point is a usage error, not an OverflowError traceback
+    assert main(argv) == 2
+    assert capfd.readouterr() == ("", f"error: {message}\n")
+
+
+def test_singint_refuses_a_value_past_float64(capfd):
+    # J(n) at k = 3 overflows float64 between n = 1e250 (1.42e303) and 1e260:
+    # no Infinity or NaN is printed, and no overflow warning either
+    assert main(["singint", "--k", "3", "--n-grid", "1e250,1e260"]) == 2
+    assert capfd.readouterr() == ("", "error: J(n) at n = 1e+260 is not finite in float64\n")
+
+
+@pytest.mark.parametrize("twisted", ["-5", "1", "2"])
+def test_sums_refuses_a_twisted_bound_that_runs_no_pair(twisted, capsys):
+    # the first coprime pair is (2, 3): below 3 only 0, "off", is a setting
+    assert main(["sums", "--qmax", "250", "--twisted-qmax", twisted]) == 2
+    assert capsys.readouterr() == ("", f"error: twisted_q_max must be 0 (off) or >= 3, got {twisted}\n")
+
+
 def test_local_csv_format(capsys):
     code, out = run_cli(capsys, ["--format", "csv", "local", "--pmax", "20", "--k", "3"])
     assert code == 0
@@ -193,7 +232,7 @@ def test_local_csv_format(capsys):
 def test_singular_command(capsys):
     code, out = run_cli(capsys, ["singular", "--n", "40", "--k", "3", "--pmax", "200"])
     assert code == 0
-    payload = json.loads(out)
+    payload = _json(out)
     assert payload["value"] > 0
     assert payload["tail_bound"] > 0
 
@@ -206,7 +245,7 @@ def test_singular_rejects_odd_n(capsys):
 def test_constants_k3_passes(capsys):
     code, out = run_cli(capsys, ["constants", "--k", "3"])
     assert code == 0
-    payload = json.loads(out)
+    payload = _json(out)
     table = payload["tables"][0]
     assert table["C_within_bound"] is True
     assert all(e["pass"] for e in table["entries"])
@@ -235,7 +274,7 @@ def test_constants_deterministic_output(capsys):
 
 def test_margin_command(capsys):
     code, out = run_cli(capsys, ["margin"])
-    payload = json.loads(out)
+    payload = _json(out)
     assert len(payload["rows"]) == 12
     assert all(row["margin"] > 0 for row in payload["rows"])
     assert all(row["pass"] for row in payload["rows"])
@@ -245,16 +284,16 @@ def test_margin_command(capsys):
 def test_count_commands(capsys):
     code, out = run_cli(capsys, ["count", "--what", "hua4", "--k", "3", "--Q", "10"])
     assert code == 0
-    assert json.loads(out)["report"]["count"] == 190
+    assert _json(out)["report"]["count"] == 190
 
     code, out = run_cli(capsys, ["count", "--what", "mixed", "--k", "4", "--P", "16"])
     assert code == 0
-    payload = json.loads(out)
+    payload = _json(out)
     assert payload["S"]["count"] == payload["S1"]["count"] + payload["S2"]["count"]
 
     code, out = run_cli(capsys, ["count", "--what", "reps", "--k", "3", "--n", "40"])
     assert code == 0
-    assert json.loads(out)["report"]["count"] >= 1
+    assert _json(out)["report"]["count"] >= 1
 
     # each --what names its own size flag
     for what, flag in (("hua4", "Q"), ("mixed", "P"), ("triple", "N"), ("reps", "n")):
@@ -264,7 +303,7 @@ def test_count_commands(capsys):
 
 def test_margin_csv_is_its_json_rows(capsys):
     # a header of the row keys, then one line per row whose cells are that row's values
-    rows = json.loads(run_cli(capsys, ["margin"])[1])["rows"]
+    rows = _json(run_cli(capsys, ["margin"])[1])["rows"]
     code, out = run_cli(capsys, ["--format", "csv", "margin"])
     assert code == 0
     header, *lines = out.splitlines()
@@ -412,7 +451,7 @@ def test_singint_command_deterministic(capsys):
     code2, out2 = run_cli(capsys, argv)
     assert out1 == out2
     assert code1 == code2 == 0
-    payload = json.loads(out1)
+    payload = _json(out1)
     assert abs(payload["slope"] - payload["expected_exponent"]) < 0.2
 
 
@@ -428,7 +467,7 @@ def test_output_file_writing(tmp_path, capsys):
     target = tmp_path / "out.json"
     code = main(["--output", str(target), "constants", "--k", "3"])
     assert code == 0
-    payload = json.loads(target.read_text())
+    payload = _json(target.read_text())
     assert payload["tables"][0]["k"] == 3
 
 
@@ -477,7 +516,7 @@ def _argv(*tokens):
 _SMALL_ARGS = {
     "sums": st.builds(
         lambda j, q, pp, t: _argv("sums", "--jmax", j, "--qmax", q, "--ppmax", pp, "--twisted-qmax", t),
-        st.integers(2, 5), st.integers(2, 40), st.integers(2, 200), st.integers(0, 8),
+        st.integers(2, 5), st.integers(2, 40), st.integers(2, 200), st.sampled_from([0, *range(3, 9)]),
     ),
     "local": st.builds(
         lambda pmax, k, parity: _argv("local", "--pmax", pmax, "--k", k, "--parity", parity),
@@ -525,6 +564,8 @@ def test_cli_stdout_is_byte_deterministic(command, data):
     assert out1 == out2
     assert proc.stdout == out1.encode()
     assert code1 == code2 == proc.returncode
+    if out1:
+        _json(out1)
 
 
 # (exit code, sha256 of stdout): any change to these outputs is a change of the
@@ -562,3 +603,5 @@ _STDOUT_DIGESTS = {
 def test_stdout_digests_are_pinned(command):
     code, out = _run_in_process(command.split())
     assert (code, hashlib.sha256(out.encode()).hexdigest()) == _STDOUT_DIGESTS[command]
+    if not command.startswith("--format csv"):
+        _json(out)

@@ -1,4 +1,5 @@
 import math
+import time
 
 import numpy as np
 import pytest
@@ -8,7 +9,7 @@ from hypothesis import strategies as st
 from oracles import brute_density_loops, brute_density_vectorized, convolution_counts, cyclotomic_per_prime
 from wgkit.arith import primes_up_to, primitive_root
 from wgkit.cli import main
-from wgkit.errors import VerificationError
+from wgkit.errors import BudgetExceeded, VerificationError
 from wgkit import arith, expsums, localdensity
 from wgkit.expsums import _power_hists
 from wgkit.localdensity import (
@@ -74,10 +75,10 @@ def test_local_densities_identity_enforced(monkeypatch):
         return K, L, Lstar
 
     monkeypatch.setattr(localdensity, "_class_algebra", off_by_one)
-    monkeypatch.setitem(localdensity._STORE, 3, {})
+    monkeypatch.setattr(localdensity, "_STORE", {})
     with pytest.raises(VerificationError, match=r"L = L\* \+ K fails at p=19, k=3"):
         class_counts_many([7, 13, 19], 3)
-    assert localdensity._STORE[3] == {}  # nothing of the failed batch is held
+    assert localdensity._STORE == {}  # nothing of the failed batch is held
 
 
 def test_local_densities_exact_past_a_double():
@@ -174,7 +175,7 @@ def test_wide_counts_beyond_int64(capsys, monkeypatch):
         assert np.allclose(fLs, np.array(Ls, dtype=float), rtol=1e-9)
     # a table over the CLI's row budget is refused before any prime is computed
     computed = _record_kernel(monkeypatch)
-    monkeypatch.setitem(localdensity._STORE, 3, {})
+    monkeypatch.setattr(localdensity, "_STORE", {})
     assert main(["local", "--pmax", "5000", "--k", "3"]) == 2
     assert capsys.readouterr().out == ""
     assert computed == []
@@ -265,17 +266,17 @@ def test_class_counts_cached_per_prime_and_power(monkeypatch):
     z, k = 1000, 3
     odd = [p for p in primes_up_to(z - 1) if p > 2]
     computed = _record_kernel(monkeypatch)
-    monkeypatch.setitem(localdensity._STORE, k, {})  # an empty store for k, whatever ran before
+    monkeypatch.setattr(localdensity, "_STORE", {})  # an empty store, whatever ran before
     sieve_product.cache_clear()  # and no W(z) held from an earlier call
     sieve_product(2 * 10**6 + 2, k, z)
     assert sorted(computed) == odd  # each prime once
     sieve_product(2 * 10**6 + 4, k, z)  # a new target: new residues, same (p, k)
     omega(3 * 5 * 997, 2 * 10**6 + 6, k)
     assert sorted(computed) == odd  # no prime computed again
-    held = localdensity._STORE[k]
-    assert sorted(held) == odd
+    held = localdensity._STORE
+    assert sorted(held) == [(p, math.gcd(k, p - 1)) for p in odd]
     for p in odd:
-        cc = held[p]
+        cc = held[p, math.gcd(k, p - 1)]
         size = _coset_count(p, k) + 1
         assert len(cc.K) == len(cc.L) == len(cc.Lstar) == len(cc.E_p) == size
         assert len(cc.classes) == p and set(cc.classes.tolist()) == set(range(size))
@@ -285,26 +286,80 @@ def test_each_prime_root_is_searched_once(monkeypatch):
     # the least primitive root depends on p alone: a second batch, another k and
     # the character tables read the root table, and search no prime again
     searched = []
-    search = arith._root_search
+    search = arith._least_root
 
-    def record(ps):
-        searched.extend(ps)
-        return search(ps)
+    def record(p):
+        searched.append(p)
+        return search(p)
 
-    monkeypatch.setattr(arith, "_root_search", record)
+    monkeypatch.setattr(arith, "_least_root", record)
     monkeypatch.setattr(arith, "_LEAST_ROOTS", {})
+    monkeypatch.setattr(localdensity, "_STORE", {})
     primes = primes_up_to(2000)
-    monkeypatch.setitem(localdensity._STORE, 3, {})
     class_counts_many(primes, 3)
     assert sorted(searched) == primes
     searched.clear()
-    monkeypatch.setitem(localdensity._STORE, 14, {})
-    class_counts_many(primes, 14)
+    class_counts_many(primes, 14)  # gcd(14, p - 1) is 2 or 14, never a d of k = 3: every pair is new
     expsums._generator_tables.cache_clear()
     for p in primes_up_to(199)[1:]:
         expsums._generator_tables(p)
     assert searched == []
-    assert arith._LEAST_ROOTS == dict(zip(primes, search(primes).tolist()))
+    assert arith._LEAST_ROOTS == {p: search(p) for p in primes}
+
+
+def test_one_entry_per_prime_and_gcd(monkeypatch):
+    # the counts depend on k only through d = gcd(k, p - 1): every k of one d at
+    # p reads the same entry, k of different d different ones, and each entry
+    # is the oracle's counts at every k that reads it
+    monkeypatch.setattr(localdensity, "_STORE", {})
+    primes = [*primes_up_to(700), 5399, 5407]
+    ks = range(3, 15)
+    counts = {k: class_counts_many(primes, k) for k in ks}
+    for i, p in enumerate(primes):
+        for k in ks:
+            assert [counts[k][i] is counts[j][i] for j in ks] == [
+                math.gcd(k, p - 1) == math.gcd(j, p - 1) for j in ks
+            ], (p, k)
+            cc = counts[k][i]
+            exact = [v.tolist() for v in convolution_counts(p, k)]
+            assert [[v[c] for c in cc.classes.tolist()] for v in (cc.K, cc.L, cc.Lstar)] == exact, (p, k)
+    assert len(localdensity._STORE) == sum(len({math.gcd(k, p - 1) for k in ks}) for p in primes)
+
+
+def test_engine_computes_each_prime_and_gcd_once(monkeypatch):
+    # every k = 3..14 at 19 <= p <= 499 (criterion 3's range): 1,056 (p, k)
+    # pairs, but the engine's O(p) stage runs once per (p, gcd(k, p - 1))
+    computed = _record_kernel(monkeypatch)
+    monkeypatch.setattr(localdensity, "_STORE", {})
+    primes = [p for p in primes_up_to(499) if p >= 19]
+    for k in range(3, 15):
+        class_counts_many(primes, k)
+    assert len(computed) == 442
+    for p in primes:
+        assert computed.count(p) == len({math.gcd(k, p - 1) for k in range(3, 15)}), p
+
+
+def test_a_prime_above_the_budget_is_refused_at_once(monkeypatch):
+    # the engine's O(p) stage would allocate gigabytes at p = 10^9 + 7, and
+    # sieve_product would sieve to 10^12: each is refused before any work
+    from wgkit.sieveconsts import sieve_product
+    from wgkit.singular import euler_factor, omega
+
+    computed = _record_kernel(monkeypatch)
+    big = 10**9 + 7
+    for call in (
+        lambda: class_counts(big, 3),
+        lambda: class_counts_many([5, big], 3),
+        lambda: euler_factor(big, 1, 40, 3),
+        lambda: omega(2 * big, 40, 3),
+        lambda: sieve_product(2 * 10**6, 3, 10**12),
+    ):
+        start = time.perf_counter()
+        with pytest.raises(BudgetExceeded, match="budget"):
+            call()
+        assert time.perf_counter() - start < 0.5
+    assert computed == []
+    assert sum(local_densities_all(99991, 3)[0]) == 99990**5  # the largest prime within the budget
 
 
 @pytest.mark.parametrize("k", [3, 4, 14])
@@ -313,7 +368,7 @@ def test_one_batch_matches_the_oracle_at_every_prime(monkeypatch, k):
     # 700 and both sides of the int64/object edge: its G-groups hold primes of
     # different f and nu, each of which must reach its own prime's algebra
     primes = [5407, *primes_up_to(700)[::-1], 5399, 3]
-    monkeypatch.setitem(localdensity._STORE, k, {})
+    monkeypatch.setattr(localdensity, "_STORE", {})
     counts = class_counts_many(primes, k)
     assert [cc.p for cc in counts] == primes
     assert counts[-1] is counts[primes.index(3)]
@@ -351,7 +406,7 @@ def test_local_walks_the_generator_once_per_prime(monkeypatch, capsys):
         return walks(ps, gs, width)
 
     monkeypatch.setattr(localdensity, "_generator_walks", walk)
-    monkeypatch.setitem(localdensity._STORE, 7, {})
+    monkeypatch.setattr(localdensity, "_STORE", {})
     assert main(["local", "--pmax", "200", "--k", "7"]) == 0
     assert capsys.readouterr().out.count('"n_class"') == 1 + sum(primes_up_to(200)[1:])  # n = 0 only at p = 2
     assert sorted(calls) == primes_up_to(200)
