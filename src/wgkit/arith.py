@@ -1,16 +1,18 @@
 """Deterministic integer arithmetic: primes, factorization, multiplicative functions.
 
 All operations are pure and exact.  Inputs are desk scale (values up to about
-10**12), so factorization is trial division against a shared prime table,
-backed by a deterministic Miller-Rabin test for the 64-bit range.  The prime
-table is built once and never mutated.
+10**12), so factorization is trial division over the primes of a shared prime
+table, backed by a deterministic Miller-Rabin test for the 64-bit range.  The
+table starts at the size its first caller asks for: a caller asking past its
+end replaces it by a larger one, at least twice as long, so no table is ever
+mutated and a table to 10**6 is built only for a number that large.
 """
 
 from __future__ import annotations
 
+import bisect
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
@@ -54,32 +56,42 @@ class FactoredInt:
         return all(e == 1 for _, e in self.factors)
 
 
-@lru_cache(maxsize=None)
-def _sieve(limit: int) -> np.ndarray:
-    """Boolean primality array for 0..limit (read-only)."""
+# the prime table: a flag per integer 0..len - 1 (1 for a prime) and its primes,
+# ascending; replaced as one pair by ``_table``, never mutated
+_TABLE: tuple[bytes, list[int]] = (b"", [])
+
+
+def _table(limit: int) -> tuple[bytes, list[int]]:
+    """The prime table, covering at least 0..limit: grown first if it ends below."""
+    global _TABLE
+    table = _TABLE
+    if limit >= len(table[0]):
+        table = _TABLE = _sieve(max(limit, 2 * len(table[0])))
+    return table
+
+
+def _sieve(limit: int) -> tuple[bytes, list[int]]:
+    """The prime flags of 0..limit and the primes among them."""
     flags = np.ones(limit + 1, dtype=bool)
     flags[:2] = False
     for p in range(2, math.isqrt(limit) + 1):
         if flags[p]:
             flags[p * p :: p] = False
-    flags.setflags(write=False)
-    return flags
+    return flags.tobytes(), np.flatnonzero(flags).tolist()
 
 
 def primes_up_to(limit: int) -> list[int]:
     """All primes in [2, limit], ascending."""
     if limit < 1:
         raise ValueError(f"limit must be >= 1, got {limit}")
-    if limit < 2:
-        return []
-    flags = _sieve(limit if limit > TRIAL_TABLE_LIMIT else TRIAL_TABLE_LIMIT)
-    return np.nonzero(flags[: limit + 1])[0].tolist()
+    primes = _table(limit)[1]
+    return primes[: bisect.bisect_right(primes, limit)]
 
 
 def is_prime(n: int) -> bool:
     """Deterministic primality test: the prime table up to 10**6, Miller-Rabin above."""
     if n <= TRIAL_TABLE_LIMIT:
-        return n >= 2 and bool(_sieve(TRIAL_TABLE_LIMIT)[n])
+        return n >= 2 and _table(n)[0][n] == 1
     return _miller_rabin(n)
 
 
@@ -112,28 +124,35 @@ def factorize(n: int) -> FactoredInt:
     """Full prime factorization by trial division; factorize(1) is the empty product."""
     if n < 1:
         raise ValueError(f"cannot factorize {n}; need n >= 1")
+    return FactoredInt(n, tuple(_trial_division(n)))
+
+
+def _trial_division(n: int) -> list[tuple[int, int]]:
+    """The (prime, exponent) pairs of n >= 1, ascending.
+
+    The divisors tried are the table's primes up to min(sqrt(n), 10**6), the
+    table grown to that bound first.
+    """
     remaining = n
     factors = []
+    bound = min(math.isqrt(n), TRIAL_TABLE_LIMIT)
+    for p in _table(bound)[1]:
+        if p > bound:
+            break
+        if remaining % p == 0:
+            e = 0
+            while remaining % p == 0:
+                remaining //= p
+                e += 1
+            factors.append((p, e))
+            bound = min(bound, math.isqrt(remaining))
     if remaining > 1:
-        flags = _sieve(TRIAL_TABLE_LIMIT)
-        for p in range(2, TRIAL_TABLE_LIMIT + 1):
-            if p * p > remaining:
-                break
-            if not flags[p]:
-                continue
-            if remaining % p == 0:
-                e = 0
-                while remaining % p == 0:
-                    remaining //= p
-                    e += 1
-                factors.append((p, e))
-        if remaining > 1:
-            # With no factor up to min(sqrt(remaining), 10**6) left, a leftover
-            # below 10**12 is prime; only a larger one needs the test.
-            if remaining > TRIAL_TABLE_LIMIT**2 and not is_prime(remaining):
-                raise ValueError(f"{n} is outside the supported factoring range")
-            factors.append((remaining, 1))
-    return FactoredInt(n, tuple(factors))
+        # With no factor up to min(sqrt(remaining), 10**6) left, a leftover
+        # below 10**12 is prime; only a larger one needs the test.
+        if remaining > TRIAL_TABLE_LIMIT**2 and not is_prime(remaining):
+            raise ValueError(f"{n} is outside the supported factoring range")
+        factors.append((remaining, 1))
+    return factors
 
 
 def euler_phi(f: FactoredInt) -> int:
@@ -169,15 +188,20 @@ def _least_root(p: int) -> int:
     """The least primitive root of the prime p (1 at p = 2).
 
     g generates iff g^((p-1)/q) != 1 mod p at every prime q | p - 1; p - 1 is
-    factored by the primes up to sqrt(p), and g = 2, 3, ... are tried in turn.
+    factored by ``_trial_division`` over the table's primes up to sqrt(p),
+    and g = 2, 3, ... are tried in turn.
     """
     if p == 2:
         return 1
-    qs = factorize(p - 1).primes
+    exponents = [(p - 1) // q for q, _ in _trial_division(p - 1)]
     g = 2
-    while any(pow(g, (p - 1) // q, p) == 1 for q in qs):
+    while True:
+        for e in exponents:
+            if pow(g, e, p) == 1:
+                break
+        else:
+            return g
         g += 1
-    return g
 
 
 def _generator_walks(ps: np.ndarray, gs: np.ndarray, width: int) -> np.ndarray:

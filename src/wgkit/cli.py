@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import dataclasses
+import functools
 import itertools
 import json
 import math
@@ -71,9 +72,54 @@ def _chunks(rows):
         yield chunk
 
 
-# the members of a flat row, one per line at the depth of a payload's rows;
-# without indent the encoder is json's C encoder
-_encode_row_members = json.JSONEncoder(separators=(",\n      ", ": ")).encode
+_CONTAINERS = (dict, list, tuple)
+
+
+@functools.cache
+def _flat_encoder(depth: int):
+    """json's C encoder, its members one per line at ``depth`` levels of indent 2.
+
+    On a flat dict or list, or a scalar, it gives the text of
+    ``json.dumps(..., indent=2)`` at that depth without the line breaks after
+    the opening and before the closing bracket.  The C encoder ignores indent,
+    so the item separator carries it.
+    """
+    encode = json.encoder.c_make_encoder(
+        None, json.JSONEncoder().default, json.encoder.encode_basestring_ascii,
+        None, ": ", ",\n" + "  " * depth, False, False, True,
+    )
+    return lambda obj: "".join(encode(obj, 0))
+
+
+def _dumps_indented(obj, depth: int = 0) -> str:
+    """``json.dumps(obj, indent=2)`` for obj ``depth`` levels deep, from json's C encoder.
+
+    The nesting is walked here, and each flat dict or list goes to the C
+    encoder whole.
+    """
+    if not isinstance(obj, _CONTAINERS) or not obj:
+        return _flat_encoder(depth)(obj)
+    is_dict = isinstance(obj, dict)
+    pad = "\n" + "  " * (depth + 1)
+    if any(isinstance(v, _CONTAINERS) for v in (obj.values() if is_dict else obj)):
+        if is_dict:
+            members = [f"{_member_key(key)}: {_dumps_indented(v, depth + 1)}" for key, v in obj.items()]
+        else:
+            members = [_dumps_indented(v, depth + 1) for v in obj]
+        inner = ("," + pad).join(members)
+    else:
+        inner = _flat_encoder(depth + 1)(obj)[1:-1]
+    opening, closing = "{}" if is_dict else "[]"
+    return opening + pad + inner + "\n" + "  " * depth + closing
+
+
+def _member_key(key) -> str:
+    """A dict key as ``json.dumps`` writes it: a non-string key of a scalar type as its value's text."""
+    if not isinstance(key, str):
+        if not (key is None or isinstance(key, (int, float))):
+            raise TypeError(f"keys must be str, int, float, bool or None, not {type(key).__name__}")
+        key = json.dumps(key)
+    return json.encoder.encode_basestring_ascii(key)
 
 
 def _write_json(payload: dict, fh, rows=None) -> None:
@@ -84,7 +130,7 @@ def _write_json(payload: dict, fh, rows=None) -> None:
     ``json.dumps(..., indent=2)`` lays it out inside the rows, and the rows of
     a chunk joined by commas.
     """
-    text = json.dumps(_round12(payload), indent=2)
+    text = _dumps_indented(_round12(payload))
     if rows is None:
         fh.writelines(_pieces(text + "\n"))
         return
@@ -137,7 +183,7 @@ def _local_classes(cc: localdensity.ClassCounts, k: int, fmt: str) -> tuple[list
     for K, L, Lstar, ep in zip(cc.K, cc.L, cc.Lstar, cc.E_p):
         ok = abs(ep) <= bound and L > K and Lstar > 0 and (abs(ep) < (p - 1) ** 6 if p >= 19 else True)
         body = {"K": K, "L": L, "Lstar": Lstar, "E_p": float(ep), "bound": float(bound), "pass": ok}
-        bodies.append(_csv_cells(body.values()) if fmt == "csv" else _encode_row_members(_round12(body))[1:-1])
+        bodies.append(_csv_cells(body.values()) if fmt == "csv" else _flat_encoder(3)(_round12(body))[1:-1])
         passes.append(ok)
     return bodies, passes
 

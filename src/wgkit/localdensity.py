@@ -31,7 +31,9 @@ mod p are the d-th powers, each hit d times, and G = lcm(gcd(6, p - 1), d).
 ``ClassCounts`` per (p, d), which every k of that d at p reads: the three
 counts and E_p per class, and the class of every residue mod p (p bytes), the
 one residue -> class map that every caller reads.  The primes that share G and
-an integer width go through two stacked stages.  The O(p) stage runs in chunks
+an integer width go through two stacked stages.  The O(p) stage depends on p
+and G alone, so it runs once per (p, G) and its results, the cyclotomic
+numbers and the class map, are held for every d of that G.  It runs in chunks
 of at most ``_CHUNK_SLOTS`` residue slots: per chunk, one walk of g^s mod p for
 all its primes, one scatter into their class maps and one bincount of the
 cyclotomic numbers.  The class algebra then runs once for the whole group, as
@@ -94,8 +96,11 @@ _CHUNK_SLOTS = 2**14
 # bound (its tail envelope sieves to 10 p_max)
 P_MAX_BUDGET = 10**5
 
-# class_counts_many's store: (p, gcd(k, p - 1)) -> ClassCounts; entries are never evicted
-_STORE: dict[tuple[int, int], ClassCounts] = {}
+# class_counts_many's two stores, whose entries are never evicted: the counts,
+# p -> {gcd(k, p - 1) -> ClassCounts}, and the O(p) stage's results that they
+# are computed from, (p, G) -> (A, class map)
+_STORE: dict[int, dict[int, ClassCounts]] = {}
+_CYCLOTOMIC: dict[tuple[int, int], tuple[np.ndarray, np.ndarray]] = {}
 
 
 def class_counts(p: int, k: int) -> ClassCounts:
@@ -106,33 +111,52 @@ def class_counts(p: int, k: int) -> ClassCounts:
 def class_counts_many(primes: Sequence[int], k: int) -> list[ClassCounts]:
     """``class_counts`` at each prime of the sequence ``primes``, in its order.
 
-    The results are held per (p, gcd(k, p - 1)), and a call computes only the
-    pairs not yet held.  A prime above ``P_MAX_BUDGET`` is refused with
-    ``BudgetExceeded`` before any work.  The primes of one coset count G, and
-    of one integer width, share the chunked O(p) kernel ``_cyclotomic_many``
-    and then a single pass of stacked (G + 1)-square products,
-    ``_class_algebra``.
+    The results are held per (p, d), d = gcd(k, p - 1), and a call computes
+    only the pairs not yet held.  A prime above ``P_MAX_BUDGET`` is refused
+    with ``BudgetExceeded`` before any work.  The primes of one coset count G,
+    and of one integer width, share a single pass of stacked (G + 1)-square
+    products, ``_class_algebra``, over what ``_cyclotomic_held`` holds for
+    them: the chunked O(p) kernel ``_cyclotomic_many`` runs once per (p, G),
+    whatever the d.
     """
     check_k(k)
-    keys = [(p, math.gcd(k, p - 1)) for p in primes]
+    gcd = math.gcd
+    try:
+        return [_STORE[p][gcd(k, p - 1)] for p in primes]
+    except KeyError:
+        pass  # some pair is not held yet
     groups: dict[tuple[int, bool], list[int]] = {}
-    for p, _ in sorted(set(keys).difference(_STORE)):
+    for p in sorted({p for p in primes if gcd(k, p - 1) not in _STORE.get(p, ())}):
         if p > P_MAX_BUDGET:
             raise BudgetExceeded(f"p = {p} is over the {P_MAX_BUDGET} budget of the class-count engine")
         if not is_prime(p):
             raise ValueError(f"p must be prime, got {p}")
-        G = math.gcd(math.lcm(2, 3, k), p - 1)
+        G = gcd(math.lcm(2, 3, k), p - 1)
         groups.setdefault((G, 2 * p * (p - 1) ** 4 < 2**63), []).append(p)
     for (G, narrow), ps in groups.items():
-        f, nu, A, classes = _cyclotomic_many(ps, G)
+        f, nu, A, classes = _cyclotomic_held(ps, G)
         dtype = np.int64 if narrow else object
         K, L, Lstar = _class_algebra(k, G, dtype, f, nu, A)
         bad = (L != Lstar + K).any(axis=1)
         if bad.any():
             raise VerificationError(f"L = L* + K fails at p={ps[bad.argmax()]}, k={k}")
         for p, cls, *v in zip(ps, classes, K.tolist(), L.tolist(), Lstar.tolist()):
-            _STORE[p, math.gcd(k, p - 1)] = ClassCounts(p, cls, *map(tuple, v))
-    return [_STORE[key] for key in keys]
+            _STORE.setdefault(p, {})[gcd(k, p - 1)] = ClassCounts(p, cls, *map(tuple, v))
+    return [_STORE[p][gcd(k, p - 1)] for p in primes]
+
+
+def _cyclotomic_held(primes: list[int], G: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, list]:
+    """``_cyclotomic_many(primes, G)``, its O(p) stage run only at the primes not held for G.
+
+    Every d of one G at a prime reads the same held class map.
+    """
+    new = [p for p in primes if (p, G) not in _CYCLOTOMIC]
+    if new:
+        _, _, A, classes = _cyclotomic_many(new, G)
+        _CYCLOTOMIC.update(((p, G), held) for p, held in zip(new, zip(A, classes)))
+    A, classes = zip(*(_CYCLOTOMIC[p, G] for p in primes))
+    ps = np.array(primes, dtype=np.int64)
+    return (ps - 1) // G, (ps - 1) // 2 % G, np.stack(A), list(classes)
 
 
 def _cyclotomic_many(primes: Sequence[int], G: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, list]:

@@ -1,9 +1,12 @@
+import bisect
+import functools
 import math
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from wgkit import arith, localdensity
 from wgkit.arith import (
     FactoredInt,
     _generator_powers,
@@ -176,3 +179,85 @@ def test_primitive_root_rejections():
         primitive_root(2)
     with pytest.raises(ValueError):
         primitive_root(15)
+
+
+@functools.cache
+def _oracle_primes() -> list[int]:
+    """The primes up to 10**6 + 100 by a plain sieve of Eratosthenes over a bytearray."""
+    limit = 10**6 + 100
+    flags = bytearray([1]) * (limit + 1)
+    flags[:2] = b"\0\0"
+    for p in range(2, math.isqrt(limit) + 1):
+        if flags[p]:
+            flags[p * p :: p] = bytes(len(range(p * p, limit + 1, p)))
+    return [n for n, f in enumerate(flags) if f]
+
+
+def _oracle_factors(n: int) -> tuple[tuple[int, int], ...]:
+    factors = []
+    for p in _oracle_primes():
+        if p * p > n:
+            break
+        e = 0
+        while n % p == 0:
+            n //= p
+            e += 1
+        if e:
+            factors.append((p, e))
+    return tuple(factors + [(n, 1)] * (n > 1))
+
+
+@pytest.mark.parametrize("order", ["ascending", "descending"])
+def test_prime_table_grows_to_what_is_asked(monkeypatch, order):
+    # from an empty table, each limit asked in turn: every answer is the
+    # oracle's, whatever the table held before, and a table that grows at
+    # least doubles; the limits reach 10**6 +- 50, across the switch to Miller-Rabin
+    oracle = _oracle_primes()
+    members = set(oracle)
+    monkeypatch.setattr(arith, "_TABLE", (b"", []))
+    limits = [1, 2, 3, 4, 10, 97, 100, 1000, 4095, 4096, 4097, 65537, 10**6 - 50, 10**6, 10**6 + 50]
+    sizes = [0]
+    for limit in sorted(limits, reverse=order == "descending"):
+        assert primes_up_to(limit) == oracle[: bisect.bisect_right(oracle, limit)], limit
+        for n in (limit - 1, limit, limit + 1):
+            assert is_prime(n) == (n in members), n
+            if n >= 1:
+                assert factorize(n).factors == _oracle_factors(n), n
+        sizes.append(len(arith._TABLE[0]))
+        assert sizes[-1] == sizes[-2] or sizes[-1] >= 2 * sizes[-2]
+    for n in range(10**6 - 50, 10**6 + 51):
+        assert is_prime(n) == (n in members), n
+        assert factorize(n).factors == _oracle_factors(n), n
+        i = bisect.bisect_right(oracle, n)
+        assert primes_up_to(n)[-3:] == oracle[i - 3 : i], n
+    # a caller's list is its own copy: changing it leaves the table as it was
+    primes_up_to(100).append(4)
+    assert primes_up_to(101)[-1] == 101
+
+
+def test_a_semiprime_past_the_trial_range_is_refused_whatever_the_table(monkeypatch):
+    # trial division stops at 10**6 however far the table reaches, so a
+    # product of two primes above 10**6 is refused, not factored
+    n = 1000003 * 1000033
+    monkeypatch.setattr(arith, "_TABLE", (b"", []))
+    with pytest.raises(ValueError, match="outside the supported factoring range"):
+        factorize(n)
+    assert len(primes_up_to(2 * 10**6)) == 148933  # pi(2 * 10**6): both factors are in the table
+    with pytest.raises(ValueError, match="outside the supported factoring range"):
+        factorize(n)
+    assert factorize(1000003 * 999983).factors == ((999983, 1), (1000003, 1))
+
+
+def test_a_sieve_session_builds_a_small_table(monkeypatch):
+    # W(z) at z = 2500 from a fresh table and an empty engine reads the primes
+    # below z and factors each p - 1: the table never nears 10**6
+    from wgkit.sieveconsts import sieve_product
+
+    monkeypatch.setattr(arith, "_TABLE", (b"", []))
+    monkeypatch.setattr(arith, "_LEAST_ROOTS", {})
+    monkeypatch.setattr(localdensity, "_STORE", {})
+    monkeypatch.setattr(localdensity, "_CYCLOTOMIC", {})
+    sieve_product.cache_clear()
+    assert 0.0 < sieve_product(2 * 10**6 + 2, 3, 2500) < 1.0
+    assert 2500 <= len(arith._TABLE[0]) < 10**4
+    assert len(arith._LEAST_ROOTS) == len(primes_up_to(2499)) - 1

@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 import wgkit
 from oracles import local_table_per_row
 from wgkit import buchstab, cli
-from wgkit.cli import _chunks, _encode_row_members, _round12, _write_json, main
+from wgkit.cli import _chunks, _flat_encoder, _round12, _write_json, main
 from wgkit.reference import K_RANGE
 
 GOLDEN = os.path.join(os.path.dirname(__file__), "..", "golden", "constants_table.csv")
@@ -81,7 +81,7 @@ def test_local_command(capsys):
 
 def _row_text(row: dict) -> str:
     """One flat, rounded row as ``cmd_local`` lays it out: its members in braces."""
-    return "\n    {\n      " + _encode_row_members(row)[1:-1] + "\n    }" if row else "\n    {}"
+    return "\n    {\n      " + _flat_encoder(3)(row)[1:-1] + "\n    }" if row else "\n    {}"
 
 
 def test_streamed_json_is_the_one_shot_dump():
@@ -109,6 +109,35 @@ def test_streamed_json_is_the_one_shot_dump():
     ]
     head = {"schema_version": 1, "command": "t"}
     assert written(head, rows) == json.dumps(_round12({**head, "rows": rows}), indent=2) + "\n"
+
+
+_JSON_KEYS = st.one_of(st.text(max_size=6), st.integers(-(10**20), 10**20), st.booleans(), st.none(), st.floats())
+_JSON_TREES = st.recursive(
+    st.one_of(
+        st.floats(),  # NaN and both infinities included
+        st.sampled_from([-0.0, 0.0, math.nan, math.inf, -math.inf, 1e-300, 0.1 + 0.2]),
+        st.integers(-(2**70), 2**70),
+        st.booleans(),
+        st.none(),
+        st.text(max_size=8),
+    ),
+    lambda inner: st.one_of(
+        st.lists(inner, max_size=4),
+        st.lists(inner, max_size=4).map(tuple),
+        st.dictionaries(_JSON_KEYS, inner, max_size=4),
+    ),
+    max_leaves=40,
+)
+
+
+@settings(max_examples=400)
+@given(payload=st.dictionaries(_JSON_KEYS, _JSON_TREES, max_size=5))
+def test_json_writer_is_the_indented_dump(payload):
+    # the nesting is walked in Python and each flat dict or list is laid out by
+    # json's C encoder; the bytes are those of json.dumps(..., indent=2)
+    fh = io.StringIO()
+    _write_json(payload, fh)
+    assert fh.getvalue() == json.dumps(_round12(payload), indent=2) + "\n"
 
 
 def test_local_table_is_streamed(tmp_path):

@@ -75,7 +75,7 @@ def test_local_densities_identity_enforced(monkeypatch):
         return K, L, Lstar
 
     monkeypatch.setattr(localdensity, "_class_algebra", off_by_one)
-    monkeypatch.setattr(localdensity, "_STORE", {})
+    _empty_engine(monkeypatch)
     with pytest.raises(VerificationError, match=r"L = L\* \+ K fails at p=19, k=3"):
         class_counts_many([7, 13, 19], 3)
     assert localdensity._STORE == {}  # nothing of the failed batch is held
@@ -175,10 +175,16 @@ def test_wide_counts_beyond_int64(capsys, monkeypatch):
         assert np.allclose(fLs, np.array(Ls, dtype=float), rtol=1e-9)
     # a table over the CLI's row budget is refused before any prime is computed
     computed = _record_kernel(monkeypatch)
-    monkeypatch.setattr(localdensity, "_STORE", {})
+    _empty_engine(monkeypatch)
     assert main(["local", "--pmax", "5000", "--k", "3"]) == 2
     assert capsys.readouterr().out == ""
     assert computed == []
+
+
+def _empty_engine(monkeypatch) -> None:
+    """Both stores of the class-count engine empty, whatever ran before."""
+    monkeypatch.setattr(localdensity, "_STORE", {})
+    monkeypatch.setattr(localdensity, "_CYCLOTOMIC", {})
 
 
 def _record_kernel(monkeypatch) -> list[int]:
@@ -266,7 +272,7 @@ def test_class_counts_cached_per_prime_and_power(monkeypatch):
     z, k = 1000, 3
     odd = [p for p in primes_up_to(z - 1) if p > 2]
     computed = _record_kernel(monkeypatch)
-    monkeypatch.setattr(localdensity, "_STORE", {})  # an empty store, whatever ran before
+    _empty_engine(monkeypatch)
     sieve_product.cache_clear()  # and no W(z) held from an earlier call
     sieve_product(2 * 10**6 + 2, k, z)
     assert sorted(computed) == odd  # each prime once
@@ -274,9 +280,9 @@ def test_class_counts_cached_per_prime_and_power(monkeypatch):
     omega(3 * 5 * 997, 2 * 10**6 + 6, k)
     assert sorted(computed) == odd  # no prime computed again
     held = localdensity._STORE
-    assert sorted(held) == [(p, math.gcd(k, p - 1)) for p in odd]
+    assert sorted((p, d) for p, ds in held.items() for d in ds) == [(p, math.gcd(k, p - 1)) for p in odd]
     for p in odd:
-        cc = held[p, math.gcd(k, p - 1)]
+        cc = held[p][math.gcd(k, p - 1)]
         size = _coset_count(p, k) + 1
         assert len(cc.K) == len(cc.L) == len(cc.Lstar) == len(cc.E_p) == size
         assert len(cc.classes) == p and set(cc.classes.tolist()) == set(range(size))
@@ -294,12 +300,12 @@ def test_each_prime_root_is_searched_once(monkeypatch):
 
     monkeypatch.setattr(arith, "_least_root", record)
     monkeypatch.setattr(arith, "_LEAST_ROOTS", {})
-    monkeypatch.setattr(localdensity, "_STORE", {})
+    _empty_engine(monkeypatch)
     primes = primes_up_to(2000)
     class_counts_many(primes, 3)
     assert sorted(searched) == primes
     searched.clear()
-    class_counts_many(primes, 14)  # gcd(14, p - 1) is 2 or 14, never a d of k = 3: every pair is new
+    class_counts_many(primes, 14)  # every (p, d) is new, and every (p, G) at 7 | p - 1
     expsums._generator_tables.cache_clear()
     for p in primes_up_to(199)[1:]:
         expsums._generator_tables(p)
@@ -310,8 +316,9 @@ def test_each_prime_root_is_searched_once(monkeypatch):
 def test_one_entry_per_prime_and_gcd(monkeypatch):
     # the counts depend on k only through d = gcd(k, p - 1): every k of one d at
     # p reads the same entry, k of different d different ones, and each entry
-    # is the oracle's counts at every k that reads it
-    monkeypatch.setattr(localdensity, "_STORE", {})
+    # is the oracle's counts at every k that reads it; the class map depends on
+    # G alone, so the entries of one G at p share one class-map object
+    _empty_engine(monkeypatch)
     primes = [*primes_up_to(700), 5399, 5407]
     ks = range(3, 15)
     counts = {k: class_counts_many(primes, k) for k in ks}
@@ -320,23 +327,28 @@ def test_one_entry_per_prime_and_gcd(monkeypatch):
             assert [counts[k][i] is counts[j][i] for j in ks] == [
                 math.gcd(k, p - 1) == math.gcd(j, p - 1) for j in ks
             ], (p, k)
+            assert [counts[k][i].classes is counts[j][i].classes for j in ks] == [
+                _coset_count(p, k) == _coset_count(p, j) for j in ks
+            ], (p, k)
             cc = counts[k][i]
             exact = [v.tolist() for v in convolution_counts(p, k)]
             assert [[v[c] for c in cc.classes.tolist()] for v in (cc.K, cc.L, cc.Lstar)] == exact, (p, k)
-    assert len(localdensity._STORE) == sum(len({math.gcd(k, p - 1) for k in ks}) for p in primes)
+    assert sum(map(len, localdensity._STORE.values())) == sum(len({math.gcd(k, p - 1) for k in ks}) for p in primes)
+    assert len(localdensity._CYCLOTOMIC) == sum(len({_coset_count(p, k) for k in ks}) for p in primes)
 
 
 def test_engine_computes_each_prime_and_gcd_once(monkeypatch):
     # every k = 3..14 at 19 <= p <= 499 (criterion 3's range): 1,056 (p, k)
-    # pairs, but the engine's O(p) stage runs once per (p, gcd(k, p - 1))
+    # pairs and 442 (p, gcd(k, p - 1)) entries, but the engine's O(p) stage
+    # runs once per (p, G), G = gcd(lcm(2, 3, k), p - 1)
     computed = _record_kernel(monkeypatch)
-    monkeypatch.setattr(localdensity, "_STORE", {})
+    _empty_engine(monkeypatch)
     primes = [p for p in primes_up_to(499) if p >= 19]
     for k in range(3, 15):
         class_counts_many(primes, k)
-    assert len(computed) == 442
+    assert len(computed) == 213
     for p in primes:
-        assert computed.count(p) == len({math.gcd(k, p - 1) for k in range(3, 15)}), p
+        assert computed.count(p) == len({_coset_count(p, k) for k in range(3, 15)}), p
 
 
 def test_a_prime_above_the_budget_is_refused_at_once(monkeypatch):
@@ -368,7 +380,7 @@ def test_one_batch_matches_the_oracle_at_every_prime(monkeypatch, k):
     # 700 and both sides of the int64/object edge: its G-groups hold primes of
     # different f and nu, each of which must reach its own prime's algebra
     primes = [5407, *primes_up_to(700)[::-1], 5399, 3]
-    monkeypatch.setattr(localdensity, "_STORE", {})
+    _empty_engine(monkeypatch)
     counts = class_counts_many(primes, k)
     assert [cc.p for cc in counts] == primes
     assert counts[-1] is counts[primes.index(3)]
@@ -406,7 +418,7 @@ def test_local_walks_the_generator_once_per_prime(monkeypatch, capsys):
         return walks(ps, gs, width)
 
     monkeypatch.setattr(localdensity, "_generator_walks", walk)
-    monkeypatch.setattr(localdensity, "_STORE", {})
+    _empty_engine(monkeypatch)
     assert main(["local", "--pmax", "200", "--k", "7"]) == 0
     assert capsys.readouterr().out.count('"n_class"') == 1 + sum(primes_up_to(200)[1:])  # n = 0 only at p = 2
     assert sorted(calls) == primes_up_to(200)
