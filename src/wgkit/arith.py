@@ -5,7 +5,8 @@ All operations are pure and exact.  Inputs are desk scale (values up to about
 table, backed by a deterministic Miller-Rabin test for the 64-bit range.  The
 table starts at the size its first caller asks for: a caller asking past its
 end replaces it by a larger one, at least twice as long, so no table is ever
-mutated and a table to 10**6 is built only for a number that large.
+mutated and a table to 10**6 is built only for a number that large.  A
+primality test past the table's end runs Miller-Rabin, and grows no table.
 """
 
 from __future__ import annotations
@@ -89,9 +90,13 @@ def primes_up_to(limit: int) -> list[int]:
 
 
 def is_prime(n: int) -> bool:
-    """Deterministic primality test: the prime table up to 10**6, Miller-Rabin above."""
-    if n <= TRIAL_TABLE_LIMIT:
-        return n >= 2 and _table(n)[0][n] == 1
+    """Deterministic primality test: the prime table where it reaches, Miller-Rabin past its end.
+
+    The table is never grown for it.
+    """
+    flags = _TABLE[0]
+    if 0 <= n < len(flags):
+        return flags[n] == 1
     return _miller_rabin(n)
 
 

@@ -32,14 +32,12 @@ LOCAL_ROW_BUDGET = 3 * 10**5
 
 
 def _round12(obj):
-    """Round every float to 12 significant digits, recursively."""
-    if isinstance(obj, float):
-        return float(f"{obj:.12g}")
+    """A scalar, or the members of a flat dict or list, each float rounded to 12 significant digits."""
     if isinstance(obj, dict):
-        return {k: _round12(v) for k, v in obj.items()}
+        return {k: float(f"{v:.12g}") if isinstance(v, float) else v for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
-        return [_round12(v) for v in obj]
-    return obj
+        return [float(f"{v:.12g}") if isinstance(v, float) else v for v in obj]
+    return float(f"{obj:.12g}") if isinstance(obj, float) else obj
 
 
 def _emit(payload: dict, fmt: str, output: str | None, csv=None, rows=None) -> None:
@@ -92,13 +90,13 @@ def _flat_encoder(depth: int):
 
 
 def _dumps_indented(obj, depth: int = 0) -> str:
-    """``json.dumps(obj, indent=2)`` for obj ``depth`` levels deep, from json's C encoder.
+    """``json.dumps(obj, indent=2)`` for obj ``depth`` levels deep, every float rounded by ``_round12``.
 
-    The nesting is walked here, and each flat dict or list goes to the C
-    encoder whole.
+    The nesting is walked here, once, and each flat dict or list is rounded
+    and goes to json's C encoder whole.
     """
     if not isinstance(obj, _CONTAINERS) or not obj:
-        return _flat_encoder(depth)(obj)
+        return _flat_encoder(depth)(_round12(obj))
     is_dict = isinstance(obj, dict)
     pad = "\n" + "  " * (depth + 1)
     if any(isinstance(v, _CONTAINERS) for v in (obj.values() if is_dict else obj)):
@@ -108,7 +106,7 @@ def _dumps_indented(obj, depth: int = 0) -> str:
             members = [_dumps_indented(v, depth + 1) for v in obj]
         inner = ("," + pad).join(members)
     else:
-        inner = _flat_encoder(depth + 1)(obj)[1:-1]
+        inner = _flat_encoder(depth + 1)(_round12(obj))[1:-1]
     opening, closing = "{}" if is_dict else "[]"
     return opening + pad + inner + "\n" + "  " * depth + closing
 
@@ -123,14 +121,14 @@ def _member_key(key) -> str:
 
 
 def _write_json(payload: dict, fh, rows=None) -> None:
-    """The text of ``json.dumps(_round12(payload), indent=2)`` and a newline, in pieces.
+    """The text of ``json.dumps(payload, indent=2)`` and a newline, in pieces, floats rounded by ``_round12``.
 
     ``rows``, when given, is the payload's "rows", a last key absent from
     ``payload``, as text a chunk at a time: each flat, rounded row laid out as
     ``json.dumps(..., indent=2)`` lays it out inside the rows, and the rows of
     a chunk joined by commas.
     """
-    text = _dumps_indented(_round12(payload))
+    text = _dumps_indented(payload)
     if rows is None:
         fh.writelines(_pieces(text + "\n"))
         return

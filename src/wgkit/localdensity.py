@@ -34,10 +34,14 @@ one residue -> class map that every caller reads.  The primes that share G and
 an integer width go through two stacked stages.  The O(p) stage depends on p
 and G alone, so it runs once per (p, G) and its results, the cyclotomic
 numbers and the class map, are held for every d of that G.  It runs in chunks
-of at most ``_CHUNK_SLOTS`` residue slots: per chunk, one walk of g^s mod p for
-all its primes, one scatter into their class maps and one bincount of the
-cyclotomic numbers.  The class algebra then runs once for the whole group, as
-stacked (G + 1)-square integer products indexed by each prime's f and nu.
+of at most ``_CHUNK_SLOTS`` residue slots.  At G = 2 (at k = 3, p = 3 and
+every p = 2 mod 3) the cosets are the squares and the non-squares: the
+cyclotomic numbers are Gauss's closed forms, and per chunk one scatter of
+y^2 mod p marks the squares of its class maps, with no primitive root.  At any
+other G, per chunk, one walk of g^s mod p for all its primes, one scatter into
+their class maps and one bincount of the cyclotomic numbers.  The class
+algebra then runs once for the whole group, as stacked (G + 1)-square integer
+products indexed by each prime's f and nu.
 
 The error term E_p = p L*(p,n) - (p-1)^6 satisfies the closed form bound
 (p-1)(sqrt p + 1)^2 (2 sqrt p + 1)^3 (13 sqrt p + 1), uniform over powers
@@ -88,8 +92,8 @@ class ClassCounts:
 
 
 # residue slots per chunk of ``_cyclotomic_many``: bounds its temporaries (the
-# walk, its slot indices and the slot pairs, 4 or 8 bytes a slot) at 128 KB
-# each, whatever the number of primes
+# walk or the squares, their slot indices and the slot pairs, 4 or 8 bytes a
+# slot) at 128 KB each, whatever the number of primes
 _CHUNK_SLOTS = 2**14
 
 # the largest prime the engine counts at, and so singular's largest truncation
@@ -162,26 +166,25 @@ def _cyclotomic_held(primes: list[int], G: int) -> tuple[np.ndarray, np.ndarray,
 def _cyclotomic_many(primes: Sequence[int], G: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, list]:
     """f = (p - 1)/G, the class nu of -1, the cyclotomic numbers A and the class map at each prime.
 
-    All the primes have coset count G, and their least primitive roots come
-    from ``_least_generators``.  Consecutive primes form a chunk of m rows of
-    p_max + 1 slots, at most ``_CHUNK_SLOTS`` slots in all (or one prime), so
-    sorted primes waste few slots.  A chunk walks x = g^s mod p for all its
-    rows at once; x lies in C_(s mod G), column 1 + (s mod G), which the
-    row's uint8 class map records in slot x.  Slot 0 (n = 0) and slot p
-    (1 + x = 0 mod p) keep column 0.  A[a][b] = #{x in C_a : 1 + x in C_b}
-    counts the pairs of neighbouring slots, by one bincount per chunk offset
-    by row; the pairs that start or end in column 0 are dropped.
+    All the primes have coset count G.  At G = 2 the cosets are the squares
+    and the non-squares, and A has Gauss's closed form (``_squares_many``),
+    so no primitive root is searched.  At any other G the least primitive
+    roots come from ``_least_generators``, and each chunk of ``_chunks``
+    walks x = g^s mod p for all its rows at once; x lies in C_(s mod G),
+    column 1 + (s mod G), which the row's uint8 class map records in slot x.
+    Slot 0 (n = 0) and slot p (1 + x = 0 mod p) keep column 0.
+    A[a][b] = #{x in C_a : 1 + x in C_b} counts the pairs of neighbouring
+    slots, by one bincount per chunk offset by row; the pairs that start or
+    end in column 0 are dropped.
     """
     ps = np.array(primes, dtype=np.int64)
+    f, nu = (ps - 1) // G, (ps - 1) // 2 % G
+    if G == 2:
+        return f, nu, *_squares_many(primes, f, nu)
     gs = _least_generators(ps)
     columns = (1 + np.arange(ps.max()) % G).astype(np.uint8)
     As, classes = [], []
-    start = 0
-    while start < len(primes):
-        stop, top = start + 1, primes[start]
-        while stop < len(primes) and (stop - start + 1) * (max(top, primes[stop]) + 1) <= _CHUNK_SLOTS:
-            top = max(top, primes[stop])
-            stop += 1
+    for start, stop, top in _chunks(primes):
         m = stop - start
         # a shorter row's walk runs past p - 2 and repeats its cosets
         walk = _generator_walks(ps[start:stop], gs[start:stop], top - 1)
@@ -193,8 +196,52 @@ def _cyclotomic_many(primes: Sequence[int], G: int) -> tuple[np.ndarray, np.ndar
         As.append(np.bincount(pair.reshape(-1), minlength=m * (G + 1) ** 2).reshape(m, G + 1, G + 1)[:, 1:, 1:])
         slots.setflags(write=False)
         classes += [row[:p] for row, p in zip(slots, primes[start:stop])]
+    return f, nu, np.concatenate(As), classes
+
+
+def _squares_many(primes: Sequence[int], f: np.ndarray, nu: np.ndarray) -> tuple[np.ndarray, list]:
+    """The cyclotomic numbers of order 2 and the class map at each prime, with f and nu at G = 2.
+
+    C_0 holds the squares and C_1 the non-squares.  With f even (nu = 0),
+    A[0][0] = (p - 5)/4 and the other three entries are (p - 1)/4; with f odd
+    (nu = 1), A[0][1] = (p + 1)/4 and the other three are (p - 3)/4 (Berndt,
+    Evans and Williams, ch. 2).  Each chunk of ``_chunks`` marks column 1 at
+    y^2 mod p for y = 1..(top - 1)/2, in uint32 (y < 2^16 for p <= 10^5), on
+    rows filled with column 2; a shorter row's extra y marks a square again,
+    or slot 0, which is reset to column 0.
+    """
+    A = np.repeat(f // 2, 4).reshape(-1, 2, 2)  # (p - 1)/4 at f even, (p - 3)/4 at f odd
+    A[:, 0, 0] -= 1 - nu
+    A[:, 0, 1] += nu
+    classes = []
+    for start, stop, top in _chunks(primes):
+        m = stop - start
+        y = np.arange(1, (top + 1) // 2, dtype=np.uint32)
+        squares = y * y % np.array(primes[start:stop], dtype=np.uint32)[:, None]
+        squares += np.arange(0, m * (top + 1), top + 1, dtype=np.uint32)[:, None]
+        slots = np.full((m, top + 1), 2, dtype=np.uint8)
+        slots.reshape(-1)[squares] = 1
+        slots[:, 0] = 0
+        slots.setflags(write=False)
+        classes += [row[:p] for row, p in zip(slots, primes[start:stop])]
+    return A, classes
+
+
+def _chunks(primes: Sequence[int]):
+    """(start, stop, top) per chunk: consecutive primes, m = stop - start rows of top + 1 slots.
+
+    top is the largest prime of the chunk, and a chunk holds at most
+    ``_CHUNK_SLOTS`` slots in all, or one prime, so sorted primes waste few
+    slots.
+    """
+    start = 0
+    while start < len(primes):
+        stop, top = start + 1, primes[start]
+        while stop < len(primes) and (stop - start + 1) * (max(top, primes[stop]) + 1) <= _CHUNK_SLOTS:
+            top = max(top, primes[stop])
+            stop += 1
+        yield start, stop, top
         start = stop
-    return (ps - 1) // G, (ps - 1) // 2 % G, np.concatenate(As), classes
 
 
 def _class_algebra(k: int, G: int, dtype, f: np.ndarray, nu: np.ndarray, A: np.ndarray):

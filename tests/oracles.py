@@ -614,3 +614,18 @@ def local_table_per_row(fmt: str, pmax: int, k: int, parity: str) -> tuple[int, 
         payload = {"schema_version": 1, "command": "local", "k": k, "pmax": pmax, "rows": rounded}
         text = json.dumps(payload, indent=2) + "\n"
     return (1 if failed else 0), text
+
+
+def round12(obj):
+    """Every float of a nested payload rounded to 12 significant digits, as the JSON reports print it.
+
+    The former whole-payload pass of the CLI's writer, which now rounds each
+    flat dict or list as it lays it out.
+    """
+    if isinstance(obj, float):
+        return float(f"{obj:.12g}")
+    if isinstance(obj, dict):
+        return {k: round12(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [round12(v) for v in obj]
+    return obj

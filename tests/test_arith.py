@@ -127,8 +127,8 @@ def test_primes_up_to_matches_trial_division():
 
 
 def test_is_prime_table_matches_miller_rabin():
-    # is_prime reads the prime table up to TRIAL_TABLE_LIMIT = 10**6 and runs
-    # Miller-Rabin above it; the two agree across the switch and on Carmichael numbers
+    # is_prime reads the prime table where it reaches and runs Miller-Rabin
+    # past its end; the two agree around 10**6 and on Carmichael numbers
     ns = [*range(-5, 10**4), *range(10**6 - 50, 10**6 + 51), 561, 41041, 825265]
     assert [is_prime(n) for n in ns] == [_miller_rabin(n) for n in ns]
     assert not any(is_prime(n) for n in (561, 41041, 825265))
@@ -250,9 +250,25 @@ def test_a_semiprime_past_the_trial_range_is_refused_whatever_the_table(monkeypa
 
 def test_a_sieve_session_builds_a_small_table(monkeypatch):
     # W(z) at z = 2500 from a fresh table and an empty engine reads the primes
-    # below z and factors each p - 1: the table never nears 10**6
+    # below z and factors p - 1 at each prime whose root it searches: the table
+    # never nears 10**6.  Of its 366 odd primes, the 188 of coset count
+    # G = gcd(6, p - 1) = 2 mark their squares, and only the 178 at p = 1 mod 6
+    # search a root and walk it
     from wgkit.sieveconsts import sieve_product
 
+    walked, squared = [], []
+    walks, squares = localdensity._generator_walks, localdensity._squares_many
+
+    def walk(ps, gs, width):
+        walked.extend(ps.tolist())
+        return walks(ps, gs, width)
+
+    def square(primes, f, nu):
+        squared.extend(primes)
+        return squares(primes, f, nu)
+
+    monkeypatch.setattr(localdensity, "_generator_walks", walk)
+    monkeypatch.setattr(localdensity, "_squares_many", square)
     monkeypatch.setattr(arith, "_TABLE", (b"", []))
     monkeypatch.setattr(arith, "_LEAST_ROOTS", {})
     monkeypatch.setattr(localdensity, "_STORE", {})
@@ -260,4 +276,15 @@ def test_a_sieve_session_builds_a_small_table(monkeypatch):
     sieve_product.cache_clear()
     assert 0.0 < sieve_product(2 * 10**6 + 2, 3, 2500) < 1.0
     assert 2500 <= len(arith._TABLE[0]) < 10**4
-    assert len(arith._LEAST_ROOTS) == len(primes_up_to(2499)) - 1
+    odd = primes_up_to(2499)[1:]
+    assert sorted(arith._LEAST_ROOTS) == sorted(walked) == [p for p in odd if p % 6 == 1]
+    assert sorted(squared) == [p for p in odd if p % 6 != 1]
+    assert (len(walked), len(squared)) == (178, 188)
+
+
+def test_is_prime_past_the_table_grows_no_table(monkeypatch):
+    # past the table's end is_prime runs Miller-Rabin: a test near 10**6 from
+    # an empty table builds no table to 10**6
+    monkeypatch.setattr(arith, "_TABLE", (b"", []))
+    assert is_prime(999983) and not is_prime(999981) and is_prime(2) and not is_prime(1)
+    assert arith._TABLE == (b"", [])

@@ -70,6 +70,17 @@ def test_cr_published_examples():
     assert iterated_integral(4, 3) == pytest.approx(0.4443636, rel=2e-4)
 
 
+def test_published_C_is_the_chain_of_its_entries():
+    # the published C(k) is derived from the published c_r bounds: each bound
+    # of a lumped range, such as ((19, 504), 2.510648e-4) at k = 14, bounds
+    # every c_r of it, and C(k) is their sum to within the six-decimal rounding
+    # (the worst gap, 2.08e-6, at k = 10); a lumped range off by one moves the
+    # sum by at least 2.5e-4
+    for k in reference.K_RANGE:
+        chain = sum((hi - lo + 1) * bound for (lo, hi), bound in reference._GROUPED_CR_BOUNDS[k])
+        assert abs(chain - reference.C_BOUNDS[k]) <= 5e-6, k
+
+
 def test_cr_degenerate_cases():
     with pytest.raises(ValueError):
         iterated_integral(3, 3)

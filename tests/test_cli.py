@@ -14,9 +14,9 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import wgkit
-from oracles import local_table_per_row
+from oracles import local_table_per_row, round12
 from wgkit import buchstab, cli
-from wgkit.cli import _chunks, _flat_encoder, _round12, _write_json, main
+from wgkit.cli import _chunks, _flat_encoder, _write_json, main
 from wgkit.reference import K_RANGE
 
 GOLDEN = os.path.join(os.path.dirname(__file__), "..", "golden", "constants_table.csv")
@@ -89,17 +89,17 @@ def test_streamed_json_is_the_one_shot_dump():
     # the text is json.dumps of the whole payload
     def written(head, rows):
         fh = io.StringIO()
-        _write_json(head, fh, (",".join(map(_row_text, _round12(c))) for c in _chunks(rows)))
+        _write_json(head, fh, (",".join(map(_row_text, round12(c))) for c in _chunks(rows)))
         return fh.getvalue()
 
     for n in (0, 1, 255, 256, 257, 700):
         rows = [{"p": i, "E_p": i / 7, "pass": i % 3 == 0, "name": f"r,\n{i}"} for i in range(n)]
         head = {"schema_version": 1, "command": "t", "x": [1.5, {"y": None}]}
-        assert written(head, rows) == json.dumps(_round12({**head, "rows": rows}), indent=2) + "\n"
+        assert written(head, rows) == json.dumps(round12({**head, "rows": rows}), indent=2) + "\n"
         # without row text the payload is dumped whole, rows and all, 8 KB a write
         fh = io.StringIO()
         _write_json({**head, "rows": rows}, fh)
-        assert fh.getvalue() == json.dumps(_round12({**head, "rows": rows}), indent=2) + "\n"
+        assert fh.getvalue() == json.dumps(round12({**head, "rows": rows}), indent=2) + "\n"
     # every scalar a flat row may hold, and an empty row
     rows = [
         {"n": -3, "x": 1e-300, "nan": math.nan, "inf": -math.inf, "ok": False, "none": None},
@@ -108,7 +108,7 @@ def test_streamed_json_is_the_one_shot_dump():
         {},
     ]
     head = {"schema_version": 1, "command": "t"}
-    assert written(head, rows) == json.dumps(_round12({**head, "rows": rows}), indent=2) + "\n"
+    assert written(head, rows) == json.dumps(round12({**head, "rows": rows}), indent=2) + "\n"
 
 
 _JSON_KEYS = st.one_of(st.text(max_size=6), st.integers(-(10**20), 10**20), st.booleans(), st.none(), st.floats())
@@ -137,7 +137,7 @@ def test_json_writer_is_the_indented_dump(payload):
     # json's C encoder; the bytes are those of json.dumps(..., indent=2)
     fh = io.StringIO()
     _write_json(payload, fh)
-    assert fh.getvalue() == json.dumps(_round12(payload), indent=2) + "\n"
+    assert fh.getvalue() == json.dumps(round12(payload), indent=2) + "\n"
 
 
 def test_local_table_is_streamed(tmp_path):

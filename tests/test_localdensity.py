@@ -289,8 +289,10 @@ def test_class_counts_cached_per_prime_and_power(monkeypatch):
 
 
 def test_each_prime_root_is_searched_once(monkeypatch):
-    # the least primitive root depends on p alone: a second batch, another k and
-    # the character tables read the root table, and search no prime again
+    # the least primitive root depends on p alone, and the engine reads it only
+    # to walk a coset count G != 2 (G = 2 has a closed form): a second batch,
+    # another k and the character tables search only the primes whose root no
+    # earlier call read, and no prime twice
     searched = []
     search = arith._least_root
 
@@ -303,14 +305,16 @@ def test_each_prime_root_is_searched_once(monkeypatch):
     _empty_engine(monkeypatch)
     primes = primes_up_to(2000)
     class_counts_many(primes, 3)
-    assert sorted(searched) == primes
-    searched.clear()
+    walked = {p for p in primes if _coset_count(p, 3) != 2}  # p = 2 and p = 1 mod 6
+    assert sorted(searched) == sorted(walked)
     class_counts_many(primes, 14)  # every (p, d) is new, and every (p, G) at 7 | p - 1
+    walked |= {p for p in primes if _coset_count(p, 14) != 2}  # adds p = 2 mod 3 with 7 | p - 1
+    assert sorted(searched) == sorted(walked)
     expsums._generator_tables.cache_clear()
     for p in primes_up_to(199)[1:]:
         expsums._generator_tables(p)
-    assert searched == []
-    assert arith._LEAST_ROOTS == {p: search(p) for p in primes}
+    assert sorted(searched) == sorted(walked | set(primes_up_to(199)))
+    assert arith._LEAST_ROOTS == {p: search(p) for p in searched}
 
 
 def test_one_entry_per_prime_and_gcd(monkeypatch):
@@ -409,19 +413,27 @@ def test_classes_are_the_cosets(p, k):
 
 
 def test_local_walks_the_generator_once_per_prime(monkeypatch, capsys):
-    # the class of every residue comes from the engine's one walk of g^s mod p
-    calls = []
-    walks = localdensity._generator_walks
+    # the class of every residue comes from the engine's one pass per prime: a
+    # walk of g^s mod p at a coset count G != 2, the squares at G = 2
+    walked, squared = [], []
+    walks, squares = localdensity._generator_walks, localdensity._squares_many
 
     def walk(ps, gs, width):
-        calls.extend(ps.tolist())
+        walked.extend(ps.tolist())
         return walks(ps, gs, width)
 
+    def square(primes, f, nu):
+        squared.extend(primes)
+        return squares(primes, f, nu)
+
     monkeypatch.setattr(localdensity, "_generator_walks", walk)
+    monkeypatch.setattr(localdensity, "_squares_many", square)
     _empty_engine(monkeypatch)
     assert main(["local", "--pmax", "200", "--k", "7"]) == 0
     assert capsys.readouterr().out.count('"n_class"') == 1 + sum(primes_up_to(200)[1:])  # n = 0 only at p = 2
-    assert sorted(calls) == primes_up_to(200)
+    primes = primes_up_to(200)
+    assert sorted(walked) == [p for p in primes if _coset_count(p, 7) != 2]
+    assert sorted(squared) == [p for p in primes if _coset_count(p, 7) == 2]
 
 
 def _assert_kernel_matches_oracle(primes: list[int], G: int) -> None:
@@ -457,6 +469,35 @@ def test_chunked_kernel_across_chunk_boundaries(monkeypatch):
     batch = primes[1::2][::-1] + [16411] + primes[::2]
     assert sum(batch) > 4 * localdensity._CHUNK_SLOTS
     _assert_kernel_matches_oracle(batch, 6)
+    # the same at G = 2 (k = 3, p = 2 mod 3), whose squares are marked in
+    # chunks: 16421 is over a whole chunk, and at 99989, the largest such prime
+    # within the engine's budget, y^2 comes closest to the end of uint32
+    squares = [p for p in primes_up_to(3000)[1:] if p % 3 == 2]
+    batch = squares[1::2][::-1] + [16421] + squares[::2] + [99989, 3]
+    _assert_kernel_matches_oracle(batch, 2)
     # chunks of a few slots: many boundaries, each between small primes
     monkeypatch.setattr(localdensity, "_CHUNK_SLOTS", 64)
     _assert_kernel_matches_oracle(primes[:40][::-1] + primes[40:60], 6)
+    _assert_kernel_matches_oracle(squares[:40][::-1] + squares[40:60], 2)
+
+
+@pytest.mark.parametrize("k", [3, 4, 7, 14])
+def test_cyclotomic_numbers_satisfy_their_identities(k):
+    # the identities of the cyclotomic numbers of order G (Berndt, Evans and
+    # Williams, ch. 2), with indices mod G and nu the class of -1: row a sums
+    # to f - [a = nu], column b to f - [b = 0], A[a][b] = A[-a][b - a] and
+    # A[a][b] = A[b + nu][a + nu]; at every prime to 3000, one kernel call per
+    # coset count, the closed form of G = 2 among them
+    groups: dict[int, list[int]] = {}
+    for p in primes_up_to(3000):
+        groups.setdefault(_coset_count(p, k), []).append(p)
+    assert 2 in groups
+    for G, primes in groups.items():
+        f, nu, A, _ = localdensity._cyclotomic_many(primes, G)
+        r = np.arange(G)
+        a, b = r[:, None], r[None, :]
+        for p, f_p, nu_p, A_p in zip(primes, f, nu, A):
+            assert A_p.sum(axis=1).tolist() == (f_p - (r == nu_p)).tolist(), (p, G)
+            assert A_p.sum(axis=0).tolist() == (f_p - (r == 0)).tolist(), (p, G)
+            assert (A_p == A_p[-a % G, (b - a) % G]).all(), (p, G)
+            assert (A_p == A_p[(b + nu_p) % G, (a + nu_p) % G]).all(), (p, G)
