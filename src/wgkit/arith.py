@@ -168,13 +168,6 @@ def euler_phi(f: FactoredInt) -> int:
     return out
 
 
-def primitive_root(p: int) -> int:
-    """Smallest generator of the multiplicative group mod an odd prime p."""
-    if p == 2 or not is_prime(p):
-        raise ValueError(f"need an odd prime, got {p}")
-    return int(_least_generators([p])[0])
-
-
 _LEAST_ROOTS: dict[int, int] = {}  # prime -> least primitive root, each searched once per process
 
 

@@ -24,16 +24,26 @@ refinement converges at fourth order.  Levels whose supremum falls below
 1e-15 short-circuit to the zero function; the recursion depth reaches ~500
 for k = 14.
 
+The levels do not depend on k; only the point U_k where they are read does.
+Where U_k S is an integer and S a power of two, k's lattice is the dyadic
+2 + j/S, the same points for every such k up to its own U_k, so one cascade
+on the largest of them serves them all: each k reads its c_r off that
+cascade's levels at its own sample counts, bit for bit its own cascade's
+values (``_lattice_groups`` gives the conditions).  At 128 and 256 steps per
+unit, k = 3, 5, 6, 7 and 9..14 share k = 14's cascade, and k = 4 and 8
+(U_4 = 133/11, U_8 = 281/7) run their own.
+
 Every k is evaluated on the fixed pair of lattices ``STEPS_PER_UNIT``: the
 finer one gives the values, and the largest change between the two is their
-error estimate, which must stay below ``ACCURACY``.  The values are cached
-per process and per k, so ``iterated_integral``, ``tail_sum`` and the margins
-reuse the tables ``constants_table`` built.
+error estimate, which must stay below ``ACCURACY``.  The values are held per
+process and per k in ``_CONVERGED``, so ``iterated_integral``, ``tail_sum``
+and the margins reuse the tables ``constants_table`` built, and
+``constants_tables`` computes every k it asks for and does not hold in one
+batch of cascades.  A single k runs its own lattice alone.
 """
 
 from __future__ import annotations
 
-import functools
 import math
 from collections.abc import Mapping
 from dataclasses import dataclass
@@ -98,15 +108,18 @@ def _cumsimpson(even: np.ndarray, odd: np.ndarray, h: float, out: np.ndarray, sp
     return out
 
 
+def _lattice_top(k: int, steps_per_unit: int) -> int:
+    """n_2, the largest j with U_k - j/S >= 2."""
+    return int(math.floor((upper_limit(k) - 2) / (1.0 / steps_per_unit) + 1e-12))
+
+
 def _lattice(k: int, steps_per_unit: int) -> np.ndarray:
-    """Level 2's samples U_k - j/S, j = n_2..0, the largest n_2 with U_k - n_2/S >= 2.
+    """Level 2's samples U_k - j/S, j = n_2..0 (``_lattice_top``).
 
     Level m samples the last n_2 - (m - 2)S + 1 of them.
     """
-    U = upper_limit(k)
     h = 1.0 / steps_per_unit
-    n_2 = int(math.floor((U - 2) / h + 1e-12))
-    return U - h * np.arange(n_2, -1, -1)
+    return upper_limit(k) - h * np.arange(_lattice_top(k, steps_per_unit), -1, -1)
 
 
 def _levels(k: int, steps_per_unit: int, top: int):
@@ -158,26 +171,87 @@ def _levels(k: int, steps_per_unit: int, top: int):
         live = not level.max() < ZERO_LEVEL_SUP
 
 
-def _cascade(k: int, steps_per_unit: int) -> dict[int, float]:
-    """c_r = g_{r-1}(U_k) for r = 3..max_r(k) at a fixed lattice resolution."""
-    levels = _levels(k, steps_per_unit, max_r(k) - 1)
-    return {m + 1: 0.0 if ys is None else float(ys[-1]) for m, ys in levels}
+def _lattice_groups(ks, steps_per_unit: int) -> list[list[int]]:
+    """The distinct k of ``ks`` in the groups that share one run of ``_levels``.
+
+    At S a power of two and U_k S an integer, k's lattice is exactly the dyadic
+    points 2 + j/S, j = 0..n_2: the lattices of any two such k agree sample for
+    sample up to the smaller n_2, and so do their integrands and every cell that
+    ``_cumsimpson`` integrates forward, or backward from inside the level.  Its
+    running sums are sequential, so each level of the smaller k is the first
+    samples of the larger one's, except the last cell of a level with an even
+    sample count, which is backward from that level's end.  A level of k has
+    n_2 + 1 - (m - 2)S samples, odd at every m when S and n_2 are both even.  So
+    the largest k on the dyadic lattice leads a group that every other k on it
+    with an even n_2 joins; any other k is a group of one.  The lead is last in
+    its group, and the groups come in the order of their least k.
+    """
+    S = steps_per_unit
+    dyadic, alone = [], []
+    for k in sorted(set(ks)):
+        on_dyadic = S > 1 and S & (S - 1) == 0 and (37 * k - 15) * S % (15 - k) == 0
+        (dyadic if on_dyadic else alone).append(k)
+    shared = [k for k in dyadic[:-1] if _lattice_top(k, S) % 2 == 0] + dyadic[-1:]
+    groups = [[k] for k in alone + dyadic if k not in shared]
+    return sorted(groups + [shared] if shared else groups, key=min)
 
 
-@functools.lru_cache(maxsize=None)
-def _converged_values(k: int) -> tuple[Mapping[int, float], float]:
-    """The fine lattice's c_r and the largest change from the coarse one's.
+def _cascade(ks, steps_per_unit: int) -> dict[int, dict[int, float]]:
+    """{k: {r: c_r}}, c_r = g_{r-1}(U_k) for r = 3..max_r(k), at one lattice resolution.
 
-    Cached per process; the values come as a read-only mapping.  A change of
+    One run of ``_levels`` per ``_lattice_groups`` group, on its lead's lattice.
+    Member k reads g_m(U_k) at index n - 1 of level m, where n = n_2 + 1 - (m - 2)S
+    is the sample count of its own level m; its level is the zero function once
+    n < 3, and after a level whose first n samples stayed below ZERO_LEVEL_SUP.
+    """
+    S = steps_per_unit
+    out = {}
+    for group in _lattice_groups(ks, S):
+        values = {k: dict.fromkeys(range(3, max_r(k) + 1), 0.0) for k in group}
+        samples = {k: _lattice_top(k, S) + 1 for k in group}
+        active = list(group)
+        for m, level in _levels(group[-1], S, max_r(group[-1]) - 1):
+            if level is None:
+                break  # every later level of the lead, and so of each member, is zero
+            for k in list(active):
+                n = samples[k] - (m - 2) * S
+                if n < 3 or m >= max_r(k):
+                    active.remove(k)
+                    continue
+                values[k][m + 1] = float(level[n - 1])
+                if level[:n].max() < ZERO_LEVEL_SUP:
+                    active.remove(k)
+        out.update(values)
+    return out
+
+
+# k -> (the fine lattice's c_r, read-only, and the largest change from the coarse one's)
+_CONVERGED: dict[int, tuple[Mapping[int, float], float]] = {}
+
+
+def _converged_many(ks) -> list[tuple[Mapping[int, float], float]]:
+    """``_converged_values`` at each k of ``ks``, in its order.
+
+    The values are held per k, and a call computes the k not yet held in one
+    ``_cascade`` per lattice.  The change is checked in ascending k; a change of
     ``ACCURACY`` or more is a verification failure.
     """
-    coarse, fine = (_cascade(k, steps) for steps in STEPS_PER_UNIT)
-    err = max(abs(fine[r] - coarse[r]) for r in fine)
-    if not err < ACCURACY:
-        raise VerificationError(
-            f"c_r changes by {err:.3g} at k={k} between {STEPS_PER_UNIT} steps per unit, not below {ACCURACY:g}"
-        )
-    return MappingProxyType(fine), err
+    todo = sorted({k for k in ks if k not in _CONVERGED})
+    if todo:
+        coarse, fine = (_cascade(todo, steps) for steps in STEPS_PER_UNIT)
+        for k in todo:
+            err = max(abs(fine[k][r] - coarse[k][r]) for r in fine[k])
+            if not err < ACCURACY:
+                raise VerificationError(
+                    f"c_r changes by {err:.3g} at k={k} between {STEPS_PER_UNIT} steps per unit, not below {ACCURACY:g}"
+                )
+            _CONVERGED[k] = MappingProxyType(fine[k]), err
+    return [_CONVERGED[k] for k in ks]
+
+
+def _converged_values(k: int) -> tuple[Mapping[int, float], float]:
+    """The fine lattice's c_r and the largest change from the coarse one's (``_converged_many``)."""
+    return _converged_many((k,))[0]
 
 
 def iterated_integral(r: int, k: int) -> float:
@@ -244,9 +318,28 @@ def constants_table(k: int) -> CrTable:
     return CrTable(k, tuple(entries), c_total, err * len(entries))
 
 
+def constants_tables(ks) -> list[CrTable]:
+    """``constants_table`` at each k of ``ks``, in its order, from one batch of cascades."""
+    for k in ks:
+        reference.check_k(k)
+    _converged_many(ks)
+    return [constants_table(k) for k in ks]
+
+
 def tail_sum(k: int) -> float:
     """C(k) = sum of c_r(k) over r = r(k)+1 .. floor(36k/(15-k))."""
     return constants_table(k).C_value
+
+
+def paper_chain(table: CrTable) -> float:
+    """The published chain for C(k) on computed values: the sum of (hi - lo + 1) c_lo.
+
+    Each published range (lo, hi) of r shares one bound, and C_BOUNDS[k] is the
+    sum of (hi - lo + 1) times it.  With the computed c_lo in place of the bound
+    the chain bounds the computed C(k) from above, as the entries decrease
+    (``constants_table`` checks that).
+    """
+    return sum((hi - lo + 1) * table.entry(lo).value for (lo, hi), _ in reference.cr_ranges(table.k))
 
 
 def tables_to_csv(tables: list[CrTable]) -> str:

@@ -247,8 +247,7 @@ def cmd_singular(args) -> int:
 
 
 def cmd_constants(args) -> int:
-    ks = args.k
-    tables = [buchstab.constants_table(k) for k in ks]
+    tables = buchstab.constants_tables(args.k)
     payload = {"command": "constants", **buchstab.tables_to_json(tables)}
     _emit(payload, args.format, args.output, csv=_pieces(buchstab.tables_to_csv(tables)))
     ok = all(t.all_within_bounds and t.C_value <= reference.C_BOUNDS[t.k] for t in tables)
@@ -257,9 +256,10 @@ def cmd_constants(args) -> int:
 
 def cmd_margin(args) -> int:
     rows = []
-    for k in reference.K_RANGE:
-        c_k = buchstab.tail_sum(k)
+    for t in buchstab.constants_tables(reference.K_RANGE):
+        k, c_k = t.k, t.C_value
         margin = sieveconsts.main_term_margin(k, c_k)
+        chain = buchstab.paper_chain(t)
         rows.append(
             {
                 "k": k,
@@ -267,6 +267,9 @@ def cmd_margin(args) -> int:
                 "margin": float(margin),
                 "reference_C_bound": reference.C_BOUNDS[k],
                 "pass": margin > 0 and c_k <= reference.C_BOUNDS[k],
+                # the published table's chain for C(k) on the computed c_r, and its room below log 2
+                "paper_chain_C": float(chain),
+                "paper_chain_slack": math.log(2.0) - chain,
             }
         )
     csv = [",".join(rows[0]) + "\n", *(_csv_cells(row.values()) + "\n" for row in rows)]

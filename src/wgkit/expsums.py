@@ -6,11 +6,11 @@ The basic objects are, for a modulus q, exponent j and numerator a,
     unit sum          same, restricted to gcd(m, q) = 1
     character sum     sum_{m=1..q} chi(m) e(a m^j / q)
 
-evaluated by direct summation against an exact table of q-th roots of unity
-(angles 2*pi*m'/q with m' reduced mod q), so there is no phase drift.  The
-verification grid additionally uses a spectral path, which is cross-checked
-against the direct path in the tests: the sum over m grouped by the residue
-of m^j is a DFT of a power histogram.  One kernel serves a whole tuple of
+evaluated on a spectral path: the sum over m grouped by the residue of m^j
+is a DFT of a power histogram, so one transform gives every numerator a at
+once.  The tests check it against direct summation over m (``tests/oracles.py``)
+on the exact table of q-th roots of unity here, whose angles 2*pi*m'/q take
+m' reduced mod q, so there is no phase drift.  One kernel serves a whole tuple of
 exponents at a modulus: a cumulative power table (the row of m^j from the
 row of m^(j-1), one multiply-reduce each), one offset ``bincount`` for every
 row, and one FFT along the last axis.  The per-j functions are its one-row
@@ -44,7 +44,7 @@ from functools import lru_cache
 import numpy as np
 
 from .arith import _generator_powers, is_prime, primes_up_to
-from .errors import BudgetExceeded, VerificationError
+from .errors import BudgetExceeded
 
 J_MIN, J_MAX = 2, 14
 MAG_TOL = 1e-6  # relative to q
@@ -55,29 +55,6 @@ CHAR_P_MAX = 199
 # table entries (exponents times residues) per chunk of consecutive moduli in
 # verify_bounds: bounds the chunk's power table and histograms at 128 KB each
 _CHUNK_SLOTS = 2**14
-
-
-@dataclass(frozen=True)
-class ExpSumValue:
-    re: float
-    im: float
-    modulus: int
-    exponent_j: int
-    numerator_a: int
-
-    def __post_init__(self):
-        if self.magnitude > self.modulus * (1 + 1e-9) + 1e-9:
-            raise VerificationError(
-                f"|S| = {self.magnitude} exceeds the trivial bound q = {self.modulus}"
-            )
-
-    @property
-    def value(self) -> complex:
-        return complex(self.re, self.im)
-
-    @property
-    def magnitude(self) -> float:
-        return math.hypot(self.re, self.im)
 
 
 @lru_cache(maxsize=512)
@@ -128,22 +105,6 @@ def _check_jq(j: int, q: int) -> None:
         raise ValueError(f"exponent j must be in [{J_MIN}, {J_MAX}], got {j}")
     if q < 1:
         raise ValueError(f"modulus must be >= 1, got {q}")
-
-
-def complete_sum(j: int, q: int, a: int) -> ExpSumValue:
-    """Direct summation of e(a m^j / q) over m = 1..q, ascending m."""
-    _check_jq(j, q)
-    idx = (a % q) * _power_residues(j, q) % q
-    total = _roots(q)[idx].sum()
-    return ExpSumValue(float(total.real), float(total.imag), q, j, a % q)
-
-
-def unit_sum(j: int, q: int, a: int) -> ExpSumValue:
-    """Complete sum restricted to gcd(m, q) = 1."""
-    _check_jq(j, q)
-    idx = (a % q) * _power_residues(j, q) % q
-    total = _roots(q)[idx[_unit_mask(q)]].sum()
-    return ExpSumValue(float(total.real), float(total.imag), q, j, a % q)
 
 
 def _power_hists(js: tuple[int, ...], q: int, units_only: bool) -> np.ndarray:
@@ -202,27 +163,6 @@ def unit_sums_all(j: int, q: int) -> np.ndarray:
     return out
 
 
-@dataclass(frozen=True)
-class DirichletCharacter:
-    """A Dirichlet character mod a prime, labeled by an index via a fixed primitive root.
-
-    index 0 is the principal character.  ``values[m]`` holds chi(m) for
-    m = 0..p-1, with chi(m) = 0 when p | m, as a read-only array.  The modulus
-    and the index determine the values, so they alone make equality and hash.
-    """
-
-    modulus: int
-    index: int
-    values: np.ndarray = field(compare=False, repr=False)
-
-    @property
-    def is_principal(self) -> bool:
-        return self.index == 0
-
-    def __call__(self, m: int) -> complex:
-        return complex(self.values[m % self.modulus])
-
-
 @lru_cache(maxsize=256)
 def _generator_tables(p: int) -> tuple[np.ndarray, np.ndarray]:
     """(pw, dlog): pw[s] = g^s mod p and dlog[g^s mod p] = s, g the least primitive root.
@@ -235,37 +175,6 @@ def _generator_tables(p: int) -> tuple[np.ndarray, np.ndarray]:
     pw.setflags(write=False)
     dlog.setflags(write=False)
     return pw, dlog
-
-
-def character(p: int, index: int) -> DirichletCharacter:
-    """The character chi_index mod prime p: chi(g^s) = e(index * s / (p-1))."""
-    if p == 2:
-        if index != 0:
-            raise ValueError("only the principal character exists mod 2")
-        vals = np.array([0j, 1 + 0j])
-    else:
-        if not is_prime(p):
-            raise ValueError(f"characters are supported for prime modulus only, got {p}")
-        if not (0 <= index < p - 1):
-            raise ValueError(f"index must be in [0, {p - 2}], got {index}")
-        vals = np.zeros(p, dtype=complex)
-        vals[1:] = np.exp(2j * np.pi * index * _generator_tables(p)[1][1:] / (p - 1))
-    vals.setflags(write=False)
-    return DirichletCharacter(p, index, vals)
-
-
-def all_characters(p: int) -> list[DirichletCharacter]:
-    return [character(p, t) for t in range(max(1, p - 1))]
-
-
-def char_sum(chi: DirichletCharacter, j: int, a: int) -> ExpSumValue:
-    """G(chi, j, a) = sum_m chi(m) e(a m^j / q); reduces to the unit sum for chi principal."""
-    q = chi.modulus
-    _check_jq(j, q)
-    # m = 1..q-1; the term m = q vanishes, as chi(q) = 0
-    idx = (a % q) * _power_residues(j, q)[:-1] % q
-    total = (chi.values[1:] * _roots(q)[idx]).sum()
-    return ExpSumValue(float(total.real), float(total.imag), q, j, a % q)
 
 
 def char_class_sums(p: int, j: int) -> tuple[np.ndarray, np.ndarray]:

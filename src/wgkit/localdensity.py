@@ -54,13 +54,11 @@ from __future__ import annotations
 import math
 from collections.abc import Sequence
 from dataclasses import dataclass, field
-from functools import lru_cache
 
 import numpy as np
 
 from .arith import _generator_walks, _least_generators, is_prime
 from .errors import BudgetExceeded, VerificationError
-from .expsums import _power_spectra
 from .reference import K_RANGE, check_k
 
 
@@ -311,37 +309,3 @@ def ep_bound(p: int, k: int = K_RANGE[-1]) -> float:
     return (p - 1) * (rp + 1) ** 2 * (2 * rp + 1) ** 3 * (13 * rp + 1)
 
 
-@lru_cache(maxsize=64)
-def _unit_sum_product_ld(p: int, k: int) -> np.ndarray:
-    """S*2(p,a)^2 S*3(p,a)^3 S*k(p,a) for a = 0..p-1 in extended precision.
-
-    Each unit sum is the conjugate DFT of its histogram, a long-double FFT.
-    """
-    s2, s3, sk = _power_spectra((2, 3, k), p, True, np.longdouble)
-    prod = s2**2 * s3**3 * sk
-    prod.setflags(write=False)
-    return prod
-
-
-def ep_via_sums(p: int, n: int, k: int) -> float:
-    """E_p recomputed as sum_{a=1..p-1} S*2^2 S*3^3 S*k e(-an/p), extended precision.
-
-    Independent floating cross-check of the count-based (exact) value; the
-    extended-precision accumulation keeps the absolute error below 1e-4 on
-    the tested p <= 499 (worst 1.9e-5, against 2.44e-4 at (p, n, k) =
-    (499, 0, 12) with float64 FFTs).
-    """
-    if not is_prime(p):
-        raise ValueError(f"p must be prime, got {p}")
-    if p == 2:
-        # single term a=1: S*_j(2,1) = e(1/2) = -1 for every j, so the
-        # product is (-1)^6 = 1 and E_2 = e(-n/2) = (-1)^n.
-        return 1.0 if n % 2 == 0 else -1.0
-    t = _unit_sum_product_ld(p, k)
-    ar = np.arange(1, p, dtype=np.int64)
-    ang = np.longdouble(2 * math.pi) / p
-    phase = ang * ((ar * (n % p)) % p)
-    total = (t[1:] * (np.cos(phase) - 1j * np.sin(phase))).sum()
-    if abs(float(total.imag)) > 1e-3:
-        raise VerificationError(f"E_p spectral path not real at p={p}, n={n}: {total.imag}")
-    return float(total.real)

@@ -106,10 +106,15 @@ def check_k(k: int) -> None:
         raise ValueError(f"k must be in [{K_RANGE[0]}, {K_RANGE[-1]}], got {k}")
 
 
+def cr_ranges(k: int) -> tuple[tuple[tuple[int, int], float], ...]:
+    """The published ((lo, hi), bound) entries of k, each bound shared by r = lo..hi."""
+    return _GROUPED_CR_BOUNDS[k]
+
+
 def cr_bounds(k: int) -> dict[int, float]:
     """Published bound for each r, with lumped ranges expanded."""
     out: dict[int, float] = {}
-    for (lo, hi), bound in _GROUPED_CR_BOUNDS[k]:
+    for (lo, hi), bound in cr_ranges(k):
         for r in range(lo, hi + 1):
             out[r] = bound
     return out

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oracles import primitive_root
 from wgkit import arith, localdensity
 from wgkit.arith import (
     FactoredInt,
@@ -16,7 +17,6 @@ from wgkit.arith import (
     factorize,
     is_prime,
     primes_up_to,
-    primitive_root,
 )
 
 

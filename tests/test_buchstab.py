@@ -95,7 +95,7 @@ def test_level_top_matches_cr():
 def test_cascade_reads_the_level_tops():
     # the cascade's c_{m+1} is the top sample of level g_m, bit for bit
     for k, steps in ((3, 256), (8, 128), (14, 128)):
-        values = _cascade(k, steps)
+        values = _cascade([k], steps)[k]
         for m in {2, 3, 5, max_r(k) - 1}:
             ys = _level(m, k, steps)[1]
             assert (0.0 if ys is None else ys[-1]) == values[m + 1]
@@ -143,7 +143,31 @@ def test_cascade_is_the_fresh_array_cascade(steps):
             assert m == m_old and (ys is None) == (old is None), (k, m)
             assert ys is None or ys.tobytes() == old.tobytes(), (k, m)
             tops[m + 1] = (0.0 if old is None else float(old[-1])).hex()
-        assert {r: v.hex() for r, v in _cascade(k, steps).items()} == tops, k
+        assert {r: v.hex() for r, v in _cascade([k], steps)[k].items()} == tops, k
+
+
+def test_lattice_groups_of_the_two_lattices():
+    # U_4 = 133/11 and U_8 = 281/7 are off the dyadic lattice; every other U_k is on it, k = 7's
+    # at 30.5, and k = 14's lattice 2 + j/S holds every other k's
+    for steps in buchstab.STEPS_PER_UNIT:
+        assert buchstab._lattice_groups(reference.K_RANGE, steps) == [[3, 5, 6, 7, 9, 10, 11, 12, 13, 14], [4], [8]]
+    assert buchstab._lattice_groups([8, 3, 3, 5], 128) == [[3, 5], [8]]
+    # at S = 2, k = 7's n_2 = 57 is odd
+    assert buchstab._lattice_groups(reference.K_RANGE, 2) == [[3, 5, 6, 9, 10, 11, 12, 13, 14], [4], [7], [8]]
+    # odd S starts every other level on an odd sample count, and S = 96 has no exact 1/S
+    for steps in (96, 255, 257):
+        assert buchstab._lattice_groups(reference.K_RANGE, steps) == [[k] for k in reference.K_RANGE]
+
+
+@pytest.mark.parametrize("steps", [2, 64, 96, 128, 255, 256, 257, 1024])
+def test_grouped_cascade_is_each_k_alone(steps):
+    # every member reads its own level's top off the lead's level, and its own zero rules,
+    # bit for bit the values of its own cascade
+    grouped = _cascade(range(3, 15), steps)
+    for k in reference.K_RANGE:
+        alone = _cascade([k], steps)[k]
+        assert list(alone) == list(range(3, max_r(k) + 1))
+        assert {r: v.hex() for r, v in grouped[k].items()} == {r: v.hex() for r, v in alone.items()}, k
 
 
 def test_cascade_workspace_is_four_lattices():
@@ -157,7 +181,7 @@ def test_cascade_workspace_is_four_lattices():
             lattice_bytes = _lattice(k, steps).nbytes
             tracemalloc.start()
             try:
-                _cascade(k, steps)
+                _cascade([k], steps)
                 peaks.append(tracemalloc.get_traced_memory()[1])
             finally:
                 tracemalloc.stop()
@@ -168,8 +192,8 @@ def test_cascade_workspace_is_four_lattices():
 def test_cascade_runs_once_per_k_and_tol(all_tables, monkeypatch, capsys):
     # tail_sum, the margins and iterated_integral reuse the values constants_table built
     calls = []
-    cascade = buchstab._cascade
-    monkeypatch.setattr(buchstab, "_cascade", lambda *args: calls.append(args) or cascade(*args))
+    levels = buchstab._levels
+    monkeypatch.setattr(buchstab, "_levels", lambda k, steps, top: calls.append((k, steps)) or levels(k, steps, top))
     for k in reference.K_RANGE:
         assert tail_sum(k) == all_tables[k].C_value
     assert cli.main(["margin"]) == 0
@@ -177,8 +201,17 @@ def test_cascade_runs_once_per_k_and_tol(all_tables, monkeypatch, capsys):
     # a single c_r reads the same table
     assert iterated_integral(16, 13) == all_tables[13].entry(16).value
     assert calls == []
-    # each k runs the coarse lattice, then the fine one, once
-    _converged_values.cache_clear()
+    # a cold table of every k runs one cascade per lattice group on each lattice, once
+    monkeypatch.setattr(buchstab, "_CONVERGED", {})
+    assert cli.main(["constants", "--k", "all"]) == 1
+    capsys.readouterr()
+    assert calls == [(14, 128), (4, 128), (8, 128), (14, 256), (4, 256), (8, 256)]
+    assert cli.main(["margin"]) == 0
+    capsys.readouterr()
+    assert calls[6:] == []
+    # a single k runs its own lattice alone, the coarse one, then the fine one, once
+    monkeypatch.setattr(buchstab, "_CONVERGED", {})
+    del calls[:]
     for k in (3, 14, 3, 14):
         values, _ = _converged_values(k)
     assert calls == [(3, 128), (3, 256), (14, 128), (14, 256)]
@@ -203,7 +236,7 @@ def test_two_lattice_error_is_honest():
     for k in (3, 8, 14):
         values, err = _converged_values(k)
         assert 0 < err < buchstab.ACCURACY
-        reference_values = _cascade(k, 1024)
+        reference_values = _cascade([k], 1024)[k]
         assert max(abs(values[r] - reference_values[r]) for r in values) <= err, k
 
 

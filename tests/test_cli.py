@@ -283,8 +283,8 @@ def test_constants_k3_passes(capsys):
 def test_constants_fail_when_the_two_lattices_disagree(monkeypatch, capsys):
     # an accuracy below k = 14's change between the lattices is a verification failure that names it
     _, change = buchstab._converged_values(14)
-    # the uncached function, so the check runs again and other tests keep the cached tables
-    monkeypatch.setattr(buchstab, "_converged_values", buchstab._converged_values.__wrapped__)
+    # an empty store, so the check runs again and other tests keep the held tables
+    monkeypatch.setattr(buchstab, "_CONVERGED", {})
     monkeypatch.setattr(buchstab, "ACCURACY", change / 2)
     assert main(["constants", "--k", "14"]) == 1
     captured = capsys.readouterr()
@@ -308,6 +308,14 @@ def test_margin_command(capsys):
     assert all(row["margin"] > 0 for row in payload["rows"])
     assert all(row["pass"] for row in payload["rows"])
     assert code == 0
+    # the published chain for C(k), on the computed c_r: above C(k), and still below log 2
+    for row in payload["rows"]:
+        assert row["paper_chain_C"] >= row["C_k"], row["k"]
+        assert row["paper_chain_slack"] > 0, row["k"]
+        assert row["paper_chain_slack"] == pytest.approx(math.log(2) - row["paper_chain_C"], abs=1e-12)
+    slack = {row["k"]: row["paper_chain_slack"] for row in payload["rows"]}
+    assert min(slack, key=slack.get) == 6 and slack[6] == pytest.approx(0.036, abs=5e-4)
+    assert slack[14] == pytest.approx(0.083, abs=5e-4)  # 0.152 on the published entries
 
 
 def test_count_commands(capsys):
@@ -336,7 +344,7 @@ def test_margin_csv_is_its_json_rows(capsys):
     code, out = run_cli(capsys, ["--format", "csv", "margin"])
     assert code == 0
     header, *lines = out.splitlines()
-    assert header == ",".join(rows[0]) == "k,C_k,margin,reference_C_bound,pass"
+    assert header == ",".join(rows[0]) == "k,C_k,margin,reference_C_bound,pass,paper_chain_C,paper_chain_slack"
     assert len(lines) == len(rows) == 12
     for line, row in zip(lines, rows):
         cells = line.split(",")
@@ -600,8 +608,8 @@ def test_cli_stdout_is_byte_deterministic(command, data):
 # (exit code, sha256 of stdout): any change to these outputs is a change of the
 # program's reports, to be named in CHANGES.md with the new digest
 _STDOUT_DIGESTS = {
-    "margin": (0, "ecd5ab87829c40ea618fb4bcb0836c468555385fac936f14c671b7f59980a528"),
-    "--format csv margin": (0, "43f7568fc897a6f7510646b5ccfec404123b05685e938508308e433e47274b34"),
+    "margin": (0, "e8d0fc942c96dc4413b850c435fd5f47f43c3527cbe4b3e71e089dc28687b7de"),
+    "--format csv margin": (0, "8869291e4382880da9788a72d2c02004f557aa208942f2f8843d221d127353b8"),
     "constants --k 3,4": (0, "afc5dc58bb617aa417b8b5e4b0cb4f65665bbe9672527420a24b518772e38dc4"),
     "--format csv constants --k 3,4": (0, "2df48bf584ba34526167261351937d828c3031e425260fff9ee6a6caafba9879"),
     # the verify workload's sizes; every k exits 1 on criterion 1's five entries

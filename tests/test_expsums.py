@@ -7,7 +7,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import char_sums_matrix, verify_bounds_per_modulus
+from oracles import (
+    all_characters,
+    char_sum,
+    char_sums_matrix,
+    character,
+    complete_sum,
+    unit_sum,
+    verify_bounds_per_modulus,
+)
 from wgkit import expsums
 from wgkit.arith import primes_up_to
 from wgkit.cli import main
@@ -21,14 +29,9 @@ from wgkit.expsums import (
     _power_hists_many,
     _power_spectra,
     _sweep_points,
-    all_characters,
     char_class_sums,
-    char_sum,
-    character,
-    complete_sum,
     complete_sums_all,
     twisted_gap,
-    unit_sum,
     unit_sums_all,
     vanishing_exponent,
     verify_bounds,

@@ -6,8 +6,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import brute_density_loops, brute_density_vectorized, convolution_counts, cyclotomic_per_prime
-from wgkit.arith import primes_up_to, primitive_root
+from oracles import (
+    brute_density_loops,
+    brute_density_vectorized,
+    convolution_counts,
+    cyclotomic_per_prime,
+    ep_via_sums,
+    primitive_root,
+)
+from wgkit.arith import primes_up_to
 from wgkit.cli import main
 from wgkit.errors import BudgetExceeded, VerificationError
 from wgkit import arith, expsums, localdensity
@@ -17,7 +24,6 @@ from wgkit.localdensity import (
     class_counts_many,
     densities_float_all,
     ep_bound,
-    ep_via_sums,
     local_densities_all,
 )
 
