@@ -36,8 +36,8 @@ unit, k = 3, 5, 6, 7 and 9..14 share k = 14's cascade, and k = 4 and 8
 Every k is evaluated on the fixed pair of lattices ``STEPS_PER_UNIT``: the
 finer one gives the values, and the largest change between the two is their
 error estimate, which must stay below ``ACCURACY``.  The values are held per
-process and per k in ``_CONVERGED``, so ``iterated_integral``, ``tail_sum``
-and the margins reuse the tables ``constants_table`` built, and
+process and per k in ``_CONVERGED``, so the margins reuse the tables
+``constants_table`` built, and
 ``constants_tables`` computes every k it asks for and does not hold in one
 batch of cascades.  A single k runs its own lattice alone.
 """
@@ -254,17 +254,6 @@ def _converged_values(k: int) -> tuple[Mapping[int, float], float]:
     return _converged_many((k,))[0]
 
 
-def iterated_integral(r: int, k: int) -> float:
-    """c_r(k) = g_{r-1}(U_k) to within ``ACCURACY``; 0 when r - 1 >= U_k."""
-    reference.check_k(k)
-    if r < 4:
-        raise ValueError(f"the nested integral needs r >= 4, got {r}")
-    if r - 1 >= upper_limit(k):
-        return 0.0
-    values, _ = _converged_values(k)
-    return values[r]
-
-
 @dataclass(frozen=True)
 class CrEntry:
     r: int
@@ -324,11 +313,6 @@ def constants_tables(ks) -> list[CrTable]:
         reference.check_k(k)
     _converged_many(ks)
     return [constants_table(k) for k in ks]
-
-
-def tail_sum(k: int) -> float:
-    """C(k) = sum of c_r(k) over r = r(k)+1 .. floor(36k/(15-k))."""
-    return constants_table(k).C_value
 
 
 def paper_chain(table: CrTable) -> float:

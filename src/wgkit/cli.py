@@ -30,6 +30,9 @@ CSV_COMMANDS = ("local", "constants", "margin")
 # rows of one `local` table, one per prime p and residue n: `local --pmax 2000` has 277,049
 LOCAL_ROW_BUDGET = 3 * 10**5
 
+# the primes whose Euler factors `singular` lists in its "factors_head"
+FACTORS_HEAD_P_MAX = 100
+
 
 def _round12(obj):
     """A scalar, or the members of a flat dict or list, each float rounded to 12 significant digits."""
@@ -40,18 +43,24 @@ def _round12(obj):
     return float(f"{obj:.12g}") if isinstance(obj, float) else obj
 
 
-def _emit(payload: dict, fmt: str, output: str | None, csv=None, rows=None) -> None:
-    """Write a report as JSON, or as CSV: ``csv``, its text as an iterable of pieces.
+def _emit(report, fmt: str, output: str | None, rows=None) -> None:
+    """Write a report: for JSON its payload dict, for CSV its text as an iterable of pieces.
 
-    ``rows``, given only by a command that formats its own table, is the JSON
-    text of the payload's rows a chunk at a time (``_write_json`` says how it
-    is laid out).  Only the commands in ``CSV_COMMANDS`` are run with CSV.
+    A command builds only the form ``fmt`` asks for.  ``rows``, given only by
+    a command that formats its own table, is the JSON text of the payload's
+    rows a chunk at a time (``_write_json`` says how it is laid out).  Only
+    the commands in ``CSV_COMMANDS`` are run with CSV.  An ``output`` that
+    cannot be opened is a usage error, a ValueError.
     """
-    with open(output, "w") if output else contextlib.nullcontext(sys.stdout) as fh:
+    try:
+        target = open(output, "w") if output else contextlib.nullcontext(sys.stdout)
+    except OSError as exc:
+        raise ValueError(str(exc)) from None
+    with target as fh:
         if fmt == "csv":
-            fh.writelines(csv)
+            fh.writelines(report)
         else:
-            _write_json({"schema_version": SCHEMA_VERSION, **payload}, fh, rows)
+            _write_json({"schema_version": SCHEMA_VERSION, **report}, fh, rows)
 
 
 def _pieces(text: str):
@@ -195,8 +204,8 @@ def cmd_local(args) -> int:
             f"local table would hold over {args.pmax // 2} rows, over the {LOCAL_ROW_BUDGET}-row budget"
         )
     primes = primes_up_to(args.pmax)
-    n_res = {p: 1 if p == 2 and args.parity == "even" else p for p in primes}
-    n_rows = sum(n_res.values())
+    # one row per residue n mod p, and only the even n = 0 at p = 2 (the form represents even n)
+    n_rows = sum(primes) - 1
     if n_rows > LOCAL_ROW_BUDGET:
         raise BudgetExceeded(f"local table would hold {n_rows} rows, over the {LOCAL_ROW_BUDGET}-row budget")
     csv = args.format == "csv"
@@ -210,7 +219,7 @@ def cmd_local(args) -> int:
         # each residue's row is "p", "n_class" spliced in front of its class's body
         nonlocal failed
         for p, cc, (bodies, passes) in zip(primes, counts, classes):
-            cols = cc.classes[: n_res[p]].tolist()
+            cols = cc.classes[: 1 if p == 2 else p].tolist()
             failed = failed or not all(passes[c] for c in set(cols))
             if csv:
                 yield from (f"{p},{n},{bodies[c]}\n" for n, c in enumerate(cols))
@@ -219,12 +228,10 @@ def cmd_local(args) -> int:
                             for n, c in enumerate(cols))
 
     chunks = ("".join(c) if csv else ",".join(c) for c in _chunks(rows()))
-    payload = {"command": "local", "k": args.k, "pmax": args.pmax}
     if csv:
-        header = "p,n_class,K,L,Lstar,E_p,bound,pass\n"
-        _emit(payload, args.format, args.output, csv=itertools.chain([header], chunks))
+        _emit(itertools.chain(["p,n_class,K,L,Lstar,E_p,bound,pass\n"], chunks), args.format, args.output)
     else:
-        _emit(payload, args.format, args.output, rows=chunks)
+        _emit({"command": "local", "k": args.k, "pmax": args.pmax}, args.format, args.output, rows=chunks)
     return 1 if failed else 0
 
 
@@ -239,7 +246,7 @@ def cmd_singular(args) -> int:
         "value": ev.value,
         "tail_bound": ev.tail_bound,
         "factors_head": [
-            {"p": f.p, "value": f.value} for f in ev.factors if f.p <= args.factor_head
+            {"p": f.p, "value": f.value} for f in ev.factors if f.p <= FACTORS_HEAD_P_MAX
         ],
     }
     _emit(payload, args.format, args.output)
@@ -248,8 +255,11 @@ def cmd_singular(args) -> int:
 
 def cmd_constants(args) -> int:
     tables = buchstab.constants_tables(args.k)
-    payload = {"command": "constants", **buchstab.tables_to_json(tables)}
-    _emit(payload, args.format, args.output, csv=_pieces(buchstab.tables_to_csv(tables)))
+    if args.format == "csv":
+        report = _pieces(buchstab.tables_to_csv(tables))
+    else:
+        report = {"command": "constants", **buchstab.tables_to_json(tables)}
+    _emit(report, args.format, args.output)
     ok = all(t.all_within_bounds and t.C_value <= reference.C_BOUNDS[t.k] for t in tables)
     return 0 if ok else 1
 
@@ -272,8 +282,11 @@ def cmd_margin(args) -> int:
                 "paper_chain_slack": math.log(2.0) - chain,
             }
         )
-    csv = [",".join(rows[0]) + "\n", *(_csv_cells(row.values()) + "\n" for row in rows)]
-    _emit({"command": "margin", "rows": rows}, args.format, args.output, csv=csv)
+    if args.format == "csv":
+        report = [",".join(rows[0]) + "\n", *(_csv_cells(row.values()) + "\n" for row in rows)]
+    else:
+        report = {"command": "margin", "rows": rows}
+    _emit(report, args.format, args.output)
     return 0 if all(r["pass"] for r in rows) else 1
 
 
@@ -317,8 +330,7 @@ def cmd_singint(args) -> int:
     n_grid = [float(tok) for tok in args.n_grid.split(",")]
     if not all(math.isfinite(n) for n in n_grid):
         raise ValueError(f"grid points must be finite, got {args.n_grid}")
-    n_grid = [n if n % 2 == 0 else n + 1 for n in map(int, n_grid)]
-    evals, slope, intercept, resid = singint.growth_fit(n_grid, args.k)
+    evals, slope, intercept, resid = singint.growth_fit([int(n) for n in n_grid], args.k)
     expected = singint.expected_growth_exponent(args.k)
     payload = {
         "command": "singint",
@@ -354,7 +366,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("local", help="congruence count table with E_p bounds")
     p.add_argument("--pmax", type=int, default=499)
     p.add_argument("--k", type=int, required=True)
-    p.add_argument("--parity", choices=("even", "all"), default="even")
     p.set_defaults(func=cmd_local)
 
     p = sub.add_parser("singular", help="truncated singular series")
@@ -362,7 +373,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--d", type=int, default=1)
     p.add_argument("--pmax", type=int, default=10**4)
-    p.add_argument("--factor-head", dest="factor_head", type=int, default=100)
     p.set_defaults(func=cmd_singular)
 
     p = sub.add_parser("constants", help="iterated-integral constants table (golden artifact)")

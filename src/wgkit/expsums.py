@@ -85,14 +85,6 @@ def _power_table(js: tuple[int, ...], m: np.ndarray, mod) -> np.ndarray:
 
 
 @lru_cache(maxsize=2048)
-def _power_residues(j: int, q: int) -> np.ndarray:
-    """m^j mod q for m = 1..q (read-only)."""
-    res = _power_table((j,), np.arange(1, q + 1, dtype=np.int64), q)[0]
-    res.setflags(write=False)
-    return res
-
-
-@lru_cache(maxsize=2048)
 def _unit_mask(q: int) -> np.ndarray:
     """gcd(m, q) == 1 for m = 1..q (read-only)."""
     mask = np.gcd(np.arange(1, q + 1), q) == 1
@@ -131,18 +123,15 @@ def _power_hists_many(js: tuple[int, ...], qs, units_only: bool = False) -> np.n
     return np.bincount(table.ravel(), minlength=len(js) * m.size).reshape(len(js), m.size)
 
 
-def _spectra(hists: np.ndarray, dtype=np.float64) -> np.ndarray:
-    """Row i: the conjugate DFT of histogram row i, S(a) = sum_v h[v] e(a v / q), in ``dtype``."""
-    out = np.fft.fft(hists.astype(dtype))
+def _spectra(hists: np.ndarray) -> np.ndarray:
+    """Row i: the conjugate DFT of histogram row i, S(a) = sum_v h[v] e(a v / q)."""
+    out = np.fft.fft(hists.astype(np.float64))
     return np.conjugate(out, out=out)
 
 
-def _power_spectra(js: tuple[int, ...], q: int, units_only: bool, dtype=np.float64) -> np.ndarray:
-    """Row i: the complete (or unit) sums of exponent js[i] for every a = 0..q-1.
-
-    Transformed in ``dtype`` (``np.longdouble`` for extended precision).
-    """
-    return _spectra(_power_hists(js, q, units_only), dtype)
+def _power_spectra(js: tuple[int, ...], q: int, units_only: bool) -> np.ndarray:
+    """Row i: the complete (or unit) sums of exponent js[i] for every a = 0..q-1."""
+    return _spectra(_power_hists(js, q, units_only))
 
 
 @lru_cache(maxsize=4096)
@@ -177,26 +166,14 @@ def _generator_tables(p: int) -> tuple[np.ndarray, np.ndarray]:
     return pw, dlog
 
 
-def char_class_sums(p: int, j: int) -> tuple[np.ndarray, np.ndarray]:
-    """Character sums for one numerator per class of ind a mod d = gcd(j, p-1).
-
-    Returns ``(a, G)``: a[c] is the least unit with ind a = c mod d, and
-    G[c, t] = G(chi_t, j, a[c]) for t = 0..p-2.  |G(chi_t, j, a)| is the same
-    for every a in a class (module docstring), so the d rows carry every
-    magnitude of the (p-1) x (p-1) table.  The one-exponent case of ``_char_rows``.
-    """
-    _check_jq(j, p)
-    if not is_prime(p) or p == 2:
-        raise ValueError(f"need an odd prime, got {p}")
-    reps, sums = _char_rows(p, (j,))
-    return reps, sums[:, -np.arange(p - 1) % (p - 1)]
-
-
 def _char_rows(p: int, js: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray]:
-    """The class rows of ``char_class_sums`` for every exponent of ``js``, in one FFT.
+    """Character sums for one numerator per class of ind a mod gcd(j, p-1), every j of ``js`` in one FFT.
 
-    Exponent j contributes gcd(j, p-1) rows, stacked in the order of ``js``:
-    a[r] is row r's numerator and G[r, s] = G(chi_t, j, a[r]) at t = -s mod p-1.
+    Exponent j contributes d = gcd(j, p-1) rows, stacked in the order of ``js``:
+    a[r] is row r's numerator, the least unit with ind a = c mod d for the
+    row's class c, and G[r, s] = G(chi_t, j, a[r]) at t = -s mod p-1.
+    |G(chi_t, j, a)| is the same for every a in a class (module docstring), so
+    the d rows carry every magnitude of exponent j's (p-1) x (p-1) table.
     """
     pw, dlog = _generator_tables(p)
     ds = [math.gcd(j, p - 1) for j in js]

@@ -1,4 +1,4 @@
-"""Linear-sieve constants, the parameter system, and the main-term margin.
+"""Linear-sieve constants, sieve products, and the main-term margin.
 
 The classical linear-sieve pair is F(s) = 2 e^gamma / s on 1 <= s <= 3 and
 f(s) = 2 e^gamma log(s-1) / s on 2 <= s <= 4; outside those windows the
@@ -10,7 +10,6 @@ reduces to f(3) - F(3) C(k) = (2 e^gamma / 3)(log 2 - C(k)) > 0.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import lru_cache
 
 from .arith import primes_up_to
@@ -21,34 +20,6 @@ from .singular import _omega_p
 
 EULER_GAMMA = 0.57721566490153286
 EXP_GAMMA = math.exp(EULER_GAMMA)
-
-
-@dataclass(frozen=True)
-class Parameters:
-    """The sieve level D for an even target n and power k."""
-
-    n: int
-    k: int
-    D: float
-
-
-def params(n: int, k: int, eps: float = 1e-4) -> Parameters:
-    """The sieve level D = n^(5/8k - 1/24 - 51 eps), with range and sanity checks."""
-    if n % 2 != 0:
-        raise ValueError(f"n must be even, got {n}")
-    if n < 10**6:
-        raise ValueError(f"n must be >= 10**6, got {n}")
-    check_k(k)
-    if not (0 < eps <= 1e-3):
-        raise ValueError(f"eps must lie in (0, 1e-3], got {eps}")
-    d_exponent = 5.0 / (8 * k) - 1.0 / 24 - 51 * eps
-    if d_exponent <= 0:
-        raise ValueError(f"sieve level collapses: D-exponent {d_exponent} <= 0")
-    D = float(n) ** d_exponent
-    z = D ** (1.0 / 3.0)
-    if z <= 2.0:
-        raise ValueError(f"empty sieve range: z = {z} <= 2")
-    return Parameters(n, k, D)
 
 
 _WINDOW_SLACK = 1e-9  # tolerate roundoff when s is computed as log D / log z

@@ -93,16 +93,8 @@ def correlation_sum(q: int, d: int, n: int, k: int) -> float:
     return float(total.real)
 
 
-def euler_factor(p: int, d: int, n: int, k: int) -> EulerFactor:
-    """1 + A_d(p, n) from the exact local counts."""
-    if not is_prime(p):
-        raise ValueError(f"p must be prime, got {p}")
-    _check_nk(n, k)
-    return _euler_factor(class_counts_many((p,), k)[0], d, n)
-
-
 def _euler_factor(cc: ClassCounts, d: int, n: int) -> EulerFactor:
-    """``euler_factor`` at the prime of ``cc``, for a checked n."""
+    """1 + A_d(p, n) from the exact local counts at the prime p of ``cc``, for a checked n."""
     p = cc.p
     K, L, _ = cc.at(n)
     num = p * K if d % p == 0 else L

@@ -5,8 +5,9 @@ counts come from explicit tuple enumeration or from cyclic convolution of
 residue histograms, quadrature values from Gauss-Legendre panels, Diophantine
 counts from literal comparisons or from one sort of every unfolded entry.
 The direct sums, characters and E_p by sums at the end are the exceptions:
-they read the package's tables of roots of unity, power residues and
-primitive roots, which its fast paths share.
+they read the package's power table and its tables of roots of unity and
+primitive roots, which its fast paths share.  The last section holds the package's former entry
+points that only the tests call.
 """
 
 from __future__ import annotations
@@ -19,8 +20,14 @@ from functools import lru_cache
 import numpy as np
 from numpy.polynomial.legendre import leggauss
 
-from wgkit import arith, expsums
+from wgkit import arith, expsums, reference
+from wgkit.arith import is_prime
+from wgkit.buchstab import _converged_values, constants_table, upper_limit
 from wgkit.errors import VerificationError
+from wgkit.expsums import _char_rows, _check_jq, _power_table
+from wgkit.localdensity import class_counts_many
+from wgkit.reference import check_k
+from wgkit.singular import EulerFactor, _check_nk, _euler_factor
 
 
 def brute_density_loops(p: int, k: int) -> tuple[list[int], list[int], list[int]]:
@@ -589,12 +596,12 @@ def representations_in_boxes_literal(n: int, k: int, r: int, boxes) -> int:
     return count
 
 
-def local_table_per_row(fmt: str, pmax: int, k: int, parity: str) -> tuple[int, str]:
+def local_table_per_row(fmt: str, pmax: int, k: int) -> tuple[int, str]:
     """(exit code, stdout) of ``wgkit --format fmt local``, one row dict per residue.
 
-    Every residue n mod p takes its own K, L, L* from the counts spread over
-    all residues, its own row check and its own dict; the table is then
-    written in one piece: ``json.dumps(..., indent=2)`` with floats rounded to
+    Every residue n mod p (only n = 0 at p = 2) takes its own K, L, L* from
+    the counts spread over all residues, its own row check and its own dict;
+    the table is then written in one piece: ``json.dumps(..., indent=2)`` with floats rounded to
     12 significant digits, or a CSV header and one ``.12g`` line per row.
     """
     import json
@@ -606,7 +613,7 @@ def local_table_per_row(fmt: str, pmax: int, k: int, parity: str) -> tuple[int, 
     for p in primes_up_to(pmax):
         K, L, Lstar = local_densities_all(p, k)
         bound = ep_bound(p, k)
-        for n in [0] if p == 2 and parity == "even" else range(p):
+        for n in [0] if p == 2 else range(p):
             ep = p * Lstar[n] - (p - 1) ** 6
             ok = abs(ep) <= bound and L[n] > K[n] and Lstar[n] > 0 and (p < 19 or abs(ep) < (p - 1) ** 6)
             failed = failed or not ok
@@ -664,10 +671,18 @@ class ExpSumValue:
         return math.hypot(self.re, self.im)
 
 
+@lru_cache(maxsize=2048)
+def _power_residues(j: int, q: int) -> np.ndarray:
+    """m^j mod q for m = 1..q (read-only)."""
+    res = _power_table((j,), np.arange(1, q + 1, dtype=np.int64), q)[0]
+    res.setflags(write=False)
+    return res
+
+
 def complete_sum(j: int, q: int, a: int) -> ExpSumValue:
     """Direct summation of e(a m^j / q) over m = 1..q, ascending m."""
     expsums._check_jq(j, q)
-    idx = (a % q) * expsums._power_residues(j, q) % q
+    idx = (a % q) * _power_residues(j, q) % q
     total = expsums._roots(q)[idx].sum()
     return ExpSumValue(float(total.real), float(total.imag), q, j, a % q)
 
@@ -675,7 +690,7 @@ def complete_sum(j: int, q: int, a: int) -> ExpSumValue:
 def unit_sum(j: int, q: int, a: int) -> ExpSumValue:
     """Complete sum restricted to gcd(m, q) = 1."""
     expsums._check_jq(j, q)
-    idx = (a % q) * expsums._power_residues(j, q) % q
+    idx = (a % q) * _power_residues(j, q) % q
     total = expsums._roots(q)[idx[expsums._unit_mask(q)]].sum()
     return ExpSumValue(float(total.real), float(total.imag), q, j, a % q)
 
@@ -727,7 +742,7 @@ def char_sum(chi: DirichletCharacter, j: int, a: int) -> ExpSumValue:
     q = chi.modulus
     expsums._check_jq(j, q)
     # m = 1..q-1; the term m = q vanishes, as chi(q) = 0
-    idx = (a % q) * expsums._power_residues(j, q)[:-1] % q
+    idx = (a % q) * _power_residues(j, q)[:-1] % q
     total = (chi.values[1:] * expsums._roots(q)[idx]).sum()
     return ExpSumValue(float(total.real), float(total.imag), q, j, a % q)
 
@@ -745,7 +760,8 @@ def _unit_sum_product_ld(p: int, k: int) -> np.ndarray:
 
     Each unit sum is the conjugate DFT of its histogram, a long-double FFT.
     """
-    s2, s3, sk = expsums._power_spectra((2, 3, k), p, True, np.longdouble)
+    spectra = np.fft.fft(expsums._power_hists((2, 3, k), p, True).astype(np.longdouble))
+    s2, s3, sk = np.conjugate(spectra, out=spectra)
     prod = s2**2 * s3**3 * sk
     prod.setflags(write=False)
     return prod
@@ -773,3 +789,75 @@ def ep_via_sums(p: int, n: int, k: int) -> float:
     if abs(float(total.imag)) > 1e-3:
         raise VerificationError(f"E_p spectral path not real at p={p}, n={n}: {total.imag}")
     return float(total.real)
+
+
+# The package's former entry points that only the tests call: one-value
+# wrappers of the kernels that the package runs on whole batches (c_r, C(k),
+# character sums, Euler factors), and the sieve level D.
+
+
+def iterated_integral(r: int, k: int) -> float:
+    """c_r(k) = g_{r-1}(U_k) to within ``ACCURACY``; 0 when r - 1 >= U_k."""
+    reference.check_k(k)
+    if r < 4:
+        raise ValueError(f"the nested integral needs r >= 4, got {r}")
+    if r - 1 >= upper_limit(k):
+        return 0.0
+    values, _ = _converged_values(k)
+    return values[r]
+
+
+def tail_sum(k: int) -> float:
+    """C(k) = sum of c_r(k) over r = r(k)+1 .. floor(36k/(15-k))."""
+    return constants_table(k).C_value
+
+
+def char_class_sums(p: int, j: int) -> tuple[np.ndarray, np.ndarray]:
+    """Character sums for one numerator per class of ind a mod d = gcd(j, p-1).
+
+    Returns ``(a, G)``: a[c] is the least unit with ind a = c mod d, and
+    G[c, t] = G(chi_t, j, a[c]) for t = 0..p-2.  |G(chi_t, j, a)| is the same
+    for every a in a class (module docstring), so the d rows carry every
+    magnitude of the (p-1) x (p-1) table.  The one-exponent case of ``_char_rows``.
+    """
+    _check_jq(j, p)
+    if not is_prime(p) or p == 2:
+        raise ValueError(f"need an odd prime, got {p}")
+    reps, sums = _char_rows(p, (j,))
+    return reps, sums[:, -np.arange(p - 1) % (p - 1)]
+
+
+def euler_factor(p: int, d: int, n: int, k: int) -> EulerFactor:
+    """1 + A_d(p, n) from the exact local counts."""
+    if not is_prime(p):
+        raise ValueError(f"p must be prime, got {p}")
+    _check_nk(n, k)
+    return _euler_factor(class_counts_many((p,), k)[0], d, n)
+
+
+@dataclass(frozen=True)
+class Parameters:
+    """The sieve level D for an even target n and power k."""
+
+    n: int
+    k: int
+    D: float
+
+
+def params(n: int, k: int, eps: float = 1e-4) -> Parameters:
+    """The sieve level D = n^(5/8k - 1/24 - 51 eps), with range and sanity checks."""
+    if n % 2 != 0:
+        raise ValueError(f"n must be even, got {n}")
+    if n < 10**6:
+        raise ValueError(f"n must be >= 10**6, got {n}")
+    check_k(k)
+    if not (0 < eps <= 1e-3):
+        raise ValueError(f"eps must lie in (0, 1e-3], got {eps}")
+    d_exponent = 5.0 / (8 * k) - 1.0 / 24 - 51 * eps
+    if d_exponent <= 0:
+        raise ValueError(f"sieve level collapses: D-exponent {d_exponent} <= 0")
+    D = float(n) ** d_exponent
+    z = D ** (1.0 / 3.0)
+    if z <= 2.0:
+        raise ValueError(f"empty sieve range: z = {z} <= 2")
+    return Parameters(n, k, D)

@@ -6,7 +6,15 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from oracles import cumsimpson_strided, gauss_legendre, independent_level_cascade, levels_fresh_arrays, nested_c4
+from oracles import (
+    cumsimpson_strided,
+    gauss_legendre,
+    independent_level_cascade,
+    iterated_integral,
+    levels_fresh_arrays,
+    nested_c4,
+    tail_sum,
+)
 from wgkit import buchstab, cli, reference
 from wgkit.buchstab import (
     _cascade,
@@ -15,11 +23,9 @@ from wgkit.buchstab import (
     _lattice,
     _levels,
     constants_table,
-    iterated_integral,
     max_r,
     tables_to_csv,
     tables_to_json,
-    tail_sum,
     upper_limit,
 )
 

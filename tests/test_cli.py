@@ -1,3 +1,4 @@
+import argparse
 import hashlib
 import io
 import json
@@ -163,26 +164,15 @@ def test_local_table_is_streamed(tmp_path):
     fmt=st.sampled_from(("json", "csv")),
     pmax=st.integers(2, 300),
     k=st.integers(3, 14),
-    parity=st.sampled_from(("even", "all")),
 )
-@example(fmt="json", pmax=2, k=3, parity="even")
-@example(fmt="csv", pmax=2, k=3, parity="all")
-@example(fmt="json", pmax=100, k=14, parity="even")
-def test_local_class_bodies_equal_the_per_row_writer(fmt, pmax, k, parity):
+@example(fmt="json", pmax=2, k=3)
+@example(fmt="csv", pmax=2, k=3)
+@example(fmt="json", pmax=100, k=14)
+def test_local_class_bodies_equal_the_per_row_writer(fmt, pmax, k):
     # one body per class, "p" and "n_class" spliced in per residue: the bytes
     # and the exit code of a table written one row dict at a time
-    argv = _argv("--format", fmt, "local", "--pmax", pmax, "--k", k, "--parity", parity)
-    assert _run_in_process(argv) == local_table_per_row(fmt, pmax, k, parity)
-
-
-def test_local_parity_all_fails_at_two(capsys):
-    # six units mod 2 sum to 0, so L*(2, 1) = 0: every --parity all table exits 1
-    for argv in (["local", "--pmax", "2", "--k", "3", "--parity", "all"],
-                 ["--format", "csv", "local", "--pmax", "50", "--k", "7", "--parity", "all"]):
-        assert main(argv) == 1
-    capsys.readouterr()
-    rows = _json(run_cli(capsys, ["local", "--pmax", "2", "--k", "3", "--parity", "all"])[1])["rows"]
-    assert [(r["n_class"], r["Lstar"], r["pass"]) for r in rows] == [(0, 1, True), (1, 0, False)]
+    argv = _argv("--format", fmt, "local", "--pmax", pmax, "--k", k)
+    assert _run_in_process(argv) == local_table_per_row(fmt, pmax, k)
 
 
 def test_local_k_range_usage_error(capsys):
@@ -290,6 +280,21 @@ def test_constants_fail_when_the_two_lattices_disagree(monkeypatch, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith(f"verification failure: c_r changes by {change:.3g} at k=14 ")
+
+
+def test_constants_and_margin_build_only_the_asked_form(monkeypatch, capsys):
+    # a JSON run never formats the CSV text, and a CSV run never the JSON payload
+    def refuse(*args):
+        raise AssertionError("built a form the run does not print")
+
+    monkeypatch.setattr(buchstab, "tables_to_csv", refuse)
+    monkeypatch.setattr(cli, "_csv_cells", refuse)
+    assert main(["constants", "--k", "3"]) == 0
+    assert main(["margin"]) == 0
+    monkeypatch.undo()
+    monkeypatch.setattr(buchstab, "tables_to_json", refuse)
+    assert main(["--format", "csv", "constants", "--k", "3"]) == 0
+    capsys.readouterr()
 
 
 def test_constants_deterministic_output(capsys):
@@ -470,6 +475,12 @@ def test_singint_refuses_a_degenerate_grid(capfd):
         assert "DLASCL" not in captured.err
 
 
+def test_singint_refuses_an_odd_grid_point(capfd):
+    # J(n) refuses an odd n itself; the grid point is not moved to n + 1
+    assert main(["singint", "--k", "3", "--n-grid", "1e8,100000001"]) == 2
+    assert capfd.readouterr() == ("", "error: n must be even, got 100000001\n")
+
+
 def test_singint_command_deterministic(capsys):
     argv = [
         "singint",
@@ -506,6 +517,23 @@ def test_output_file_writing(tmp_path, capsys):
     assert code == 0
     payload = _json(target.read_text())
     assert payload["tables"][0]["k"] == 3
+
+
+def test_output_path_that_cannot_be_opened(tmp_path):
+    # a usage error, found when the report is written: exit 2 and the reason, no traceback, no file
+    target = tmp_path / "missing" / "out.json"
+    src = os.path.dirname(os.path.dirname(wgkit.__file__))
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+    proc = subprocess.run(
+        [sys.executable, "-m", "wgkit.cli", "--output", str(target), "margin"],
+        env={**os.environ, "PYTHONPATH": path},
+        capture_output=True,
+        text=True,
+    )
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert proc.stderr.startswith("error: ") and str(target) in proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert not target.parent.exists()
 
 
 _SCIPY_PROBE = """
@@ -550,14 +578,42 @@ def _argv(*tokens):
     return [str(t) for t in tokens]
 
 
+# every settable value of each subcommand ("" for the global ones) and its
+# default, "required" for one that has none: defaults shape stdout, so adding
+# an option, dropping one or changing a default is done here on purpose
+_SETTABLE = {
+    "": {"--format": "json", "--output": None},
+    "sums": {"--jmax": 14, "--qmax": 499, "--ppmax": 10**4, "--twisted-qmax": 0},
+    "local": {"--pmax": 499, "--k": "required"},
+    "singular": {"--n": "required", "--k": "required", "--d": 1, "--pmax": 10**4},
+    "constants": {"--k": "all"},
+    "margin": {},
+    "count": {"--what": "required", "--k": "required", "--Q": None, "--P": None, "--N": None, "--n": None, "--r": 3},
+    "singint": {"--n-grid": "1e8,1e9,1e10,1e11", "--k": "required", "--samples": 10**7, "--seed": 0,
+                "--slope-tol": 0.03},
+}
+
+
+def test_settable_values_and_defaults_are_pinned():
+    def settable(parser):
+        return {a.option_strings[-1]: "required" if a.required else a.default
+                for a in parser._actions if a.option_strings and a.dest != "help"}
+
+    ap = cli.build_parser()
+    (commands,) = [a for a in ap._actions if isinstance(a, argparse._SubParsersAction)]
+    found = {"": settable(ap), **{name: settable(p) for name, p in commands.choices.items()}}
+    assert found == _SETTABLE
+    assert sum(map(len, found.values())) == 25
+
+
 _SMALL_ARGS = {
     "sums": st.builds(
         lambda j, q, pp, t: _argv("sums", "--jmax", j, "--qmax", q, "--ppmax", pp, "--twisted-qmax", t),
         st.integers(2, 5), st.integers(2, 40), st.integers(2, 200), st.sampled_from([0, *range(3, 9)]),
     ),
     "local": st.builds(
-        lambda pmax, k, parity: _argv("local", "--pmax", pmax, "--k", k, "--parity", parity),
-        st.integers(2, 40), st.integers(3, 14), st.sampled_from(("even", "all")),
+        lambda pmax, k: _argv("local", "--pmax", pmax, "--k", k),
+        st.integers(2, 40), st.integers(3, 14),
     ),
     "singular": st.builds(
         lambda n, k, pmax: _argv("singular", "--n", 2 * n, "--k", k, "--pmax", pmax),
@@ -623,8 +679,8 @@ _STDOUT_DIGESTS = {
     "singular --n 2328004 --k 14 --pmax 6000": (
         0, "ac4ea07116d14c87267be4a21a1477a1f4815af11b7a1aad174d58f12c6d6308"
     ),
-    "--format csv local --pmax 50 --k 3 --parity all": (
-        1, "e2195ea3d03f4cc1c604c17f52f3012353b5e48ecd42e9b1648c365a1edbc321"
+    "--format csv local --pmax 50 --k 3": (
+        0, "3acf6e1b9acf85dc8247886992eca005420c2030cd28ee9e595dce14fcf69b12"
     ),
     "count --what hua4 --k 3 --Q 200": (0, "9144375a133d0a80e111e2b644529fdf4907fb6194c603ad6a6525194aa31cd2"),
     "count --what mixed --k 4 --P 64": (0, "5cf99110129a79c3c0142a2f13398b50d751ba1aac7ff71bc82085d943e357d3"),

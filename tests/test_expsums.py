@@ -11,6 +11,7 @@ from oracles import (
     all_characters,
     char_sum,
     char_sums_matrix,
+    char_class_sums,
     character,
     complete_sum,
     unit_sum,
@@ -29,7 +30,6 @@ from wgkit.expsums import (
     _power_hists_many,
     _power_spectra,
     _sweep_points,
-    char_class_sums,
     complete_sums_all,
     twisted_gap,
     unit_sums_all,

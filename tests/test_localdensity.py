@@ -365,7 +365,8 @@ def test_a_prime_above_the_budget_is_refused_at_once(monkeypatch):
     # the engine's O(p) stage would allocate gigabytes at p = 10^9 + 7, and
     # sieve_product would sieve to 10^12: each is refused before any work
     from wgkit.sieveconsts import sieve_product
-    from wgkit.singular import euler_factor, omega
+    from oracles import euler_factor
+    from wgkit.singular import omega
 
     computed = _record_kernel(monkeypatch)
     big = 10**9 + 7

@@ -2,12 +2,12 @@ import math
 
 import pytest
 
+from oracles import params
 from wgkit.sieveconsts import (
     EXP_GAMMA,
     F_upper,
     f_lower,
     main_term_margin,
-    params,
     sieve_product,
     sieve_window_value,
 )

@@ -2,12 +2,12 @@
 import numpy as np
 import pytest
 
+from oracles import euler_factor
 from wgkit.arith import factorize, primes_up_to
 from wgkit.localdensity import local_densities_all
 from wgkit.singular import (
     TAIL_PRIME_CONSTANT,
     correlation_sum,
-    euler_factor,
     euler_factor_via_sums,
     omega,
     singular_series,
