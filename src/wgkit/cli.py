@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import dataclasses
+import errno
 import functools
 import itertools
 import json
@@ -50,7 +51,8 @@ def _emit(report, fmt: str, output: str | None, rows=None) -> None:
     a command that formats its own table, is the JSON text of the payload's
     rows a chunk at a time (``_write_json`` says how it is laid out).  Only
     the commands in ``CSV_COMMANDS`` are run with CSV.  An ``output`` that
-    cannot be opened is a usage error, a ValueError.
+    cannot be opened is a usage error, a ValueError; ``main`` refuses one
+    whose directory does not exist before the command runs.
     """
     try:
         target = open(output, "w") if output else contextlib.nullcontext(sys.stdout)
@@ -61,6 +63,14 @@ def _emit(report, fmt: str, output: str | None, rows=None) -> None:
             fh.writelines(report)
         else:
             _write_json({"schema_version": SCHEMA_VERSION, **report}, fh, rows)
+
+
+def _check_output_dir(output: str) -> None:
+    """Refuse an ``output`` whose directory does not exist with the error ``open`` would raise."""
+    parent = os.path.dirname(output) or os.curdir
+    if not os.path.isdir(parent):
+        code = errno.ENOTDIR if os.path.exists(parent) else errno.ENOENT
+        raise ValueError(str(OSError(code, os.strerror(code), output)))
 
 
 def _pieces(text: str):
@@ -409,6 +419,8 @@ def main(argv: list[str] | None = None) -> int:
     try:
         if args.format == "csv" and args.command not in CSV_COMMANDS:
             raise ValueError("this command has no CSV form")
+        if args.output:
+            _check_output_dir(args.output)
         code = args.func(args)
         sys.stdout.flush()  # a reader that left shows here, not at interpreter exit
         return code

@@ -149,6 +149,9 @@ def growth_fit(n_grid: list[int], k: int):
         raise ValueError("need at least two distinct grid points")
     if min(n_grid) < 2:
         raise ValueError(f"grid points must be >= 2, got {min(n_grid)}")
+    for n in n_grid:  # refused here, before the quadrature of any point, as singular_integral refuses it
+        if n % 2 != 0:
+            raise ValueError(f"n must be even, got {n}")
     evals = [singular_integral(n, k) for n in n_grid]
     xs = np.log(np.array([e.n for e in evals], dtype=float))
     ys = np.log(np.array([e.value for e in evals]))

@@ -203,59 +203,6 @@ def independent_level_cascade(k: int, r_top: int, M: int = 3000) -> dict[int, fl
     return out
 
 
-def cumsimpson_strided(f: np.ndarray, h: float) -> np.ndarray:
-    """Cumulative composite Simpson integral of ``f`` (n >= 3 samples, step h), from 0.
-
-    The cascade's former kernel, on strided views of the whole sample array:
-    cell [x_i, x_{i+1}] is h/3 * (5 f_a/4 + 2 f_b - f_c/4), forward for even i,
-    backward for odd i and for the last cell, summed left to right.
-    """
-    n = f.size
-    c = h / 3
-    even, mid, far = f[0 : n - 2 : 2], f[1 : n - 1 : 2], f[2:n:2]
-    cells = np.empty(n - 1)
-    cells[0 : n - 2 : 2] = c * (5 * even / 4 + 2 * mid - far / 4)
-    cells[1::2] = c * (5 * far / 4 + 2 * mid - even / 4)
-    if n % 2 == 0:
-        cells[-1] = c * (5 * f[-1] / 4 + 2 * f[-2] - f[-3] / 4)
-    out = np.empty(n)
-    out[0] = 0.0
-    np.cumsum(cells, out=out[1:])
-    return out
-
-
-def levels_fresh_arrays(k: int, steps_per_unit: int, top: int):
-    """Yield (m, ys) of the level cascade g_2..g_top, every level in fresh arrays.
-
-    The cascade's former loop: each level slices its samples from the whole
-    lattice U_k - j/S, divides the previous level's first samples by them and
-    integrates with ``cumsimpson_strided``; a zero level comes as (m, None).
-    """
-    from wgkit.buchstab import ZERO_LEVEL_SUP, upper_limit
-
-    U = upper_limit(k)
-    h = 1.0 / steps_per_unit
-    n_2 = int(math.floor((U - 2) / h + 1e-12))
-    lattice = U - h * np.arange(n_2, -1, -1)
-    prev_ys = None
-    for m in range(2, top + 1):
-        n_m = n_2 - (m - 2) * steps_per_unit
-        if (m > 2 and prev_ys is None) or U - m <= 0 or n_m < 2:
-            prev_ys = None
-            yield m, None
-            continue
-        xs = lattice[-(n_m + 1) :]
-        integrand = np.log(xs - 1.0) / xs if m == 2 else prev_ys[: xs.size] / xs
-        base = 0.0
-        if xs[0] - m > 1e-13:
-            coeffs = np.polyfit(np.array([m, xs[0], xs[1]]), np.array([0.0, integrand[0], integrand[1]]), 2)
-            anti = np.polyint(coeffs)
-            base = float(np.polyval(anti, xs[0]) - np.polyval(anti, m))
-        ys = cumsimpson_strided(integrand, h) + base
-        yield m, ys
-        prev_ys = None if ys.max() < ZERO_LEVEL_SUP else ys
-
-
 def char_sums_matrix(p: int, j: int) -> np.ndarray:
     """Every character sum mod an odd prime p, one FFT row per numerator.
 

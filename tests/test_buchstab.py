@@ -1,33 +1,29 @@
+import itertools
 import math
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
-from hypothesis import strategies as st
-from hypothesis.extra import numpy as hnp
 
 from oracles import (
-    cumsimpson_strided,
     gauss_legendre,
     independent_level_cascade,
     iterated_integral,
-    levels_fresh_arrays,
     nested_c4,
     tail_sum,
 )
 from wgkit import buchstab, cli, reference
 from wgkit.buchstab import (
-    _cascade,
     _converged_values,
-    _cumsimpson,
-    _lattice,
-    _levels,
+    _series_levels,
+    _series_values,
     constants_table,
     max_r,
     tables_to_csv,
     tables_to_json,
     upper_limit,
 )
+
+ORDER = buchstab.ORDERS[-1]
 
 
 def test_upper_limit_values():
@@ -46,22 +42,39 @@ def test_max_r_values():
     assert max_r(14) == 504
 
 
-def _level(m: int, k: int, steps: int = 256):
-    """(xs, ys) of the sampled level g_m, or (None, None) for the zero function."""
-    *_, (_, ys) = _levels(k, steps, m)
-    return (None, None) if ys is None else (_lattice(k, steps)[-ys.size :], ys)
+def _levels(top: int, last: int):
+    """{m: level g_m's rows on [a, a + 1], a = m..top - 1} for m = 2..last (``_series_levels``)."""
+    return dict(itertools.islice(_series_levels(top, ORDER), last - 1))
+
+
+def _at(rows, x):
+    """The rows' series at x = t - a - 1/2, each row summed as ``_series_values`` sums it."""
+    return (np.atleast_2d(rows) * x ** np.arange(ORDER)).sum(axis=-1)
+
+
+def _scale(rows, x=0.5):
+    """The absolute sum of the rows' terms at |x|: the size of what each evaluation sums."""
+    return (np.abs(rows) * abs(x) ** np.arange(rows.shape[-1])).sum(axis=1)
 
 
 def test_base_level_against_quadrature_oracle():
-    xs, g2 = _level(2, 3)
+    g2 = _levels(9, 2)[2]
     oracle = gauss_legendre(lambda t: np.log(t - 1.0) / t, 2.0, 3.0)
     # frozen from the oracle; hand check: log2 log3 - int_1^2 log(1+u)/u du = 0.14722
     assert oracle == pytest.approx(0.1472207, abs=1e-6)
-    assert xs[256] == 3.0  # the lattice 8 - j/256 holds every integer of [2, 8]
-    assert g2[256] == pytest.approx(oracle, abs=1e-9)
-    assert (xs[0], g2[0]) == (2.0, 0.0)
-    # nondecreasing on the lattice
-    assert (np.diff(g2) >= -1e-15).all()
+    assert _at(g2[0], 0.5)[0] == pytest.approx(oracle, rel=1e-15)  # g_2(3), the right end of [2, 3]
+    assert abs(_at(g2[0], -0.5)[0]) < 1e-17  # g_2(2) = 0
+    # nondecreasing on [2, 9]
+    samples = np.array([_at(g2, x) for x in np.linspace(-0.5, 0.5, 65)]).T.ravel()
+    assert (np.diff(samples) >= -1e-15).all()
+
+
+def test_shallow_entries_match_mpmath():
+    # mpmath 1.3.0 at 30 digits: g_2 in closed form, log(u - 1) log u + Li_2(1 - u) + pi^2/12,
+    # and g_3, g_4 by mp.quad split at the integers
+    values, _ = _converged_values(3)
+    assert values[4] == pytest.approx(0.4443634967794344099, rel=1e-15, abs=0)
+    assert values[5] == pytest.approx(0.05782554977919576723, rel=1e-15, abs=0)
 
 
 def test_c4_against_independent_nested_quadrature():
@@ -94,112 +107,81 @@ def test_cr_degenerate_cases():
     assert iterated_integral(200, 5) == 0.0
 
 
+def test_entries_vanish_exactly_from_U_k(monkeypatch):
+    # c_r = g_{r-1}(U_k) is 0.0 exactly when r - 1 >= U_k; with the zero rule off, every
+    # level below U_k is positive there, down to g_30(30.5) at k = 7
+    monkeypatch.setattr(buchstab, "ZERO_LEVEL_SUP", 0.0)
+    for k in range(3, 8):
+        values = _series_values([k], ORDER)[k]
+        assert {r for r, v in values.items() if v == 0.0} == {r for r in values if r - 1 >= upper_limit(k)}, k
+        assert min(values.values()) >= 0.0
+
+
 def test_level_top_matches_cr():
-    assert _level(3, 3)[1][-1] == pytest.approx(iterated_integral(4, 3), abs=1e-7)
+    # g_3 at U_3 = 8, the right end of its last interval [7, 8], is c_4(3) bit for bit
+    assert _at(_levels(8, 3)[3][-1], 0.5)[0] == iterated_integral(4, 3)
 
 
 def test_cascade_reads_the_level_tops():
-    # the cascade's c_{m+1} is the top sample of level g_m, bit for bit
-    for k, steps in ((3, 256), (8, 128), (14, 128)):
-        values = _cascade([k], steps)[k]
-        for m in {2, 3, 5, max_r(k) - 1}:
-            ys = _level(m, k, steps)[1]
-            assert (0.0 if ys is None else ys[-1]) == values[m + 1]
-    # past U_k the level is the zero function
-    assert _level(9, 3) == (None, None)  # U(3) = 8
+    # c_{m+1}(k) is level g_m's series at U_k on interval ceil(U_k) - 1, bit for bit, up to the
+    # level whose value fell below ZERO_LEVEL_SUP; every later entry is 0.0
+    for k in (3, 4, 8, 14):
+        u = upper_limit(k)
+        a = math.ceil(u) - 1
+        values = _series_values([k], ORDER)[k]
+        last = next(m for m in range(2, max_r(k)) if m > a or values[m + 1] < buchstab.ZERO_LEVEL_SUP)
+        levels = _levels(a + 1, min(last, a))
+        for m in range(2, max_r(k)):
+            read = _at(levels[m][a - m], u - a - 0.5)[0] if m <= min(last, a) else 0.0
+            assert values[m + 1] == read, (k, m)
 
 
-def test_level_lattice_holds_at_any_step():
-    # at S = 221, (U_11 - 6) S rounds one way and (U_11 - 5) S the other: each level's
-    # lattice must still be the one below it, shifted by S, or g_6 reads g_5 at its top
-    xs, g6 = _level(6, 11, 221)
-    assert xs[0] >= 6.0 and np.abs(g6[:3]).max() < 1e-12  # g_6 vanishes to high order at 6
-    assert g6[-1] == pytest.approx(_level(6, 11, 256)[1][-1], rel=1e-8)
+def test_levels_are_continuous_at_every_join():
+    # the series of [a, a + 1] at x = 1/2 is that of [a + 1, a + 2] at x = -1/2, on every level
+    # k = 14's cascade computes: to 1e-15 of the terms summed, and relative at levels 2..8 (near a
+    # level's start g_m rises like (t - m)^(m - 1), far below its terms at the first join)
+    for m, level in _levels(503, 33).items():
+        right, left = _at(level[:-1], 0.5), _at(level[1:], -0.5)
+        scale = np.maximum(_scale(level[:-1]), _scale(level[1:]))
+        assert (np.abs(left - right) <= 1e-15 * scale).all(), m
+        if m <= 8:
+            assert (np.abs(left - right) <= 1e-15 * np.abs(right)).all(), m
 
 
-@settings(max_examples=100, deadline=None, derandomize=True)
-@given(
-    n=st.one_of(st.integers(3, 300), st.sampled_from([128001, 128002])),
-    pool=hnp.arrays(np.float64, 300, elements=st.floats(-1e100, 1e100)),
-    h=st.floats(1e-6, 1e3),
-)
-@example(n=3, pool=np.arange(300.0), h=0.5)
-@example(n=4, pool=np.arange(300.0), h=0.5)
-@example(n=128001, pool=np.sin(np.arange(300.0)), h=1 / 256)
-@example(n=128002, pool=np.sin(np.arange(300.0)), h=1 / 256)
-def test_cumsimpson_is_scipys_cumulative_simpson(n, pool, h):
-    # the kept half-interval formulas of scipy's kernel, bit for bit, for either parity,
-    # run on the halves and the buffers the cascade hands it
-    from scipy.integrate import cumulative_simpson
-
-    f = np.resize(pool, n)
-    out = _cumsimpson(f[0::2].copy(), f[1::2].copy(), h, np.empty(n), np.full(n, np.nan))
-    assert np.array_equal(out, cumulative_simpson(f, dx=h, initial=0.0))
-    assert np.array_equal(out, cumsimpson_strided(f, h))
+def test_levels_solve_the_delay_equation():
+    # g_m'(t) = g_{m-1}(t - 1) / t (log(t - 1) / t at m = 2), from the series' derivative, to
+    # 1e-15 of the derivative's terms
+    levels = _levels(503, 33)
+    i = np.arange(ORDER)
+    for m, level in levels.items():
+        t0 = np.arange(m, 503) + 0.5
+        derivative = level[:, 1:] * i[1:]
+        for x in (-0.5, -0.3, 0.0, 0.2, 0.5):
+            slope = (derivative * x ** i[:-1]).sum(axis=1)
+            want = np.log(t0 + x - 1.0) if m == 2 else _at(levels[m - 1][:-1], x)
+            assert (np.abs(slope - want / (t0 + x)) <= 1e-15 * _scale(derivative, x)).all(), (m, x)
 
 
-@pytest.mark.parametrize("steps", [64, 128, 255, 256, 257, 1024])
-def test_cascade_is_the_fresh_array_cascade(steps):
-    # every level, and so every c_r, bit for bit the former loop's, on even and odd S
-    # (an odd S starts every other level on the lattice's odd half)
-    for k in range(3, 15):
-        top = max_r(k) - 1
-        tops = {}
-        for (m, ys), (m_old, old) in zip(_levels(k, steps, top), levels_fresh_arrays(k, steps, top)):
-            assert m == m_old and (ys is None) == (old is None), (k, m)
-            assert ys is None or ys.tobytes() == old.tobytes(), (k, m)
-            tops[m + 1] = (0.0 if old is None else float(old[-1])).hex()
-        assert {r: v.hex() for r, v in _cascade([k], steps)[k].items()} == tops, k
-
-
-def test_lattice_groups_of_the_two_lattices():
-    # U_4 = 133/11 and U_8 = 281/7 are off the dyadic lattice; every other U_k is on it, k = 7's
-    # at 30.5, and k = 14's lattice 2 + j/S holds every other k's
-    for steps in buchstab.STEPS_PER_UNIT:
-        assert buchstab._lattice_groups(reference.K_RANGE, steps) == [[3, 5, 6, 7, 9, 10, 11, 12, 13, 14], [4], [8]]
-    assert buchstab._lattice_groups([8, 3, 3, 5], 128) == [[3, 5], [8]]
-    # at S = 2, k = 7's n_2 = 57 is odd
-    assert buchstab._lattice_groups(reference.K_RANGE, 2) == [[3, 5, 6, 9, 10, 11, 12, 13, 14], [4], [7], [8]]
-    # odd S starts every other level on an odd sample count, and S = 96 has no exact 1/S
-    for steps in (96, 255, 257):
-        assert buchstab._lattice_groups(reference.K_RANGE, steps) == [[k] for k in reference.K_RANGE]
-
-
-@pytest.mark.parametrize("steps", [2, 64, 96, 128, 255, 256, 257, 1024])
-def test_grouped_cascade_is_each_k_alone(steps):
-    # every member reads its own level's top off the lead's level, and its own zero rules,
-    # bit for bit the values of its own cascade
-    grouped = _cascade(range(3, 15), steps)
-    for k in reference.K_RANGE:
-        alone = _cascade([k], steps)[k]
-        assert list(alone) == list(range(3, max_r(k) + 1))
-        assert {r: v.hex() for r, v in grouped[k].items()} == {r: v.hex() for r, v in alone.items()}, k
-
-
-def test_cascade_workspace_is_four_lattices():
-    # the lattice halves, the integrand halves, one level buffer and the spare: no
-    # level allocates a lattice-sized array of its own
-    import tracemalloc
-
-    peaks = []
-    for k in reference.K_RANGE:
-        for steps in buchstab.STEPS_PER_UNIT:
-            lattice_bytes = _lattice(k, steps).nbytes
-            tracemalloc.start()
-            try:
-                _cascade([k], steps)
-                peaks.append(tracemalloc.get_traced_memory()[1])
-            finally:
-                tracemalloc.stop()
-            assert peaks[-1] < 4 * lattice_bytes + 2**16, (k, steps, peaks[-1] / lattice_bytes)
-    assert max(peaks) < 4.90 * 2**20
+def test_series_values_do_not_depend_on_the_batch():
+    # each k reads its own interval, from operations on that interval's row alone: its values
+    # are the same bits alone, in {3, 5}, in {4, 13, 14} and in every k, at both orders
+    batches = [[k] for k in reference.K_RANGE] + [[3, 5], [4, 13, 14], list(reference.K_RANGE)]
+    for order in buchstab.ORDERS:
+        seen = {}
+        for batch in batches:
+            for k, values in _series_values(batch, order).items():
+                assert list(values) == list(range(3, max_r(k) + 1))
+                hexed = {r: v.hex() for r, v in values.items()}
+                assert seen.setdefault(k, hexed) == hexed, (order, k, batch)
 
 
 def test_cascade_runs_once_per_k_and_tol(all_tables, monkeypatch, capsys):
     # tail_sum, the margins and iterated_integral reuse the values constants_table built
     calls = []
-    levels = buchstab._levels
-    monkeypatch.setattr(buchstab, "_levels", lambda k, steps, top: calls.append((k, steps)) or levels(k, steps, top))
+    levels = buchstab._series_levels
+    monkeypatch.setattr(
+        buchstab, "_series_levels", lambda top, order: calls.append((top, order)) or levels(top, order)
+    )
     for k in reference.K_RANGE:
         assert tail_sum(k) == all_tables[k].C_value
     assert cli.main(["margin"]) == 0
@@ -207,20 +189,20 @@ def test_cascade_runs_once_per_k_and_tol(all_tables, monkeypatch, capsys):
     # a single c_r reads the same table
     assert iterated_integral(16, 13) == all_tables[13].entry(16).value
     assert calls == []
-    # a cold table of every k runs one cascade per lattice group on each lattice, once
+    # a cold table of every k runs one cascade to U_14 = 503 per order, once
     monkeypatch.setattr(buchstab, "_CONVERGED", {})
     assert cli.main(["constants", "--k", "all"]) == 1
     capsys.readouterr()
-    assert calls == [(14, 128), (4, 128), (8, 128), (14, 256), (4, 256), (8, 256)]
+    assert calls == [(503, 24), (503, 40)]
     assert cli.main(["margin"]) == 0
     capsys.readouterr()
-    assert calls[6:] == []
-    # a single k runs its own lattice alone, the coarse one, then the fine one, once
+    assert calls[2:] == []
+    # a single k runs its own cascade, at each order, once
     monkeypatch.setattr(buchstab, "_CONVERGED", {})
     del calls[:]
     for k in (3, 14, 3, 14):
         values, _ = _converged_values(k)
-    assert calls == [(3, 128), (3, 256), (14, 128), (14, 256)]
+    assert calls == [(8, 24), (8, 40), (503, 24), (503, 40)]
     with pytest.raises(TypeError):
         values[4] = 0.0
 
@@ -237,13 +219,14 @@ def test_table_k3():
     assert vals[-1] == 0.0
 
 
-def test_two_lattice_error_is_honest():
-    # the fine lattice's values lie within the reported change of a lattice 4x finer still
-    for k in (3, 8, 14):
+def test_two_order_error_is_honest():
+    # the order-40 values lie within the reported change of an order-56 run, and every k's
+    # change is below 1e-12
+    reference_values = _series_values(reference.K_RANGE, 56)
+    for k in reference.K_RANGE:
         values, err = _converged_values(k)
-        assert 0 < err < buchstab.ACCURACY
-        reference_values = _cascade([k], 1024)[k]
-        assert max(abs(values[r] - reference_values[r]) for r in values) <= err, k
+        assert 0 < err < 1e-12, k
+        assert max(abs(values[r] - reference_values[k][r]) for r in values) <= err, k
 
 
 def test_tail_sum_positivity_margin_inputs():

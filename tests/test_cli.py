@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 
 import wgkit
 from oracles import local_table_per_row, round12
-from wgkit import buchstab, cli
+from wgkit import buchstab, cli, singint
 from wgkit.cli import _chunks, _flat_encoder, _write_json, main
 from wgkit.reference import K_RANGE
 
@@ -270,8 +270,8 @@ def test_constants_k3_passes(capsys):
     assert all(e["pass"] for e in table["entries"])
 
 
-def test_constants_fail_when_the_two_lattices_disagree(monkeypatch, capsys):
-    # an accuracy below k = 14's change between the lattices is a verification failure that names it
+def test_constants_fail_when_the_two_orders_disagree(monkeypatch, capsys):
+    # an accuracy below k = 14's change between the series orders is a verification failure that names it
     _, change = buchstab._converged_values(14)
     # an empty store, so the check runs again and other tests keep the held tables
     monkeypatch.setattr(buchstab, "_CONVERGED", {})
@@ -279,7 +279,7 @@ def test_constants_fail_when_the_two_lattices_disagree(monkeypatch, capsys):
     assert main(["constants", "--k", "14"]) == 1
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err.startswith(f"verification failure: c_r changes by {change:.3g} at k=14 ")
+    assert captured.err.startswith(f"verification failure: c_r changes by {change:.3g} at k=14 between series orders ")
 
 
 def test_constants_and_margin_build_only_the_asked_form(monkeypatch, capsys):
@@ -475,10 +475,15 @@ def test_singint_refuses_a_degenerate_grid(capfd):
         assert "DLASCL" not in captured.err
 
 
-def test_singint_refuses_an_odd_grid_point(capfd):
-    # J(n) refuses an odd n itself; the grid point is not moved to n + 1
-    assert main(["singint", "--k", "3", "--n-grid", "1e8,100000001"]) == 2
-    assert capfd.readouterr() == ("", "error: n must be even, got 100000001\n")
+def test_singint_refuses_an_odd_grid_point(capfd, monkeypatch):
+    # the grid point is not moved to n + 1, and the fit refuses it before the quadrature of any point
+    def refuse(*args):
+        raise AssertionError("integrated a grid point before the refusal")
+
+    monkeypatch.setattr(singint, "_quadrature", refuse)
+    for grid in ("1e8,100000001", "1e8,1e9,100000001"):
+        assert main(["singint", "--k", "3", "--n-grid", grid]) == 2
+        assert capfd.readouterr() == ("", "error: n must be even, got 100000001\n")
 
 
 def test_singint_command_deterministic(capsys):
@@ -520,7 +525,7 @@ def test_output_file_writing(tmp_path, capsys):
 
 
 def test_output_path_that_cannot_be_opened(tmp_path):
-    # a usage error, found when the report is written: exit 2 and the reason, no traceback, no file
+    # a usage error: exit 2 and the reason, no traceback, no file
     target = tmp_path / "missing" / "out.json"
     src = os.path.dirname(os.path.dirname(wgkit.__file__))
     path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
@@ -534,6 +539,24 @@ def test_output_path_that_cannot_be_opened(tmp_path):
     assert proc.stderr.startswith("error: ") and str(target) in proc.stderr
     assert "Traceback" not in proc.stderr
     assert not target.parent.exists()
+
+
+def test_output_directory_is_checked_before_the_work(tmp_path, monkeypatch, capsys):
+    # a missing directory is refused before the command runs, with the error open would give
+    def refuse(*args):
+        raise AssertionError("ran the command before refusing its output")
+
+    monkeypatch.setattr(buchstab, "constants_tables", refuse)
+    target = tmp_path / "missing" / "x.json"
+    assert main(["--output", str(target), "constants", "--k", "all"]) == 2
+    assert capsys.readouterr() == ("", f"error: [Errno 2] No such file or directory: {str(target)!r}\n")
+    assert not target.parent.exists()
+    # a path the open refuses for another reason, here a directory, is refused when the report is written
+    monkeypatch.undo()
+    assert main(["--output", str(tmp_path), "constants", "--k", "3"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.startswith("error: [Errno 21] Is a directory: ")
+    assert list(tmp_path.iterdir()) == []
 
 
 _SCIPY_PROBE = """
@@ -664,13 +687,13 @@ def test_cli_stdout_is_byte_deterministic(command, data):
 # (exit code, sha256 of stdout): any change to these outputs is a change of the
 # program's reports, to be named in CHANGES.md with the new digest
 _STDOUT_DIGESTS = {
-    "margin": (0, "e8d0fc942c96dc4413b850c435fd5f47f43c3527cbe4b3e71e089dc28687b7de"),
-    "--format csv margin": (0, "8869291e4382880da9788a72d2c02004f557aa208942f2f8843d221d127353b8"),
-    "constants --k 3,4": (0, "afc5dc58bb617aa417b8b5e4b0cb4f65665bbe9672527420a24b518772e38dc4"),
-    "--format csv constants --k 3,4": (0, "2df48bf584ba34526167261351937d828c3031e425260fff9ee6a6caafba9879"),
+    "margin": (0, "15e0559a1a3e534fa6530e67db795cb9664df0c506d71ed72ebe697c9df7aed8"),
+    "--format csv margin": (0, "94762b055e124d4b7c352464af72d294b0c0ba7051f445f444766ef8190d9dcc"),
+    "constants --k 3,4": (0, "d1cf2497d999cfe5f355358ee0430b755f3c04f575e8f2eddb86d8be3071a683"),
+    "--format csv constants --k 3,4": (0, "cb22c3666f99c828698777d363361333e6a3be111527e9de510bd68d72160539"),
     # the verify workload's sizes; every k exits 1 on criterion 1's five entries
-    "constants --k all": (1, "d45a57e80556758aaaaecbed0a69a9e338eb8d31ea12f675f5574529a6748587"),
-    "--format csv constants --k all": (1, "fea62bd2bb924859c39ea466fa603461140c62aadec2cc5241afd2f96234a6be"),
+    "constants --k all": (1, "fb38a648689144af401f03861c0ae921b76cec2ca527ab7dce404a3015a1aa81"),
+    "--format csv constants --k all": (1, "360f4f716cdefe8503019924056c8475eaa8ee5fe9a7cdb64d623183e8736feb"),
     "sums --qmax 250 --ppmax 2500": (0, "2ef043fe0a3991fc4be20b332dc5aab2445b164f648289e16ec70aa9e5496068"),
     "local --pmax 60 --k 4": (0, "1c73a465535fc1f35aa4229064f15374fa378ebeb8638399e4c1a38977ff6964"),
     # k = 7 has G = 42 at p = 43, 127, 211, 337, 379, 421 and 463: the widest class maps
