@@ -19,20 +19,19 @@ terms fall like 3^-i.  A level whose value at U_k fell below 1e-15 ends k's
 column (every later c_r(k) is 0), and g_m(U_k) = 0 exactly once m >= U_k.
 
 The levels do not depend on k; only the point U_k where they are read does.
-One cascade to the largest U_k of a batch serves every k of it, and each k
-reads its interval ceil(U_k) - 1 with operations on that interval's
-coefficients alone, so its values are bit for bit the same in any batch.
+One cascade to U_14 = 503 serves every k of K_RANGE, and each k reads its
+interval ceil(U_k) - 1.
 
-Every k is evaluated at the two series orders ``ORDERS``: the higher gives
-the values, and the largest change between the two is their error estimate,
-which must stay below ``ACCURACY``.  The values are held per process and per
-k in ``_CONVERGED``, so the margins reuse the tables ``constants_table``
-built, and ``constants_tables`` computes every k it asks for and does not
-hold in one cascade per order.  A single k runs its own cascade.
+The cascade runs at the two series orders ``ORDERS``, once per process
+(``_converged``): the higher gives the values, and the largest change between
+the two is their error estimate.  ``constants_table`` reads that one table
+whatever k it is asked for, and refuses a k whose change is not below
+``ACCURACY``.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from collections.abc import Mapping
 from dataclasses import dataclass
@@ -91,20 +90,19 @@ def _series_levels(top: int, order: int):
         numerator = level[:-1]
 
 
-def _series_values(ks, order: int) -> dict[int, dict[int, float]]:
-    """{k: {r: c_r}}, c_r = g_{r-1}(U_k) for r = 3..max_r(k), from one ``_series_levels`` cascade.
+def _series_values(order: int) -> dict[int, dict[int, float]]:
+    """{k: {r: c_r}} for every k of K_RANGE, c_r = g_{r-1}(U_k) for r = 3..max_r(k), from one cascade.
 
     k reads g_m(U_k) on interval ceil(U_k) - 1, also where U_k is an integer.
     Its c_{m+1} is 0.0 once m >= U_k, and after a level whose value at U_k
     fell below ZERO_LEVEL_SUP; the cascade stops when every k has reached it.
     """
-    ks = sorted(set(ks))
-    values = {k: dict.fromkeys(range(3, max_r(k) + 1), 0.0) for k in ks}
+    values = {k: dict.fromkeys(range(3, max_r(k) + 1), 0.0) for k in reference.K_RANGE}
     reads = {}  # k -> (its interval, x^i at U_k on it)
-    for k in ks:
+    for k in reference.K_RANGE:
         u = upper_limit(k)
         reads[k] = math.ceil(u) - 1, (u - math.ceil(u) + 0.5) ** np.arange(order)
-    live = list(ks)
+    live = list(reference.K_RANGE)
     for m, level in _series_levels(max(a for a, _ in reads.values()) + 1, order):
         for k in list(live):
             a, powers = reads[k]
@@ -119,33 +117,16 @@ def _series_values(ks, order: int) -> dict[int, dict[int, float]]:
     return values
 
 
-# k -> (the higher order's c_r, read-only, and the largest change from the lower one's)
-_CONVERGED: dict[int, tuple[Mapping[int, float], float]] = {}
+@functools.cache
+def _converged() -> Mapping[int, tuple[Mapping[int, float], float]]:
+    """k -> (the higher order's c_r, read-only, and the largest change from the lower one's), for every k.
 
-
-def _converged_many(ks) -> list[tuple[Mapping[int, float], float]]:
-    """``_converged_values`` at each k of ``ks``, in its order.
-
-    The values are held per k, and a call computes the k not yet held in one
-    ``_series_values`` cascade per order.  The change is checked in ascending
-    k; a change of ``ACCURACY`` or more is a verification failure.
+    One ``_series_values`` cascade per order, once per process.
     """
-    todo = sorted({k for k in ks if k not in _CONVERGED})
-    if todo:
-        low, high = (_series_values(todo, order) for order in ORDERS)
-        for k in todo:
-            err = max(abs(high[k][r] - low[k][r]) for r in high[k])
-            if not err < ACCURACY:
-                raise VerificationError(
-                    f"c_r changes by {err:.3g} at k={k} between series orders {ORDERS}, not below {ACCURACY:g}"
-                )
-            _CONVERGED[k] = MappingProxyType(high[k]), err
-    return [_CONVERGED[k] for k in ks]
-
-
-def _converged_values(k: int) -> tuple[Mapping[int, float], float]:
-    """The higher order's c_r and the largest change from the lower one's (``_converged_many``)."""
-    return _converged_many((k,))[0]
+    low, high = (_series_values(order) for order in ORDERS)
+    return MappingProxyType({
+        k: (MappingProxyType(high[k]), max(abs(high[k][r] - low[k][r]) for r in high[k])) for k in high
+    })
 
 
 @dataclass(frozen=True)
@@ -178,10 +159,16 @@ def constants_table(k: int) -> CrTable:
     """All c_r(k) over the tail range, their sum C(k), and reference comparison.
 
     Monotone decay is asserted across the computed range: the entries must
-    strictly decrease until they hit zero, and stay zero afterwards.
+    strictly decrease until they hit zero, and stay zero afterwards.  A change
+    of ``ACCURACY`` or more between the two series orders at k is a
+    verification failure.
     """
     reference.check_k(k)
-    values, err = _converged_values(k)
+    values, err = _converged()[k]
+    if not err < ACCURACY:
+        raise VerificationError(
+            f"c_r changes by {err:.3g} at k={k} between series orders {ORDERS}, not below {ACCURACY:g}"
+        )
     bounds = reference.cr_bounds(k)
     entries = []
     c_total = 0.0
@@ -199,14 +186,6 @@ def constants_table(k: int) -> CrTable:
         if prev.value == 0.0 and nxt.value != 0.0:
             raise VerificationError(f"zero tail violated at k={k}, r={nxt.r}")
     return CrTable(k, tuple(entries), c_total, err * len(entries))
-
-
-def constants_tables(ks) -> list[CrTable]:
-    """``constants_table`` at each k of ``ks``, in its order, from one batch of cascades."""
-    for k in ks:
-        reference.check_k(k)
-    _converged_many(ks)
-    return [constants_table(k) for k in ks]
 
 
 def paper_chain(table: CrTable) -> float:

@@ -264,7 +264,7 @@ def cmd_singular(args) -> int:
 
 
 def cmd_constants(args) -> int:
-    tables = buchstab.constants_tables(args.k)
+    tables = [buchstab.constants_table(k) for k in args.k]
     if args.format == "csv":
         report = _pieces(buchstab.tables_to_csv(tables))
     else:
@@ -276,8 +276,9 @@ def cmd_constants(args) -> int:
 
 def cmd_margin(args) -> int:
     rows = []
-    for t in buchstab.constants_tables(reference.K_RANGE):
-        k, c_k = t.k, t.C_value
+    for k in reference.K_RANGE:
+        t = buchstab.constants_table(k)
+        c_k = t.C_value
         margin = sieveconsts.main_term_margin(k, c_k)
         chain = buchstab.paper_chain(t)
         rows.append(
@@ -309,7 +310,11 @@ def _report_dict(rep) -> dict:
 
 
 def cmd_count(args) -> int:
-    flag = {"hua4": "Q", "mixed": "P", "triple": "N", "reps": "n"}[args.what]
+    flags = {"hua4": "Q", "mixed": "P", "triple": "N", "reps": "n"}
+    flag = flags[args.what]
+    for other in flags.values():
+        if other != flag and getattr(args, other) is not None:
+            raise ValueError(f"--{other} is not read by --what {args.what}, which reads --{flag}")
     size = getattr(args, flag)
     if size is None:
         raise ValueError(f"--{flag} required for {args.what}")
@@ -337,9 +342,16 @@ def cmd_count(args) -> int:
 def cmd_singint(args) -> int:
     if args.samples < 1024:
         raise ValueError(f"--samples must be >= 1024, got {args.samples}")
-    n_grid = [float(tok) for tok in args.n_grid.split(",")]
-    if not all(math.isfinite(n) for n in n_grid):
+    tokens = args.n_grid.split(",")
+    if not all(math.isfinite(float(tok)) for tok in tokens):
         raise ValueError(f"grid points must be finite, got {args.n_grid}")
+    # imported here, not at the top: only this command reads exact numbers, and loading
+    # fractions (and decimal with it) would lengthen every other command's start
+    from fractions import Fraction
+
+    n_grid = [Fraction(tok) for tok in tokens]  # exact: 1e9 is 10**9, and no point is rounded
+    if any(n.denominator != 1 for n in n_grid):
+        raise ValueError(f"grid points must be integers, got {args.n_grid}")
     evals, slope, intercept, resid = singint.growth_fit([int(n) for n in n_grid], args.k)
     expected = singint.expected_growth_exponent(args.k)
     payload = {

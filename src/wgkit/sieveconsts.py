@@ -74,9 +74,7 @@ def main_term_margin(k: int, c_k: float) -> float:
 def sieve_window_value(n: int, k: int, z: float, D: float, side: str) -> float:
     """The comparison value W(z) f(log D / log z) (lower) or W(z) F(...) (upper)."""
     s = math.log(D) / math.log(z)
-    w = sieve_product(n, k, z)
-    if side == "lower":
-        return w * f_lower(s)
-    if side == "upper":
-        return w * F_upper(s)
-    raise ValueError(f"side must be 'lower' or 'upper', got {side!r}")
+    if side not in ("lower", "upper"):
+        raise ValueError(f"side must be 'lower' or 'upper', got {side!r}")
+    window = f_lower(s) if side == "lower" else F_upper(s)  # refuses an s outside its window before W(z)
+    return sieve_product(n, k, z) * window

@@ -141,10 +141,10 @@ def singular_series(n: int, d, k: int, p_max: int = 10**4) -> SingularSeriesEval
     fd = _as_factored(d)
     if not fd.is_squarefree():
         raise ValueError(f"d must be squarefree, got {fd.value}")
-    tail = tail_envelope(p_max)
     if fd.primes and fd.primes[-1] > p_max:
         # the envelope's 200/p^2 covers L/(p-1)^5 - 1 only, not p K/(p-1)^5 - 1
         raise ValueError(f"d = {fd.value} has the prime factor {fd.primes[-1]} above p_max = {p_max}")
+    tail = tail_envelope(p_max)
     factors = []
     log_sum = 0.0
     zero = False

@@ -22,7 +22,7 @@ from numpy.polynomial.legendre import leggauss
 
 from wgkit import arith, expsums, reference
 from wgkit.arith import is_prime
-from wgkit.buchstab import _converged_values, constants_table, upper_limit
+from wgkit.buchstab import _converged, constants_table, upper_limit
 from wgkit.errors import VerificationError
 from wgkit.expsums import _char_rows, _check_jq, _power_table
 from wgkit.localdensity import class_counts_many
@@ -750,7 +750,8 @@ def iterated_integral(r: int, k: int) -> float:
         raise ValueError(f"the nested integral needs r >= 4, got {r}")
     if r - 1 >= upper_limit(k):
         return 0.0
-    values, _ = _converged_values(k)
+    constants_table(k)  # refuses a k whose two series orders differ by ACCURACY or more
+    values, _ = _converged()[k]
     return values[r]
 
 

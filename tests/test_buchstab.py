@@ -13,7 +13,7 @@ from oracles import (
 )
 from wgkit import buchstab, cli, reference
 from wgkit.buchstab import (
-    _converged_values,
+    _converged,
     _series_levels,
     _series_values,
     constants_table,
@@ -72,7 +72,7 @@ def test_base_level_against_quadrature_oracle():
 def test_shallow_entries_match_mpmath():
     # mpmath 1.3.0 at 30 digits: g_2 in closed form, log(u - 1) log u + Li_2(1 - u) + pi^2/12,
     # and g_3, g_4 by mp.quad split at the integers
-    values, _ = _converged_values(3)
+    values, _ = _converged()[3]
     assert values[4] == pytest.approx(0.4443634967794344099, rel=1e-15, abs=0)
     assert values[5] == pytest.approx(0.05782554977919576723, rel=1e-15, abs=0)
 
@@ -111,8 +111,9 @@ def test_entries_vanish_exactly_from_U_k(monkeypatch):
     # c_r = g_{r-1}(U_k) is 0.0 exactly when r - 1 >= U_k; with the zero rule off, every
     # level below U_k is positive there, down to g_30(30.5) at k = 7
     monkeypatch.setattr(buchstab, "ZERO_LEVEL_SUP", 0.0)
+    table = _series_values(ORDER)
     for k in range(3, 8):
-        values = _series_values([k], ORDER)[k]
+        values = table[k]
         assert {r for r, v in values.items() if v == 0.0} == {r for r in values if r - 1 >= upper_limit(k)}, k
         assert min(values.values()) >= 0.0
 
@@ -125,10 +126,11 @@ def test_level_top_matches_cr():
 def test_cascade_reads_the_level_tops():
     # c_{m+1}(k) is level g_m's series at U_k on interval ceil(U_k) - 1, bit for bit, up to the
     # level whose value fell below ZERO_LEVEL_SUP; every later entry is 0.0
+    table = _series_values(ORDER)
     for k in (3, 4, 8, 14):
         u = upper_limit(k)
         a = math.ceil(u) - 1
-        values = _series_values([k], ORDER)[k]
+        values = table[k]
         last = next(m for m in range(2, max_r(k)) if m > a or values[m + 1] < buchstab.ZERO_LEVEL_SUP)
         levels = _levels(a + 1, min(last, a))
         for m in range(2, max_r(k)):
@@ -164,47 +166,49 @@ def test_levels_solve_the_delay_equation():
 
 @pytest.mark.parametrize("order", [2, 24, 40, 64, 96, 128, 255, 256, 257, 1024])
 def test_grouped_cascade_is_each_k_alone(order):
-    # each k reads its own interval, from operations on that interval's row alone: its values
-    # are the same bits alone, in {3, 5}, in {4, 13, 14} and in every k, at any series order
-    batches = [[k] for k in reference.K_RANGE] + [[3, 5], [4, 13, 14], list(reference.K_RANGE)]
-    seen = {}
-    for batch in batches:
-        for k, values in _series_values(batch, order).items():
-            assert list(values) == list(range(3, max_r(k) + 1))
-            hexed = {r: v.hex() for r, v in values.items()}
-            assert seen.setdefault(k, hexed) == hexed, (k, batch)
+    # the one cascade to U_14 = 503 holds every k of K_RANGE, keyed r = 3..max_r(k), and each k
+    # reads the same bits as a cascade to its own ceil(U_k) would give it: a row of a level is made
+    # from the rows below it alone, at any series order
+    table = _series_values(order)
+    assert list(table) == list(reference.K_RANGE)
+    for k, values in table.items():
+        assert list(values) == list(range(3, max_r(k) + 1)), k
+    for k in reference.K_RANGE:
+        u = upper_limit(k)
+        a = math.ceil(u) - 1
+        for m, level in itertools.islice(_series_levels(a + 1, order), 3):
+            assert table[k][m + 1] == float((level[a - m] * (u - a - 0.5) ** np.arange(order)).sum()), (k, m)
 
 
-def test_cascade_runs_once_per_k_and_tol(all_tables, monkeypatch, capsys):
-    # tail_sum, the margins and iterated_integral reuse the values constants_table built
+def test_cascade_runs_once_per_k_and_tol(monkeypatch, capsys):
+    # a cold process runs one cascade to U_14 = 503 per series order, whatever it is first asked
+    # for, and every later caller of any k reads that one table
     calls = []
     levels = buchstab._series_levels
     monkeypatch.setattr(
         buchstab, "_series_levels", lambda top, order: calls.append((top, order)) or levels(top, order)
     )
-    for k in reference.K_RANGE:
-        assert tail_sum(k) == all_tables[k].C_value
-    assert cli.main(["margin"]) == 0
+    for first in (["constants", "--k", "3"], ["constants", "--k", "all"], ["margin"], None):
+        _converged.cache_clear()
+        del calls[:]
+        if first is None:
+            constants_table(14)
+        else:
+            cli.main(first)
+        assert calls == [(503, 24), (503, 40)], first
+        assert cli.main(["constants", "--k", "all"]) == 1
+        assert cli.main(["margin"]) == 0
+        assert cli.main(["constants", "--k", "3"]) == 0
+        for k in reference.K_RANGE:
+            assert tail_sum(k) == constants_table(k).C_value
+        assert iterated_integral(16, 13) == constants_table(13).entry(16).value
+        assert calls == [(503, 24), (503, 40)], first
     capsys.readouterr()
-    # a single c_r reads the same table
-    assert iterated_integral(16, 13) == all_tables[13].entry(16).value
-    assert calls == []
-    # a cold table of every k runs one cascade to U_14 = 503 per order, once
-    monkeypatch.setattr(buchstab, "_CONVERGED", {})
-    assert cli.main(["constants", "--k", "all"]) == 1
-    capsys.readouterr()
-    assert calls == [(503, 24), (503, 40)]
-    assert cli.main(["margin"]) == 0
-    capsys.readouterr()
-    assert calls[2:] == []
-    # a single k runs its own cascade, at each order, once
-    monkeypatch.setattr(buchstab, "_CONVERGED", {})
-    del calls[:]
-    for k in (3, 14, 3, 14):
-        values, _ = _converged_values(k)
-    assert calls == [(8, 24), (8, 40), (503, 24), (503, 40)]
+    values, _ = _converged()[3]
     with pytest.raises(TypeError):
         values[4] = 0.0
+    with pytest.raises(TypeError):
+        _converged()[3] = (values, 0.0)
 
 
 def test_table_k3():
@@ -222,9 +226,9 @@ def test_table_k3():
 def test_two_order_error_is_honest():
     # the order-40 values lie within the reported change of an order-56 run, and every k's
     # change is below 1e-12
-    reference_values = _series_values(reference.K_RANGE, 56)
+    reference_values = _series_values(56)
     for k in reference.K_RANGE:
-        values, err = _converged_values(k)
+        values, err = _converged()[k]
         assert 0 < err < 1e-12, k
         assert max(abs(values[r] - reference_values[k][r]) for r in values) <= err, k
 

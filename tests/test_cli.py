@@ -272,14 +272,26 @@ def test_constants_k3_passes(capsys):
 
 def test_constants_fail_when_the_two_orders_disagree(monkeypatch, capsys):
     # an accuracy below k = 14's change between the series orders is a verification failure that names it
-    _, change = buchstab._converged_values(14)
-    # an empty store, so the check runs again and other tests keep the held tables
-    monkeypatch.setattr(buchstab, "_CONVERGED", {})
+    _, change = buchstab._converged()[14]
     monkeypatch.setattr(buchstab, "ACCURACY", change / 2)
     assert main(["constants", "--k", "14"]) == 1
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith(f"verification failure: c_r changes by {change:.3g} at k=14 between series orders ")
+
+
+def test_the_accuracy_check_reads_only_the_asked_k(monkeypatch, capsys):
+    # the one table holds every k, and constants_table checks the change of the k it is asked for:
+    # an accuracy between k = 3's change and k = 14's fails k = 14, the margins and `--k all` only
+    low, high = buchstab._converged()[3][1], buchstab._converged()[14][1]
+    assert low < high / 2
+    monkeypatch.setattr(buchstab, "ACCURACY", high / 2)
+    assert main(["constants", "--k", "3"]) == 0
+    assert capsys.readouterr().err == ""
+    for argv in (["constants", "--k", "14"], ["constants", "--k", "3,14"], ["margin"]):
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.startswith("verification failure: c_r changes by "), argv
 
 
 def test_constants_and_margin_build_only_the_asked_form(monkeypatch, capsys):
@@ -341,6 +353,23 @@ def test_count_commands(capsys):
     for what, flag in (("hua4", "Q"), ("mixed", "P"), ("triple", "N"), ("reps", "n")):
         assert main(["count", "--what", what, "--k", "3"]) == 2
         assert capsys.readouterr() == ("", f"error: --{flag} required for {what}\n")
+
+
+def test_count_refuses_a_size_its_what_does_not_read(monkeypatch, capsys):
+    # each --what reads one size flag; another one given is refused before any count, not dropped
+    def refuse(*args):
+        raise AssertionError("counted before the refusal")
+
+    for name in ("count_hua4", "count_mixed_S", "count_admissible_triple", "count_representations"):
+        monkeypatch.setattr(cli.dioph, name, refuse)
+    for argv, message in (
+        (["--what", "hua4", "--k", "3", "--Q", "10", "--P", "5"], "--P is not read by --what hua4, which reads --Q"),
+        (["--what", "mixed", "--k", "4", "--P", "16", "--n", "40"], "--n is not read by --what mixed, which reads --P"),
+        (["--what", "triple", "--k", "3", "--Q", "10"], "--Q is not read by --what triple, which reads --N"),
+        (["--what", "reps", "--k", "3", "--n", "40", "--N", "1e5"], "--N is not read by --what reps, which reads --n"),
+    ):
+        assert main(["count", *argv]) == 2
+        assert capsys.readouterr() == ("", f"error: {message}\n")
 
 
 def test_margin_csv_is_its_json_rows(capsys):
@@ -484,6 +513,20 @@ def test_singint_refuses_an_odd_grid_point(capfd, monkeypatch):
     for grid in ("1e8,100000001", "1e8,1e9,100000001"):
         assert main(["singint", "--k", "3", "--n-grid", grid]) == 2
         assert capfd.readouterr() == ("", "error: n must be even, got 100000001\n")
+    # each point is read exactly: an odd point past 2^53 is not rounded to an even float
+    assert main(["singint", "--k", "3", "--n-grid", "10000000000000001,1e9"]) == 2
+    assert capfd.readouterr() == ("", "error: n must be even, got 10000000000000001\n")
+
+
+def test_singint_refuses_a_grid_point_that_is_not_an_integer(capfd, monkeypatch):
+    # a fractional point is refused before any quadrature, not truncated to the integer below it
+    def refuse(*args):
+        raise AssertionError("integrated a grid point before the refusal")
+
+    monkeypatch.setattr(singint, "_quadrature", refuse)
+    for grid in ("100000000.7,1e9", "1e8,1.5e-3", "1e8,2.5"):
+        assert main(["singint", "--k", "3", "--n-grid", grid]) == 2
+        assert capfd.readouterr() == ("", f"error: grid points must be integers, got {grid}\n")
 
 
 def test_singint_command_deterministic(capsys):
@@ -546,7 +589,7 @@ def test_output_directory_is_checked_before_the_work(tmp_path, monkeypatch, caps
     def refuse(*args):
         raise AssertionError("ran the command before refusing its output")
 
-    monkeypatch.setattr(buchstab, "constants_tables", refuse)
+    monkeypatch.setattr(buchstab, "constants_table", refuse)
     target = tmp_path / "missing" / "x.json"
     assert main(["--output", str(target), "constants", "--k", "all"]) == 2
     assert capsys.readouterr() == ("", f"error: [Errno 2] No such file or directory: {str(target)!r}\n")

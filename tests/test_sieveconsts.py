@@ -3,6 +3,7 @@ import math
 import pytest
 
 from oracles import params
+from wgkit import sieveconsts
 from wgkit.sieveconsts import (
     EXP_GAMMA,
     F_upper,
@@ -92,3 +93,17 @@ def test_sieve_window_value():
     assert lower < upper
     with pytest.raises(ValueError):
         sieve_window_value(40, 3, z=5.0, D=125.0, side="sideways")
+
+
+def test_sieve_window_value_refuses_before_the_product(monkeypatch):
+    # a bad side, or an s = log D / log z outside the side's window, is refused before W(z)
+    def refuse(*args):
+        raise AssertionError("computed W(z) before the refusal")
+
+    monkeypatch.setattr(sieveconsts, "sieve_product", refuse)
+    with pytest.raises(ValueError, match="side must be 'lower' or 'upper', got 'sideways'"):
+        sieve_window_value(40, 3, z=2500.0, D=2500.0**3, side="sideways")
+    with pytest.raises(ValueError, match=r"f\(s\) closed form is valid on \[2.0, 4.0\] only"):
+        sieve_window_value(40, 3, z=2500.0, D=2500.0**5, side="lower")
+    with pytest.raises(ValueError, match=r"F\(s\) closed form is valid on \[1.0, 3.0\] only"):
+        sieve_window_value(40, 3, z=2500.0, D=2500.0**3.5, side="upper")

@@ -4,6 +4,7 @@ import pytest
 
 from oracles import euler_factor
 from wgkit.arith import factorize, primes_up_to
+from wgkit import singular
 from wgkit.localdensity import local_densities_all
 from wgkit.singular import (
     TAIL_PRIME_CONSTANT,
@@ -80,6 +81,17 @@ def test_singular_series_rejects_bad_input():
         singular_series(40, 1, 15)
     with pytest.raises(ValueError, match="prime factor 45823 above p_max = 10000"):
         singular_series(40, 45823, 14, p_max=10**4)  # p | d past p_max: outside the tail bound
+
+
+def test_prime_factor_of_d_past_p_max_is_refused_before_the_tail(monkeypatch):
+    # the refusal comes before the tail envelope sieves to 10 p_max, and before any Euler factor
+    def refuse(*args):
+        raise AssertionError("did work before the refusal")
+
+    monkeypatch.setattr(singular, "tail_envelope", refuse)
+    monkeypatch.setattr(singular, "class_counts_many", refuse)
+    with pytest.raises(ValueError, match="prime factor 45823 above p_max = 10000"):
+        singular_series(40, 45823, 14, p_max=10**4)
 
 
 def test_tail_envelope_magnitude():
