@@ -312,8 +312,9 @@ def _report_dict(rep) -> dict:
 def cmd_count(args) -> int:
     flags = {"hua4": "Q", "mixed": "P", "triple": "N", "reps": "n"}
     flag = flags[args.what]
-    for other in flags.values():
-        if other != flag and getattr(args, other) is not None:
+    reads = {flag, "r"} if args.what == "reps" else {flag}
+    for other in (*flags.values(), "r"):
+        if other not in reads and getattr(args, other) is not None:
             raise ValueError(f"--{other} is not read by --what {args.what}, which reads --{flag}")
     size = getattr(args, flag)
     if size is None:
@@ -333,7 +334,7 @@ def cmd_count(args) -> int:
         elif args.what == "triple":
             rep = dioph.count_admissible_triple(args.k, size)
         else:
-            rep = dioph.count_representations(size, args.k, args.r)
+            rep = dioph.count_representations(size, args.k, 3 if args.r is None else args.r)
         body = {"report": _report_dict(rep)}
     _emit({"command": "count", "what": args.what, **body}, args.format, args.output)
     return 0
@@ -343,8 +344,13 @@ def cmd_singint(args) -> int:
     if args.samples < 1024:
         raise ValueError(f"--samples must be >= 1024, got {args.samples}")
     tokens = args.n_grid.split(",")
-    if not all(math.isfinite(float(tok)) for tok in tokens):
+    values = [float(tok) for tok in tokens]
+    if not all(map(math.isfinite, values)):
         raise ValueError(f"grid points must be finite, got {args.n_grid}")
+    # before the exact parse, which computes 10**exponent even for a zero mantissa
+    low = min(values)
+    if low < 2:
+        raise ValueError(f"grid points must be >= 2, got {tokens[values.index(low)]}")
     # imported here, not at the top: only this command reads exact numbers, and loading
     # fractions (and decimal with it) would lengthen every other command's start
     from fractions import Fraction
@@ -411,7 +417,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--P", type=float, default=None)
     p.add_argument("--N", type=float, default=None)
     p.add_argument("--n", type=int, default=None)
-    p.add_argument("--r", type=int, default=3)
+    p.add_argument("--r", type=int, default=None, help="Omega(x) bound of --what reps (default 3)")
     p.set_defaults(func=cmd_count)
 
     p = sub.add_parser("singint", help="singular-integral growth fit")

@@ -9,8 +9,8 @@ The basic objects are, for a modulus q, exponent j and numerator a,
 evaluated on a spectral path: the sum over m grouped by the residue of m^j
 is a DFT of a power histogram, so one transform gives every numerator a at
 once.  The tests check it against direct summation over m (``tests/oracles.py``)
-on the exact table of q-th roots of unity here, whose angles 2*pi*m'/q take
-m' reduced mod q, so there is no phase drift.  One kernel serves a whole tuple of
+on an exact table of q-th roots of unity, whose angles 2*pi*m'/q take m'
+reduced mod q, so there is no phase drift.  One kernel serves a whole tuple of
 exponents at a modulus: a cumulative power table (the row of m^j from the
 row of m^(j-1), one multiply-reduce each), one offset ``bincount`` for every
 row, and one FFT along the last axis.  The per-j functions are its one-row
@@ -20,11 +20,13 @@ Character sums mod a prime p need only gcd(j, p - 1) rows, not p - 1: with
 m = g^s and a = g^r, G(chi_t, j, a) is the DFT over s of e(g^(r + j s) / p);
 replacing r by r + j shifts that sequence by one step in s, which changes
 only the phase of its DFT, so |G(chi_t, j, a)| depends on ind a = r only
-mod gcd(j, p - 1).
+mod gcd(j, p - 1).  Each class's least unit is read off the one walk of
+g^s mod p, with no discrete-log table; the walk and the p-th roots of unity
+are built per call, as the sweep reads each prime once.
 
 ``verify_bounds`` sweeps the moduli in chunks of consecutive q, at most
 ``_CHUNK_SLOTS`` table entries each: one power table and one bincount give
-every histogram of a chunk.  At a prime q the one non-unit m = q adds one
+every histogram of a chunk.  At a prime q the one non-unit m = 0 adds one
 count at v = 0, so the unit histogram is the complete one less that count,
 and both go through one FFT.  The character sums of all exponents at one
 prime go through one FFT too.
@@ -32,7 +34,9 @@ prime go through one FFT too.
 Magnitude assertions use tolerance 1e-6 * q; moduli stay <= 10**4 so
 accumulation error is orders of magnitude below that.  ``verify_bounds``
 estimates its FFT work before it starts and refuses a sweep over
-``SWEEP_POINT_BUDGET``.
+``SWEEP_POINT_BUDGET``.  The module's two caches hold ``complete_sums_all`` and
+``unit_sums_all``, which ``twisted_gap`` and ``singular.correlation_sum``
+re-read; the unit set of a modulus is not cached.
 """
 
 from __future__ import annotations
@@ -57,14 +61,6 @@ CHAR_P_MAX = 199
 _CHUNK_SLOTS = 2**14
 
 
-@lru_cache(maxsize=512)
-def _roots(q: int) -> np.ndarray:
-    """e(v/q) for v = 0..q-1 (read-only)."""
-    table = np.exp(2j * np.pi * np.arange(q) / q)
-    table.setflags(write=False)
-    return table
-
-
 def _power_table(js: tuple[int, ...], m: np.ndarray, mod) -> np.ndarray:
     """Rows m^j mod ``mod`` over the entries of ``m``, one per exponent of the ascending ``js``.
 
@@ -84,12 +80,9 @@ def _power_table(js: tuple[int, ...], m: np.ndarray, mod) -> np.ndarray:
     return table
 
 
-@lru_cache(maxsize=2048)
-def _unit_mask(q: int) -> np.ndarray:
-    """gcd(m, q) == 1 for m = 1..q (read-only)."""
-    mask = np.gcd(np.arange(1, q + 1), q) == 1
-    mask.setflags(write=False)
-    return mask
+def _units(q: int) -> np.ndarray:
+    """gcd(m, q) == 1 for the residues m = 0..q-1: the unit set mod q, m = 0 a unit at q = 1 only."""
+    return np.gcd(np.arange(q), q) == 1
 
 
 def _check_jq(j: int, q: int) -> None:
@@ -100,7 +93,7 @@ def _check_jq(j: int, q: int) -> None:
 
 
 def _power_hists(js: tuple[int, ...], q: int, units_only: bool) -> np.ndarray:
-    """h[i, v] = #{m in 1..q : m^js[i] = v mod q (and gcd(m,q)=1 if units_only)}."""
+    """h[i, v] = #{m in 0..q-1 : m^js[i] = v mod q (and gcd(m,q)=1 if units_only)}."""
     return _power_hists_many(js, (q,), units_only)
 
 
@@ -109,17 +102,18 @@ def _power_hists_many(js: tuple[int, ...], qs, units_only: bool = False) -> np.n
 
     Modulus q's histograms are the columns [s, s + q) of the (len(js), sum(qs))
     result, s the residues of the moduli before it.  One power table over the
-    residues m = 1..q of every modulus, and one bincount.
+    residues m = 0..q-1 of every modulus (m = 0 stands for m = q: both have
+    m^j = 0 mod q), and one bincount.
     """
     qs = np.asarray(qs, dtype=np.int64)
     mod, first = np.repeat(qs, qs), np.repeat(np.cumsum(qs) - qs, qs)  # per column: q and s
-    m = np.arange(1, mod.size + 1, dtype=np.int64) - first
+    m = np.arange(mod.size, dtype=np.int64) - first
     table = _power_table(js, m, mod)
     # row i of modulus q counts into bins i sum(qs) + s + v
     table += first
     table += m.size * np.arange(len(js))[:, None]
     if units_only:
-        table = table[:, np.concatenate([_unit_mask(q) for q in qs.tolist()])]
+        table = table[:, np.concatenate([_units(q) for q in qs.tolist()])]
     return np.bincount(table.ravel(), minlength=len(js) * m.size).reshape(len(js), m.size)
 
 
@@ -152,20 +146,6 @@ def unit_sums_all(j: int, q: int) -> np.ndarray:
     return out
 
 
-@lru_cache(maxsize=256)
-def _generator_tables(p: int) -> tuple[np.ndarray, np.ndarray]:
-    """(pw, dlog): pw[s] = g^s mod p and dlog[g^s mod p] = s, g the least primitive root.
-
-    One walk per odd prime p, both tables read-only.
-    """
-    pw = _generator_powers(p)
-    dlog = np.zeros(p, dtype=np.int64)
-    dlog[pw] = np.arange(p - 1)
-    pw.setflags(write=False)
-    dlog.setflags(write=False)
-    return pw, dlog
-
-
 def _char_rows(p: int, js: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray]:
     """Character sums for one numerator per class of ind a mod gcd(j, p-1), every j of ``js`` in one FFT.
 
@@ -175,13 +155,15 @@ def _char_rows(p: int, js: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray]:
     |G(chi_t, j, a)| is the same for every a in a class (module docstring), so
     the d rows carry every magnitude of exponent j's (p-1) x (p-1) table.
     """
-    pw, dlog = _generator_tables(p)
+    pw = _generator_powers(p)  # pw[s] = g^s mod p, g the least primitive root
     ds = [math.gcd(j, p - 1) for j in js]
-    least = {d: 1 + np.argmax(dlog[1:] % d == np.arange(d)[:, None], axis=1) for d in set(ds)}
+    # d | p - 1: column c of the walk in rows of d holds g^s for every s = c mod d
+    least = {d: pw.reshape(-1, d).min(axis=0) for d in set(ds)}
     reps = np.concatenate([least[d] for d in ds])
     # row r: v[s] = e(a_r g^(j s) / p); G(chi_t, a_r) = sum_s e(t s/(p-1)) v[s] = fft(v)[-t]
     pw = pw[np.multiply.outer(np.repeat(js, ds), np.arange(p - 1)) % (p - 1)]
-    return reps, np.fft.fft(_roots(p)[reps[:, None] * pw % p], axis=1)
+    roots = np.exp(2j * np.pi * np.arange(p) / p)  # e(v/p), v = 0..p-1
+    return reps, np.fft.fft(roots[reps[:, None] * pw % p], axis=1)
 
 
 def vanishing_exponent(p: int, j: int) -> int:
@@ -343,12 +325,10 @@ def verify_bounds(
             block = hists[:, start : start + q]
             start += q
             if q in primes:
-                # m = q is the one non-unit: the unit histogram lacks one count at v = 0
+                # m = 0 is the one non-unit: the unit histogram lacks one count at v = 0
                 block = np.concatenate((block, block))
                 block[n:, 0] -= 1
-            # unit numerators a = 0..q-1 (a = 0 only for q = 1), uncached: a cached mask of
-            # every q would outlast the sweep
-            units = np.flatnonzero(np.gcd(np.arange(q), q) == 1)
+            units = np.flatnonzero(_units(q))  # unit numerators a (a = 0 only for q = 1)
             mags = np.abs(_spectra(block)[:, units])
             # Python-scalar powers: numpy's array power can differ in the last ulp
             ratios = mags[:n] / np.array([q ** (1 - 1 / j) for j in js])[:, None]
@@ -380,7 +360,7 @@ def verify_bounds(
         while q <= pp_max:
             level_js = tuple(j for j, gamma in zip(js, gammas) if gamma <= ell)
             if level_js:
-                units = np.gcd(np.arange(q), q) == 1
+                units = _units(q)
                 peaks = np.abs(_power_spectra(level_js, q, True)[:, units]).max(axis=1)
                 rep.vanishing_max = max(rep.vanishing_max, float(peaks.max()))
                 for j, m in zip(level_js, peaks.tolist()):

@@ -43,6 +43,11 @@ def F_upper(s: float) -> float:
     return 2.0 * EXP_GAMMA / s
 
 
+def _check_z(z: float) -> None:
+    if z <= 3.0:
+        raise ValueError(f"need z > 3 for a nonempty product, got {z}")
+
+
 @lru_cache(maxsize=64)
 def sieve_product(n: int, k: int, z: float) -> float:
     """W(z) = prod over odd primes p < z of (1 - omega(p)/p), once per (n, k, z).
@@ -52,8 +57,7 @@ def sieve_product(n: int, k: int, z: float) -> float:
     if n % 2 != 0:
         raise ValueError(f"n must be even, got {n}")
     check_k(k)
-    if z <= 3.0:
-        raise ValueError(f"need z > 3 for a nonempty product, got {z}")
+    _check_z(z)
     if z > P_MAX_BUDGET:
         raise BudgetExceeded(f"z = {z} is over the {P_MAX_BUDGET} budget of the class-count engine")
     log_sum = 0.0
@@ -73,6 +77,7 @@ def main_term_margin(k: int, c_k: float) -> float:
 
 def sieve_window_value(n: int, k: int, z: float, D: float, side: str) -> float:
     """The comparison value W(z) f(log D / log z) (lower) or W(z) F(...) (upper)."""
+    _check_z(z)  # before log z: z = 1 would divide by zero, and z < 1 would flip the sign of s
     s = math.log(D) / math.log(z)
     if side not in ("lower", "upper"):
         raise ValueError(f"side must be 'lower' or 'upper', got {side!r}")

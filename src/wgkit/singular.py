@@ -34,7 +34,7 @@ import numpy as np
 
 from .arith import FactoredInt, factorize, is_prime, primes_up_to
 from .errors import BudgetExceeded, VerificationError
-from .expsums import _unit_mask, complete_sums_all, unit_sums_all
+from .expsums import _units, complete_sums_all, unit_sums_all
 from .localdensity import P_MAX_BUDGET, ClassCounts, class_counts_many
 from .reference import check_k
 
@@ -77,7 +77,7 @@ def correlation_sum(q: int, d: int, n: int, k: int) -> float:
     if q == 1:
         return 1.0
     a = np.arange(q)
-    units = np.roll(_unit_mask(q), 1)  # indexed by a = 0..q-1; a = 0 stands for m = q
+    units = _units(q)
     s2_complete = complete_sums_all(2, q)
     s2u = unit_sums_all(2, q)
     s3u = unit_sums_all(3, q)

@@ -237,15 +237,30 @@ def _spectra_per_modulus(js: tuple[int, ...], q: int, units_only: bool) -> np.nd
     return np.conjugate(np.fft.fft(hists.astype(np.float64)))
 
 
-def _char_class_sums_one_exponent(p: int, j: int) -> tuple[np.ndarray, np.ndarray]:
-    """(a, G): one least unit a per class of ind a mod gcd(j, p-1), and one FFT
-    per class row of the character sums G(chi_t, j, a), t = 0..p-2."""
-    from wgkit.expsums import _generator_tables, _roots
+@lru_cache(maxsize=512)
+def _roots(q: int) -> np.ndarray:
+    """e(v/q) for v = 0..q-1 (read-only)."""
+    table = np.exp(2j * np.pi * np.arange(q) / q)
+    table.setflags(write=False)
+    return table
 
+
+@lru_cache(maxsize=256)
+def dlog(p: int) -> np.ndarray:
+    """dlog[g^s mod p] = s for s = 0..p-2, g the least primitive root; dlog[0] = 0 (read-only)."""
+    table = np.zeros(p, dtype=np.int64)
+    table[arith._generator_powers(p)] = np.arange(p - 1)
+    table.setflags(write=False)
+    return table
+
+
+def _char_class_sums_one_exponent(p: int, j: int) -> tuple[np.ndarray, np.ndarray]:
+    """(a, G): one least unit a per class of ind a mod gcd(j, p-1), found by an
+    argmax over the discrete logs, and one FFT per class row of the character
+    sums G(chi_t, j, a), t = 0..p-2."""
     d = math.gcd(j, p - 1)
-    pw, dlog = _generator_tables(p)
-    reps = 1 + np.argmax(dlog[1:] % d == np.arange(d)[:, None], axis=1)
-    pw = pw[j * np.arange(p - 1) % (p - 1)]
+    reps = 1 + np.argmax(dlog(p)[1:] % d == np.arange(d)[:, None], axis=1)
+    pw = arith._generator_powers(p)[j * np.arange(p - 1) % (p - 1)]
     v = _roots(p)[np.multiply.outer(reps, pw) % p]
     return reps, np.fft.fft(v, axis=1)[:, -np.arange(p - 1) % (p - 1)]
 
@@ -630,7 +645,7 @@ def complete_sum(j: int, q: int, a: int) -> ExpSumValue:
     """Direct summation of e(a m^j / q) over m = 1..q, ascending m."""
     expsums._check_jq(j, q)
     idx = (a % q) * _power_residues(j, q) % q
-    total = expsums._roots(q)[idx].sum()
+    total = _roots(q)[idx].sum()
     return ExpSumValue(float(total.real), float(total.imag), q, j, a % q)
 
 
@@ -638,7 +653,7 @@ def unit_sum(j: int, q: int, a: int) -> ExpSumValue:
     """Complete sum restricted to gcd(m, q) = 1."""
     expsums._check_jq(j, q)
     idx = (a % q) * _power_residues(j, q) % q
-    total = expsums._roots(q)[idx[expsums._unit_mask(q)]].sum()
+    total = _roots(q)[idx[np.gcd(np.arange(1, q + 1), q) == 1]].sum()
     return ExpSumValue(float(total.real), float(total.imag), q, j, a % q)
 
 
@@ -675,7 +690,7 @@ def character(p: int, index: int) -> DirichletCharacter:
         if not (0 <= index < p - 1):
             raise ValueError(f"index must be in [0, {p - 2}], got {index}")
         vals = np.zeros(p, dtype=complex)
-        vals[1:] = np.exp(2j * np.pi * index * expsums._generator_tables(p)[1][1:] / (p - 1))
+        vals[1:] = np.exp(2j * np.pi * index * dlog(p)[1:] / (p - 1))
     vals.setflags(write=False)
     return DirichletCharacter(p, index, vals)
 
@@ -690,7 +705,7 @@ def char_sum(chi: DirichletCharacter, j: int, a: int) -> ExpSumValue:
     expsums._check_jq(j, q)
     # m = 1..q-1; the term m = q vanishes, as chi(q) = 0
     idx = (a % q) * _power_residues(j, q)[:-1] % q
-    total = (chi.values[1:] * expsums._roots(q)[idx]).sum()
+    total = (chi.values[1:] * _roots(q)[idx]).sum()
     return ExpSumValue(float(total.real), float(total.imag), q, j, a % q)
 
 

@@ -356,7 +356,8 @@ def test_count_commands(capsys):
 
 
 def test_count_refuses_a_size_its_what_does_not_read(monkeypatch, capsys):
-    # each --what reads one size flag; another one given is refused before any count, not dropped
+    # each --what reads one size flag, and reps also --r; another one given is refused before
+    # any count, not dropped
     def refuse(*args):
         raise AssertionError("counted before the refusal")
 
@@ -367,9 +368,18 @@ def test_count_refuses_a_size_its_what_does_not_read(monkeypatch, capsys):
         (["--what", "mixed", "--k", "4", "--P", "16", "--n", "40"], "--n is not read by --what mixed, which reads --P"),
         (["--what", "triple", "--k", "3", "--Q", "10"], "--Q is not read by --what triple, which reads --N"),
         (["--what", "reps", "--k", "3", "--n", "40", "--N", "1e5"], "--N is not read by --what reps, which reads --n"),
+        (["--what", "hua4", "--k", "3", "--Q", "10", "--r", "7"], "--r is not read by --what hua4, which reads --Q"),
+        (["--what", "mixed", "--k", "4", "--P", "16", "--r", "3"], "--r is not read by --what mixed, which reads --P"),
+        (["--what", "triple", "--k", "3", "--N", "1e5", "--r", "3"], "--r is not read by --what triple, which reads --N"),
     ):
         assert main(["count", *argv]) == 2
         assert capsys.readouterr() == ("", f"error: {message}\n")
+
+
+def test_count_reps_reads_no_r_as_3(capsys):
+    argv = ["count", "--what", "reps", "--k", "3", "--n", "10000"]
+    assert run_cli(capsys, argv) == run_cli(capsys, [*argv, "--r", "3"])
+    assert run_cli(capsys, argv) != run_cli(capsys, [*argv, "--r", "1"])
 
 
 def test_margin_csv_is_its_json_rows(capsys):
@@ -494,9 +504,12 @@ def test_closed_stdout_ends_quietly_with_sigpipe_status(argv):
 
 
 def test_singint_refuses_a_degenerate_grid(capfd):
-    # a point below 2, or one point repeated, is refused before the fit
-    for grid in ("0,1e8", "-5,1e8", "1e8,1e8"):
+    # a point below 2, or one point repeated, is refused before the fit; a zero mantissa or a
+    # tiny value under a huge exponent on its float, before the exact parse computes 10**exponent
+    for grid in ("0,1e8", "-5,1e8", "1e8,1e8", "0e999999999,1e9", "1e-999999999,1e9", "1e8,1.5e-3"):
+        start = time.perf_counter()
         code = main(["singint", "--k", "3", f"--n-grid={grid}"])
+        assert time.perf_counter() - start < 0.5, grid
         captured = capfd.readouterr()
         assert code == 2
         assert captured.out == ""
@@ -524,7 +537,7 @@ def test_singint_refuses_a_grid_point_that_is_not_an_integer(capfd, monkeypatch)
         raise AssertionError("integrated a grid point before the refusal")
 
     monkeypatch.setattr(singint, "_quadrature", refuse)
-    for grid in ("100000000.7,1e9", "1e8,1.5e-3", "1e8,2.5"):
+    for grid in ("100000000.7,1e9", "1e8,1.0000005e2", "1e8,2.5"):
         assert main(["singint", "--k", "3", "--n-grid", grid]) == 2
         assert capfd.readouterr() == ("", f"error: grid points must be integers, got {grid}\n")
 
@@ -654,7 +667,7 @@ _SETTABLE = {
     "singular": {"--n": "required", "--k": "required", "--d": 1, "--pmax": 10**4},
     "constants": {"--k": "all"},
     "margin": {},
-    "count": {"--what": "required", "--k": "required", "--Q": None, "--P": None, "--N": None, "--n": None, "--r": 3},
+    "count": {"--what": "required", "--k": "required", "--Q": None, "--P": None, "--N": None, "--n": None, "--r": None},
     "singint": {"--n-grid": "1e8,1e9,1e10,1e11", "--k": "required", "--samples": 10**7, "--seed": 0,
                 "--slope-tol": 0.03},
 }

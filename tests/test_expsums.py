@@ -14,6 +14,7 @@ from oracles import (
     char_class_sums,
     character,
     complete_sum,
+    dlog,
     unit_sum,
     verify_bounds_per_modulus,
 )
@@ -25,7 +26,6 @@ from wgkit.expsums import (
     SWEEP_POINT_BUDGET,
     BoundReport,
     _char_rows,
-    _generator_tables,
     _power_hists,
     _power_hists_many,
     _power_spectra,
@@ -149,14 +149,14 @@ def test_char_class_sums_cover_every_character_sum():
     # |G(chi_t, j, a)| depends on ind a only mod gcd(j, p - 1): one row per class
     for p in primes_up_to(61)[1:]:
         chars = all_characters(p)
-        dlog = _generator_tables(p)[1]
+        ind = dlog(p)
         for j in range(2, 15):
             d = math.gcd(j, p - 1)
             reps, sums = char_class_sums(p, j)
             assert sums.shape == (d, p - 1)
-            assert reps.tolist() == [min(a for a in range(1, p) if dlog[a] % d == c) for c in range(d)]
+            assert reps.tolist() == [min(a for a in range(1, p) if ind[a] % d == c) for c in range(d)]
             for a in range(1, p):
-                c = dlog[a] % d
+                c = ind[a] % d
                 for t, chi in enumerate(chars):
                     direct = char_sum(chi, j, a).value
                     assert abs(abs(sums[c, t]) - abs(direct)) <= 1e-9, (p, j, t, a)
@@ -165,19 +165,16 @@ def test_char_class_sums_cover_every_character_sum():
             assert np.abs(sums).max() == pytest.approx(full, abs=1e-9), (p, j)
 
 
-def test_char_class_sums_walk_the_generator_once_per_prime(monkeypatch):
-    # the sweep's thirteen exponents share one walk of g^s mod p per prime
-    from wgkit import expsums
-
+def test_sweep_walks_the_generator_once_per_character_prime(monkeypatch):
+    # the sweep's exponents share one walk of g^s mod p per character prime, and no
+    # walk outlasts its call: a second sweep walks every prime again
     calls = []
     walk = expsums._generator_powers
     monkeypatch.setattr(expsums, "_generator_powers", lambda p: calls.append(p) or walk(p))
-    expsums._generator_tables.cache_clear()
-    for p in (3, 61, 199):
-        for j in range(2, 15):
-            char_class_sums(p, j)
-        character(p, 1)
-    assert calls == [3, 61, 199]
+    for args, p_max in (((14, 250, 2500), 199), ((5, 60, 256), 60), ((14, 250, 2500), 199)):
+        calls.clear()
+        verify_bounds(*args)
+        assert calls == primes_up_to(p_max)[1:], args
 
 
 def test_reported_witnesses_attain_their_ratios():

@@ -17,7 +17,7 @@ from oracles import (
 from wgkit.arith import primes_up_to
 from wgkit.cli import main
 from wgkit.errors import BudgetExceeded, VerificationError
-from wgkit import arith, expsums, localdensity
+from wgkit import arith, localdensity
 from wgkit.expsums import _power_hists
 from wgkit.localdensity import (
     class_counts,
@@ -297,7 +297,7 @@ def test_class_counts_cached_per_prime_and_power(monkeypatch):
 def test_each_prime_root_is_searched_once(monkeypatch):
     # the least primitive root depends on p alone, and the engine reads it only
     # to walk a coset count G != 2 (G = 2 has a closed form): a second batch,
-    # another k and the character tables search only the primes whose root no
+    # another k and the character primes' walks search only the primes whose root no
     # earlier call read, and no prime twice
     searched = []
     search = arith._least_root
@@ -316,9 +316,8 @@ def test_each_prime_root_is_searched_once(monkeypatch):
     class_counts_many(primes, 14)  # every (p, d) is new, and every (p, G) at 7 | p - 1
     walked |= {p for p in primes if _coset_count(p, 14) != 2}  # adds p = 2 mod 3 with 7 | p - 1
     assert sorted(searched) == sorted(walked)
-    expsums._generator_tables.cache_clear()
     for p in primes_up_to(199)[1:]:
-        expsums._generator_tables(p)
+        arith._generator_powers(p)
     assert sorted(searched) == sorted(walked | set(primes_up_to(199)))
     assert arith._LEAST_ROOTS == {p: search(p) for p in searched}
 

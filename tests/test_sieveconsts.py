@@ -96,7 +96,8 @@ def test_sieve_window_value():
 
 
 def test_sieve_window_value_refuses_before_the_product(monkeypatch):
-    # a bad side, or an s = log D / log z outside the side's window, is refused before W(z)
+    # a bad side, or an s = log D / log z outside the side's window, is refused before W(z), and
+    # a z <= 3 before log z: z = 1 would divide by zero, and z = 0.5 would give an s outside the window
     def refuse(*args):
         raise AssertionError("computed W(z) before the refusal")
 
@@ -107,3 +108,7 @@ def test_sieve_window_value_refuses_before_the_product(monkeypatch):
         sieve_window_value(40, 3, z=2500.0, D=2500.0**5, side="lower")
     with pytest.raises(ValueError, match=r"F\(s\) closed form is valid on \[1.0, 3.0\] only"):
         sieve_window_value(40, 3, z=2500.0, D=2500.0**3.5, side="upper")
+    for z in (1.0, 0.5, 3.0):
+        for side in ("lower", "upper"):
+            with pytest.raises(ValueError, match=rf"^need z > 3 for a nonempty product, got {z}$"):
+                sieve_window_value(40, 3, z=z, D=2500.0**3, side=side)
