@@ -176,6 +176,8 @@ def _parse_k_list(raw: str) -> list[int]:
             reference.check_k(k)
         except ValueError as exc:
             raise argparse.ArgumentTypeError(str(exc))
+    if len(set(ks)) != len(ks):
+        raise argparse.ArgumentTypeError(f"repeated k in {raw!r}")
     return ks
 
 
@@ -341,6 +343,8 @@ def cmd_count(args) -> int:
 
 
 def cmd_singint(args) -> int:
+    if not 0 < args.slope_tol < math.inf:  # nan, <= 0 or inf would decide the exit code alone
+        raise ValueError(f"--slope-tol must be finite and > 0, got {args.slope_tol}")
     if args.samples < 1024:
         raise ValueError(f"--samples must be >= 1024, got {args.samples}")
     tokens = args.n_grid.split(",")

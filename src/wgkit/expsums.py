@@ -13,8 +13,8 @@ on an exact table of q-th roots of unity, whose angles 2*pi*m'/q take m'
 reduced mod q, so there is no phase drift.  One kernel serves a whole tuple of
 exponents at a modulus: a cumulative power table (the row of m^j from the
 row of m^(j-1), one multiply-reduce each), one offset ``bincount`` for every
-row, and one FFT along the last axis.  The per-j functions are its one-row
-case.
+row, and one FFT along the last axis.  Every caller asks it for all of its
+rows at once, ``twisted_gap`` for every exponent at each of its moduli.
 
 Character sums mod a prime p need only gcd(j, p - 1) rows, not p - 1: with
 m = g^s and a = g^r, G(chi_t, j, a) is the DFT over s of e(g^(r + j s) / p);
@@ -34,16 +34,14 @@ prime go through one FFT too.
 Magnitude assertions use tolerance 1e-6 * q; moduli stay <= 10**4 so
 accumulation error is orders of magnitude below that.  ``verify_bounds``
 estimates its FFT work before it starts and refuses a sweep over
-``SWEEP_POINT_BUDGET``.  The module's two caches hold ``complete_sums_all`` and
-``unit_sums_all``, which ``twisted_gap`` and ``singular.correlation_sum``
-re-read; the unit set of a modulus is not cached.
+``SWEEP_POINT_BUDGET``.  The module holds no cache: a spectrum is computed
+for each call that asks for it.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import lru_cache
 
 import numpy as np
 
@@ -92,13 +90,8 @@ def _check_jq(j: int, q: int) -> None:
         raise ValueError(f"modulus must be >= 1, got {q}")
 
 
-def _power_hists(js: tuple[int, ...], q: int, units_only: bool) -> np.ndarray:
-    """h[i, v] = #{m in 0..q-1 : m^js[i] = v mod q (and gcd(m,q)=1 if units_only)}."""
-    return _power_hists_many(js, (q,), units_only)
-
-
 def _power_hists_many(js: tuple[int, ...], qs, units_only: bool = False) -> np.ndarray:
-    """The histograms ``_power_hists`` of every modulus of ``qs``, side by side in one table.
+    """h[i, v] = #{m in 0..q-1 : m^js[i] = v mod q (and gcd(m,q)=1 if units_only)} for each q of ``qs``.
 
     Modulus q's histograms are the columns [s, s + q) of the (len(js), sum(qs))
     result, s the residues of the moduli before it.  One power table over the
@@ -125,25 +118,7 @@ def _spectra(hists: np.ndarray) -> np.ndarray:
 
 def _power_spectra(js: tuple[int, ...], q: int, units_only: bool) -> np.ndarray:
     """Row i: the complete (or unit) sums of exponent js[i] for every a = 0..q-1."""
-    return _spectra(_power_hists(js, q, units_only))
-
-
-@lru_cache(maxsize=4096)
-def complete_sums_all(j: int, q: int) -> np.ndarray:
-    """Complete sums for every numerator a = 0..q-1 (spectral path)."""
-    _check_jq(j, q)
-    out = _power_spectra((j,), q, False)[0]
-    out.setflags(write=False)
-    return out
-
-
-@lru_cache(maxsize=4096)
-def unit_sums_all(j: int, q: int) -> np.ndarray:
-    """Unit sums for every numerator a = 0..q-1 (spectral path)."""
-    _check_jq(j, q)
-    out = _power_spectra((j,), q, True)[0]
-    out.setflags(write=False)
-    return out
+    return _spectra(_power_hists_many(js, (q,), units_only))
 
 
 def _char_rows(p: int, js: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray]:
@@ -178,22 +153,24 @@ def vanishing_exponent(p: int, j: int) -> int:
     return theta + 2
 
 
-def twisted_gap(j: int, q1: int, q2: int) -> float:
-    """Max deviation over all a of S(q1 q2, a) - S(q1, a q2^(j-1)) S(q2, a q1^(j-1)).
+def twisted_gap(js: tuple[int, ...], q1: int, q2: int) -> np.ndarray:
+    """Per j of the ascending ``js``, max over a of |S(q1 q2, a) - S(q1, a q2^(j-1)) S(q2, a q1^(j-1))|.
 
-    The identity holds exactly for coprime q1, q2; the returned gap is pure
-    floating-point noise when the implementation is correct.  The factor
-    moduli's spectra come from the cache; the product's, used once, does not.
+    The identity holds exactly for coprime q1, q2; each gap is pure
+    floating-point noise when the implementation is correct.  One kernel call
+    per modulus gives the rows of every exponent.
     """
     if math.gcd(q1, q2) != 1:
         raise ValueError(f"moduli must be coprime, got {q1}, {q2}")
     q = q1 * q2
-    s1 = complete_sums_all(j, q1)
-    s2 = complete_sums_all(j, q2)
-    lhs = _power_spectra((j,), q, False)[0]
+    for j in js:
+        _check_jq(j, q)
+    s1, s2, lhs = (_power_spectra(js, m, False) for m in (q1, q2, q))
     a = np.arange(q)
-    rhs = s1[a * pow(q2, j - 1, q1) % q1] * s2[a * pow(q1, j - 1, q2) % q2]
-    return float(np.abs(lhs - rhs).max())
+    rows = np.arange(len(js))[:, None]
+    i1 = np.multiply.outer([pow(q2, j - 1, q1) for j in js], a) % q1
+    i2 = np.multiply.outer([pow(q1, j - 1, q2) for j in js], a) % q2
+    return np.abs(lhs - s1[rows, i1] * s2[rows, i2]).max(axis=1)
 
 
 @dataclass
@@ -390,15 +367,15 @@ def verify_bounds(
         rep.violations.extend(weil[j])
         rep.char_ratio[j] = worst_char[j]
 
-    if twisted_q_max:
-        for j in js:
-            for q1 in range(2, twisted_q_max + 1):
-                for q2 in range(q1 + 1, twisted_q_max + 1):
-                    if math.gcd(q1, q2) != 1:
-                        continue
-                    gap = twisted_gap(j, q1, q2)
-                    rep.twisted_gap_max = max(rep.twisted_gap_max, gap)
-                    if gap > MAG_TOL * q1 * q2:
-                        rep.violations.append(("twisted_multiplicativity", j, q1, q2, gap))
+    found = []  # every exponent of a pair at once, reported j by j
+    for q1 in range(2, twisted_q_max + 1):
+        for q2 in range(q1 + 1, twisted_q_max + 1):
+            if math.gcd(q1, q2) != 1:
+                continue
+            for j, gap in zip(js, twisted_gap(js, q1, q2).tolist()):
+                rep.twisted_gap_max = max(rep.twisted_gap_max, gap)
+                if gap > MAG_TOL * q1 * q2:
+                    found.append(("twisted_multiplicativity", j, q1, q2, gap))
+    rep.violations.extend(sorted(found, key=lambda v: v[1]))
 
     return rep

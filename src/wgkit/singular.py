@@ -34,7 +34,7 @@ import numpy as np
 
 from .arith import FactoredInt, factorize, is_prime, primes_up_to
 from .errors import BudgetExceeded, VerificationError
-from .expsums import _units, complete_sums_all, unit_sums_all
+from .expsums import _power_spectra, _units
 from .localdensity import P_MAX_BUDGET, ClassCounts, class_counts_many
 from .reference import check_k
 
@@ -72,16 +72,15 @@ def correlation_sum(q: int, d: int, n: int, k: int) -> float:
     The imaginary part must cancel by conjugate symmetry; a residual above
     1e-6 of the term mass is an internal consistency failure.
     """
+    check_k(k)  # k >= 3 keeps the unit exponents (2, 3, k) ascending, as the kernel needs
     if q < 1:
         raise ValueError(f"q must be >= 1, got {q}")
     if q == 1:
         return 1.0
     a = np.arange(q)
     units = _units(q)
-    s2_complete = complete_sums_all(2, q)
-    s2u = unit_sums_all(2, q)
-    s3u = unit_sums_all(3, q)
-    sku = unit_sums_all(k, q)
+    s2_complete = _power_spectra((2,), q, False)[0]
+    s2u, s3u, sku = _power_spectra((2, 3, k), q, True)
     twist = np.exp(-2j * np.pi * ((a * (n % q)) % q) / q)
     terms = s2_complete[(a * (d * d % q)) % q] * s2u * s3u**3 * sku * twist
     total = terms[units].sum()

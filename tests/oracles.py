@@ -722,7 +722,7 @@ def _unit_sum_product_ld(p: int, k: int) -> np.ndarray:
 
     Each unit sum is the conjugate DFT of its histogram, a long-double FFT.
     """
-    spectra = np.fft.fft(expsums._power_hists((2, 3, k), p, True).astype(np.longdouble))
+    spectra = np.fft.fft(expsums._power_hists_many((2, 3, k), (p,), True).astype(np.longdouble))
     s2, s3, sk = np.conjugate(spectra, out=spectra)
     prod = s2**2 * s3**3 * sk
     prod.setflags(write=False)

@@ -189,6 +189,11 @@ def test_local_k_range_usage_error(capsys):
         main(["constants", "--k", "15"])
     assert exc.value.code == 2
     assert message in capsys.readouterr().err
+    # a repeated k would print its table twice
+    with pytest.raises(SystemExit) as exc:
+        main(["constants", "--k", "3,3"])
+    assert exc.value.code == 2
+    assert capsys.readouterr().out == ""
 
 
 def test_range_errors_come_from_the_command(capsys, tmp_path):
@@ -540,6 +545,18 @@ def test_singint_refuses_a_grid_point_that_is_not_an_integer(capfd, monkeypatch)
     for grid in ("100000000.7,1e9", "1e8,1.0000005e2", "1e8,2.5"):
         assert main(["singint", "--k", "3", "--n-grid", grid]) == 2
         assert capfd.readouterr() == ("", f"error: grid points must be integers, got {grid}\n")
+
+
+def test_singint_refuses_a_slope_tol_that_cannot_decide(capfd, monkeypatch):
+    # nan or a value <= 0 always fails the fit and inf always passes it: refused before any quadrature
+    def refuse(*args):
+        raise AssertionError("integrated a grid point before the refusal")
+
+    monkeypatch.setattr(singint, "_quadrature", refuse)
+    for tol in ("nan", "inf", "-inf", "0", "-0.03"):
+        assert main(["singint", "--k", "3", f"--slope-tol={tol}"]) == 2
+        out, err = capfd.readouterr()
+        assert out == "" and err.startswith("error: --slope-tol must be finite and > 0"), tol
 
 
 def test_singint_command_deterministic(capsys):

@@ -26,13 +26,10 @@ from wgkit.expsums import (
     SWEEP_POINT_BUDGET,
     BoundReport,
     _char_rows,
-    _power_hists,
     _power_hists_many,
     _power_spectra,
     _sweep_points,
-    complete_sums_all,
     twisted_gap,
-    unit_sums_all,
     vanishing_exponent,
     verify_bounds,
 )
@@ -80,12 +77,11 @@ def test_sums_match_reference_definition():
 
 def test_spectral_path_agrees_with_direct():
     for q in range(1, 60):
-        for j in (2, 3, 7):
-            call = complete_sums_all(j, q)
-            uall = unit_sums_all(j, q)
+        call, uall = (_power_spectra((2, 3, 7), q, units_only) for units_only in (False, True))
+        for i, j in enumerate((2, 3, 7)):
             for a in range(q):
-                assert call[a] == pytest.approx(complete_sum(j, q, a).value, abs=1e-9)
-                assert uall[a] == pytest.approx(unit_sum(j, q, a).value, abs=1e-9)
+                assert call[i, a] == pytest.approx(complete_sum(j, q, a).value, abs=1e-9)
+                assert uall[i, a] == pytest.approx(unit_sum(j, q, a).value, abs=1e-9)
 
 
 def test_multi_exponent_kernel_rows_are_the_single_row_path():
@@ -93,19 +89,19 @@ def test_multi_exponent_kernel_rows_are_the_single_row_path():
     # and for consecutive moduli side by side, each column block is its modulus's histogram
     js = tuple(range(2, 15))
     for q in range(1, 121):
-        for units_only, single in ((False, complete_sums_all), (True, unit_sums_all)):
-            hists = _power_hists(js, q, units_only)
+        for units_only in (False, True):
+            hists = _power_hists_many(js, (q,), units_only)
             spectra = _power_spectra(js, q, units_only)
             for i, j in enumerate(js):
                 literal = [pow(m, j, q) for m in range(1, q + 1) if not units_only or math.gcd(m, q) == 1]
                 assert np.array_equal(hists[i], np.bincount(literal, minlength=q)), (q, j, units_only)
-                assert np.array_equal(spectra[i], single(j, q)), (q, j, units_only)
+                assert np.array_equal(spectra[i], _power_spectra((j,), q, units_only)[0]), (q, j, units_only)
     for qs, units_only in ((range(1, 121), False), (range(97, 131), False), (range(250, 252), False), (range(2, 60), True)):
         side = _power_hists_many(js, qs, units_only)
         assert side.shape == (len(js), sum(qs))
         starts = np.cumsum([0, *qs])
         for q, s in zip(qs, starts.tolist()):
-            assert np.array_equal(side[:, s : s + q], _power_hists(js, q, units_only)), (q, units_only)
+            assert np.array_equal(side[:, s : s + q], _power_hists_many(js, (q,), units_only)), (q, units_only)
 
 
 def test_char_rows_stack_the_one_exponent_rows():
@@ -263,18 +259,24 @@ def test_unit_sum_vanishing_examples():
 
 
 def test_twisted_multiplicativity_spot():
-    for j in (2, 3, 5, 14):
-        for q1, q2 in ((3, 4), (5, 7), (8, 9), (16, 27), (49, 60)):
-            assert twisted_gap(j, q1, q2) < 1e-6 * q1 * q2
+    js = (2, 3, 5, 14)
+    for q1, q2 in ((3, 4), (5, 7), (8, 9), (16, 27), (49, 60)):
+        gaps = twisted_gap(js, q1, q2)
+        assert gaps.shape == (len(js),) and (gaps < 1e-6 * q1 * q2).all()
     with pytest.raises(ValueError):
-        twisted_gap(2, 6, 9)
+        twisted_gap((2,), 6, 9)
+    with pytest.raises(ValueError):
+        twisted_gap((1,), 3, 4)
 
 
-def test_twisted_gap_caches_only_the_factor_spectra():
-    # the product modulus's spectrum is used once: it is not kept
-    complete_sums_all.cache_clear()
-    twisted_gap(3, 5, 7)
-    assert complete_sums_all.cache_info().currsize == 2
+def test_twisted_gap_asks_the_kernel_once_per_modulus(monkeypatch):
+    # no cache: one call with every exponent for each of q1, q2 and q1 q2
+    calls = []
+    spectra = expsums._power_spectra
+    monkeypatch.setattr(expsums, "_power_spectra", lambda js, q, u: calls.append((js, q, u)) or spectra(js, q, u))
+    js = tuple(range(2, 15))
+    twisted_gap(js, 5, 7)
+    assert calls == [(js, 5, False), (js, 7, False), (js, 35, False)]
 
 
 @st.composite
@@ -285,11 +287,11 @@ def _coprime_pair(draw):
 
 
 @settings(max_examples=60, deadline=None, derandomize=True)
-@given(pair=_coprime_pair(), j=st.integers(2, 14))
-def test_twisted_multiplicativity_property(pair, j):
+@given(pair=_coprime_pair(), js=st.sets(st.integers(2, 14), min_size=1).map(sorted).map(tuple))
+def test_twisted_multiplicativity_property(pair, js):
     # S(q1 q2, a) = S(q1, a q2^(j-1)) S(q2, a q1^(j-1)) for every a, coprime q1, q2
     q1, q2 = pair
-    assert twisted_gap(j, q1, q2) <= MAG_TOL * q1 * q2
+    assert (twisted_gap(js, q1, q2) <= MAG_TOL * q1 * q2).all()
 
 
 def test_prime_modulus_bound_examples():
@@ -325,7 +327,7 @@ _BROKEN_CHECKS = {
         "_char_rows", lambda f: lambda p, js: (f(p, js)[0], 10 * f(p, js)[1]), {"weil_char_bound"}, 0,
     ),
     "twisted": (
-        "twisted_gap", lambda f: lambda j, q1, q2: f(j, q1, q2) + q1 * q2, {"twisted_multiplicativity"}, 6,
+        "twisted_gap", lambda f: lambda js, q1, q2: f(js, q1, q2) + q1 * q2, {"twisted_multiplicativity"}, 6,
     ),
 }
 
@@ -336,6 +338,8 @@ def test_each_hard_check_can_fail(case, monkeypatch, capsys):
     monkeypatch.setattr(expsums, name, breaks(getattr(expsums, name)))
     rep = verify_bounds(j_max=3, q_max=40, pp_max=64, twisted_q_max=twisted_q_max)
     assert {v[0] for v in rep.violations} == want
+    if case == "twisted":  # every exponent of a pair in one call, still reported by j, then q1, then q2
+        assert rep.violations == sorted(rep.violations, key=lambda v: v[1:4])
     argv = ["sums", "--jmax", "3", "--qmax", "40", "--ppmax", "64", "--twisted-qmax", str(twisted_q_max)]
     assert main(argv) == 1
     assert json.loads(capsys.readouterr().out)["report"]["passed"] is False

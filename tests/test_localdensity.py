@@ -18,7 +18,7 @@ from wgkit.arith import primes_up_to
 from wgkit.cli import main
 from wgkit.errors import BudgetExceeded, VerificationError
 from wgkit import arith, localdensity
-from wgkit.expsums import _power_hists
+from wgkit.expsums import _power_hists_many
 from wgkit.localdensity import (
     class_counts,
     class_counts_many,
@@ -35,14 +35,14 @@ def _ep_at(p: int, n: int, k: int) -> int:
 
 
 def test_power_histogram_examples():
-    h = _power_hists((3,), 7, True)[0]
+    h = _power_hists_many((3,), (7,), True)[0]
     assert h[1] == 3 and h[6] == 3
     assert h.sum() == 6 and h[0] == 0
-    assert _power_hists((2,), 2, True)[0].tolist() == [0, 1]
-    assert _power_hists((2,), 5, False)[0].tolist() == [1, 2, 0, 0, 2]
+    assert _power_hists_many((2,), (2,), True)[0].tolist() == [0, 1]
+    assert _power_hists_many((2,), (5,), False)[0].tolist() == [1, 2, 0, 0, 2]
     # composite modulus: the squares of 1..12 mod 12 are 1, 4, 9, 4, 1, 0, ...
-    assert _power_hists((2,), 12, False)[0].tolist() == [2, 4, 0, 0, 4, 0, 0, 0, 0, 2, 0, 0]
-    assert _power_hists((2,), 12, True)[0].tolist() == [0, 4, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0]
+    assert _power_hists_many((2,), (12,), False)[0].tolist() == [2, 4, 0, 0, 4, 0, 0, 0, 0, 2, 0, 0]
+    assert _power_hists_many((2,), (12,), True)[0].tolist() == [0, 4, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0]
 
 
 def test_histogram_mass():
@@ -50,8 +50,8 @@ def test_histogram_mass():
 
     # one row per exponent, each counted into its own bins of one bincount
     for q in (2, 5, 12, 36):
-        assert _power_hists((2, 3, 14), q, False).sum(axis=1).tolist() == [q] * 3
-        assert _power_hists((2, 3, 14), q, True).sum(axis=1).tolist() == [euler_phi(factorize(q))] * 3
+        assert _power_hists_many((2, 3, 14), (q,), False).sum(axis=1).tolist() == [q] * 3
+        assert _power_hists_many((2, 3, 14), (q,), True).sum(axis=1).tolist() == [euler_phi(factorize(q))] * 3
 
 
 def test_count_congruence_mod2_examples():

@@ -23,6 +23,9 @@ def test_correlation_sum_base_cases():
     # p = 2: S_2(2, a) = 0, so B(2, n) = 0 and the Euler factor is L(2,n)/1 = 1
     assert correlation_sum(2, 1, 40, 3) == pytest.approx(0.0, abs=1e-12)
     assert euler_factor(2, 1, 40, 3).value == pytest.approx(1.0)
+    # k = 2 would put the unit rows (2, 3, k) out of order: refused, not a wrong row
+    with pytest.raises(ValueError):
+        correlation_sum(5, 1, 40, 2)
 
 
 def test_euler_factor_identities():
